@@ -13,11 +13,20 @@ Commands
   or default to the shipped test rings.
 * ``ring SPEC``: the full pipeline on one ring.
 
+Campaigns are data: every property, theorem and ring-pipeline stage is one
+:class:`Campaign` entry in :data:`CAMPAIGNS`.  An entry names its command,
+its population (corpus lattices or rings, or sampled draws tallied per
+corpus item), an optional premise whose failure gives a vacuous "holds" row,
+and a per-item check that returns the verdict with its ``detail`` or
+``counterexample``.  ``check``, ``verify-theorem`` and ``ring`` walk that
+table, and the command choices are read off it.
+
 Reports are JSON on stdout (or ``--out``), deterministic for a fixed
 (corpus, seed, budget): rerunning a command yields byte-identical output.
 Wall-clock time goes to stderr only.  Exit codes: 0 every row holds, 1 some
 row fails, 2 budget exhausted somewhere with no failure, 3 operational error
-(bad arguments, unreadable input, oversized ring).
+(bad arguments such as a negative ``--budget``, an unreadable corpus or a
+malformed corpus row, an oversized ring).
 """
 from __future__ import annotations
 
@@ -34,7 +43,6 @@ from .congruence import alternating_chain, con_lattice, induced_con_map
 from .lattice import (
     BoundExceeded,
     FiniteLattice,
-    LatticeHom,
     canonical_form,
     boolean,
     chain,
@@ -42,6 +50,8 @@ from .lattice import (
     enumerate_lattices,
     has_convex_range,
     is_atomistic,
+    is_complemented,
+    is_modular,
     is_relatively_complemented,
     is_sectionally_complemented,
     m3,
@@ -49,7 +59,6 @@ from .lattice import (
 )
 from .semilattice import (
     FiniteJoinSemilattice,
-    SemilatticeHom,
     enumerate_semilattice_homs,
     has_refinement_property,
     is_weakly_distributive,
@@ -64,6 +73,7 @@ from .splitting import (
 )
 from .urp import (
     DEFAULT_SEARCH_BUDGET,
+    NoSourceWitness,
     SearchBudgetExceeded,
     UrpInstance,
     canonical_instance,
@@ -76,7 +86,7 @@ from .urp import (
     verify_urp_witness,
 )
 from . import regring
-from .regring import FiniteRing, parse_ring_spec
+from .regring import FiniteRing
 
 DEFAULT_TRIALS = 10_000
 
@@ -89,22 +99,6 @@ TEST_RINGS: tuple[str, ...] = (
     "M(1,2)xM(2,2)",
     "M(1,2)xM(2,3)",
 )
-
-PROPERTY_IDS = ("property-c", "cong-splitting", "urp", "con-distributive")
-THEOREM_IDS = (
-    "prop-a",
-    "prop-b",
-    "prop-d",
-    "thm-csurp",
-    "prop-convhom",
-    "lem-wdadd",
-    "prop-urpadd",
-    "prop-urpclwd",
-    "ring-nid-id",
-    "ring-conc-idc",
-    "ring-pi",
-)
-RING_THEOREMS = ("ring-nid-id", "ring-conc-idc", "ring-pi")
 
 NO_FINITE_COUNTEREXAMPLE = (
     "No finite counterexample to the uniform refinement property was found in "
@@ -195,7 +189,7 @@ def read_corpus(path: str) -> list[tuple[str, FiniteLattice]]:
                 obj = json.loads(line)
                 L = FiniteLattice.from_json(obj)
                 items.append((obj.get("id", canonical_form(L)), L))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, IndexError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return items
 
@@ -204,227 +198,232 @@ def default_corpus(max_size: int) -> list[tuple[str, FiniteLattice]]:
     return [(canonical_form(L), L) for L in enumerate_lattices(max_size)]
 
 
-# -- property checks -------------------------------------------------------------
+# -- the campaign table ----------------------------------------------------------
 
 
-def _check_property_c(item_id: str, L: FiniteLattice, budget: int) -> dict:
-    res = has_property_C(L)
-    row = {"item": item_id, "property": "property-c", "verdict": "holds" if res.holds else "fails"}
-    if not res.holds:
-        a, b, c = res.failing
-        row["counterexample"] = {"a": a, "b": b, "c": c}
-    return row
+@dataclass(frozen=True)
+class Campaign:
+    """One campaign, as data.
 
-def _check_cong_splitting(item_id: str, L: FiniteLattice, budget: int) -> dict:
-    res = is_congruence_splitting(L)
-    row = {"item": item_id, "property": "cong-splitting", "verdict": "holds" if res.holds else "fails"}
-    if not res.holds:
-        a, b, i0, i1 = res.failing
-        row["counterexample"] = {"a": a, "b": b, "alpha0": i0, "alpha1": i1}
-    return row
+    ``command`` is the CLI command the entry belongs to: every "check" and
+    "verify-theorem" entry is one report, and the "ring" entries are the
+    stages of the single-ring pipeline, one row each.  ``population`` says
+    what the rows range over: "items" (corpus lattices) or "rings" (ring
+    specs).  An item that fails ``premise`` gets a vacuous "holds" row;
+    every other item gets ``check(item, budget)``, a row fragment holding
+    the verdict with its ``detail`` or ``counterexample``.
 
-def _check_urp(item_id: str, L: FiniteLattice, budget: int) -> dict:
+    A sampled campaign instead sets ``draws``, which maps the corpus to
+    (item id, draw) pairs, and ``trial``, which names the tally a draw adds
+    to (or None).  ``trials`` draws are tallied per item under ``tallies``,
+    whose first entry counts the draws; here ``check`` is optional and
+    returns further exhaustive per-item tallies.  ``annotate`` attaches
+    :data:`NO_FINITE_COUNTEREXAMPLE` to a report with no failing row.
+    """
+
+    id: str
+    command: str
+    population: str
+    check: Callable | None = None
+    premise: Callable | None = None
+    draws: Callable | None = None
+    trial: Callable | None = None
+    tallies: tuple[str, ...] = ()
+    annotate: bool = False
+
+
+def _verdict(ok: bool, **fields) -> dict:
+    return {"verdict": "holds" if ok else "fails", **fields}
+
+
+def _decided(failing: tuple | None, counterexample: Callable) -> dict:
+    """The row of a decision procedure that returns its first failure, or
+    None when the property holds."""
+    if failing is None:
+        return _verdict(True)
+    return _verdict(False, counterexample=counterexample(*failing))
+
+
+def _urp_everywhere(L: FiniteLattice, budget: int) -> dict:
     S = con_lattice(L).as_semilattice
-    row = {"item": item_id, "property": "urp"}
     try:
         for e in range(S.n):
             if not holds_urp_at(S, e, budget):
-                row["verdict"] = "fails"
-                row["counterexample"] = {"element": e}
-                return row
-        row["verdict"] = "holds"
+                return _verdict(False, counterexample={"element": e})
     except SearchBudgetExceeded:
-        row["verdict"] = "budget-exceeded"
-    return row
-
-def _check_con_distributive(item_id: str, L: FiniteLattice, budget: int) -> dict:
-    res = has_refinement_property(con_lattice(L).as_semilattice)
-    row = {
-        "item": item_id,
-        "property": "con-distributive",
-        "verdict": "holds" if res.holds else "fails",
-    }
-    if not res.holds:
-        row["counterexample"] = dict(
-            zip(("a0", "a1", "b0", "b1"), res.counterexample)
-        )
-    return row
-
-_CHECKS: dict[str, Callable[[str, FiniteLattice, int], dict]] = {
-    "property-c": _check_property_c,
-    "cong-splitting": _check_cong_splitting,
-    "urp": _check_urp,
-    "con-distributive": _check_con_distributive,
-}
+        return {"verdict": "budget-exceeded"}
+    return _verdict(True)
 
 
-def campaign_check(
-    property_id: str,
-    items: Sequence[tuple[str, FiniteLattice]],
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> CampaignReport:
-    if property_id not in _CHECKS:
-        raise UnknownProperty(property_id)
-    fn = _CHECKS[property_id]
-    report = CampaignReport(
-        "check", {"property": property_id, "items": len(items), "budget": budget}
-    )
-    for item_id, L in items:
-        report.rows.append(fn(item_id, L, budget))
-    if property_id == "urp" and not report.summary["fails"]:
-        report.annotations.append(NO_FINITE_COUNTEREXAMPLE)
-    return report
-
-
-# -- theorem campaigns -----------------------------------------------------------
-
-
-def _vacuous(item_id: str, theorem: str, note: str) -> dict:
-    return {"item": item_id, "property": theorem, "verdict": "holds", "detail": note}
-
-
-def _campaign_prop_a(items, budget, seed, trials) -> tuple[list[dict], list[str]]:
-    """Sectionally or relatively complemented lattices have property (C)."""
-    rows = []
-    for item_id, L in items:
-        if not (is_sectionally_complemented(L) or is_relatively_complemented(L)):
-            rows.append(_vacuous(item_id, "prop-a", "premise does not apply"))
-            continue
-        res = has_property_C(L)
-        row = {"item": item_id, "property": "prop-a", "verdict": "holds" if res.holds else "fails"}
-        if not res.holds:
-            row["counterexample"] = {"triple": list(res.failing)}
-        rows.append(row)
-    return rows, []
-
-
-def _campaign_prop_b(items, budget, seed, trials) -> tuple[list[dict], list[str]]:
-    """Atomistic lattices have property (C)."""
-    rows = []
-    for item_id, L in items:
-        if not is_atomistic(L):
-            rows.append(_vacuous(item_id, "prop-b", "premise does not apply"))
-            continue
-        res = has_property_C(L)
-        row = {"item": item_id, "property": "prop-b", "verdict": "holds" if res.holds else "fails"}
-        if not res.holds:
-            row["counterexample"] = {"triple": list(res.failing)}
-        rows.append(row)
-    return rows, []
-
-
-def _exact_join_instances(L: FiniteLattice):
-    """All (a, b, alpha0, alpha1) with a <= b and alpha0 v alpha1 = Theta(a,b)."""
+def _join_decompositions(L: FiniteLattice):
+    """Each (u, v, eps, fams) with u <= v, eps = Theta(u, v) and fams every
+    (i0, i1) with alpha_i0 v alpha_i1 = eps, as indices into Con L."""
     con = con_lattice(L)
     jn = con.as_lattice.join_rows
     k = len(con)
-    for a in range(L.n):
-        for b in range(L.n):
-            if not L.leq[a, b]:
-                continue
-            tgt = con.principal[a][b]
-            for i0 in range(k):
-                for i1 in range(k):
-                    if jn[i0][i1] == tgt:
-                        yield a, b, con.congruences[i0], con.congruences[i1]
-
-
-def _campaign_prop_d(items, budget, seed, trials) -> tuple[list[dict], list[str]]:
-    """Property (C) implies congruence splitting, constructively."""
-    rows = []
-    for item_id, L in items:
-        if not has_property_C(L).holds:
-            rows.append(_vacuous(item_id, "prop-d", "premise does not apply"))
-            continue
-        row = {"item": item_id, "property": "prop-d"}
-        split = is_congruence_splitting(L)
-        checked = 0
-        bad = None
-        con = con_lattice(L)
-        for a, b, al0, al1 in _exact_join_instances(L):
-            inst = SplitInstance(L, a, b, al0, al1)
-            x0, x1 = splitting_from_property_C(inst)
-            jn = L.join_rows
-            ok = (
-                L.le(a, x0)
-                and L.le(x0, b)
-                and L.le(a, x1)
-                and L.le(x1, b)
-                and jn[x0][x1] == b
-                and con.congruences[con.principal[a][x0]].refines(al0)
-                and con.congruences[con.principal[a][x1]].refines(al1)
-            )
-            checked += 1
-            if not ok:
-                bad = {"a": a, "b": b, "x0": x0, "x1": x1}
-                break
-        if split.holds and bad is None:
-            row["verdict"] = "holds"
-            row["detail"] = {"instances": checked}
-        else:
-            row["verdict"] = "fails"
-            row["counterexample"] = bad or {"splitting": list(split.failing)}
-        rows.append(row)
-    return rows, []
-
-
-def _campaign_thm_csurp(items, budget, seed, trials) -> tuple[list[dict], list[str]]:
-    """Congruence lattices of congruence-splitting lattices satisfy the
-    uniform refinement property, via the constructed witness."""
-    rows = []
-    for item_id, L in items:
-        if not is_congruence_splitting(L).holds:
-            rows.append(_vacuous(item_id, "thm-csurp", "premise does not apply"))
-            continue
-        con = con_lattice(L)
-        jn = con.as_lattice.join_rows
-        k = len(con)
-        row = {"item": item_id, "property": "thm-csurp"}
-        checked = 0
-        bad = None
-        for u in range(L.n):
-            for v in range(L.n):
-                if not L.leq[u, v]:
-                    continue
+    for u in range(L.n):
+        for v in range(L.n):
+            if L.leq[u, v]:
                 eps = con.principal[u][v]
                 fams = tuple(
-                    (i0, i1)
-                    for i0 in range(k)
-                    for i1 in range(k)
-                    if jn[i0][i1] == eps
+                    (i0, i1) for i0 in range(k) for i1 in range(k) if jn[i0][i1] == eps
                 )
-                w = csurp_witness(L, u, v, fams)
-                inst = UrpInstance(con.as_semilattice, eps, fams)
-                check = verify_urp_witness(inst, w)
-                checked += 1
-                if not check.ok:
-                    bad = {"u": u, "v": v, "clause": check.clause}
-                    break
-            if bad:
-                break
-        if bad is None:
-            row["verdict"] = "holds"
-            row["detail"] = {"instances": checked}
-        else:
-            row["verdict"] = "fails"
-            row["counterexample"] = bad
-        rows.append(row)
-    annotations = [NO_FINITE_COUNTEREXAMPLE] if not any(
-        r["verdict"] == "fails" for r in rows
-    ) else []
-    return rows, annotations
+                yield u, v, eps, fams
 
 
-def _convex_hom_population(
-    items: Sequence[tuple[str, FiniteLattice]]
-) -> list[tuple[str, LatticeHom]]:
-    pop = []
-    for src_id, K in items:
-        for _, L in items:
-            for h in enumerate_lattice_homs(K, L):
-                if has_convex_range(h):
-                    pop.append((src_id, h))
-    return pop
+def _join_instances(L: FiniteLattice):
+    """Each (u, v, alpha0, alpha1) with u <= v and alpha0 v alpha1 = Theta(u, v)."""
+    congs = con_lattice(L).congruences
+    for u, v, _, fams in _join_decompositions(L):
+        for i0, i1 in fams:
+            yield u, v, congs[i0], congs[i1]
+
+
+def _first_failure(instances, failure: Callable) -> tuple[int, dict | None]:
+    """Walk ``instances`` up to the first one ``failure`` reports; return
+    how many were examined and that counterexample, or None."""
+    checked = 0
+    for inst in instances:
+        checked += 1
+        bad = failure(*inst)
+        if bad:
+            return checked, bad
+    return checked, None
+
+
+def _splits_constructively(L: FiniteLattice, _budget: int) -> dict:
+    con = con_lattice(L)
+    jn = L.join_rows
+    split = is_congruence_splitting(L)
+
+    def failure(a, b, al0, al1):
+        x0, x1 = splitting_from_property_C(SplitInstance(L, a, b, al0, al1))
+        ok = (
+            L.le(a, x0)
+            and L.le(x0, b)
+            and L.le(a, x1)
+            and L.le(x1, b)
+            and jn[x0][x1] == b
+            and con.congruences[con.principal[a][x0]].refines(al0)
+            and con.congruences[con.principal[a][x1]].refines(al1)
+        )
+        return None if ok else {"a": a, "b": b, "x0": x0, "x1": x1}
+
+    checked, bad = _first_failure(_join_instances(L), failure)
+    if split.holds and bad is None:
+        return _verdict(True, detail={"instances": checked})
+    return _verdict(False, counterexample=bad or {"splitting": list(split.failing)})
+
+
+def _property_c_triple(L: FiniteLattice, _budget: int) -> dict:
+    return _decided(has_property_C(L).failing, lambda *t: {"triple": list(t)})
+
+
+def _csurp_witnesses_verify(L: FiniteLattice, _budget: int) -> dict:
+    S = con_lattice(L).as_semilattice
+
+    def failure(u, v, eps, fams):
+        check = verify_urp_witness(UrpInstance(S, eps, fams), csurp_witness(L, u, v, fams))
+        return None if check.ok else {"u": u, "v": v, "clause": check.clause}
+
+    checked, bad = _first_failure(_join_decompositions(L), failure)
+    if bad is None:
+        return _verdict(True, detail={"instances": checked})
+    return _verdict(False, counterexample=bad)
+
+
+def _chains_label_faithful(L: FiniteLattice, _budget: int) -> dict:
+    checked = failures = 0
+    for u, v, al0, al1 in _join_instances(L):
+        checked += 1
+        if not alternating_chain(L, u, v, al0, al1).validate():
+            failures += 1
+    return {"chains_checked": checked, "chain_failures": failures}
+
+
+# -- sampled populations and their trials ------------------------------------------
+
+
+def _convex_homs(items: Sequence[tuple[str, FiniteLattice]]) -> list:
+    return [
+        (src_id, h)
+        for src_id, K in items
+        for _, L in items
+        for h in enumerate_lattice_homs(K, L)
+        if has_convex_range(h)
+    ]
+
+
+def _semilattice_homs(items: Sequence[tuple[str, FiniteLattice]]):
+    sls = [(item_id, FiniteJoinSemilattice.from_lattice(L)) for item_id, L in items]
+    for src_id, S in sls:
+        for _, T in sls:
+            for h in enumerate_semilattice_homs(S, T):
+                yield src_id, h
+
+
+def _wd_point_pairs(items) -> list:
+    population = []
+    for src_id, h in _semilattice_homs(items):
+        if not has_refinement_property(h.target).holds:
+            continue
+        wd_at = [u for u in range(h.source.n) if is_weakly_distributive_at(h, u).holds]
+        population.extend((src_id, (h, u0, u1)) for u0 in wd_at for u1 in wd_at)
+    return population
+
+
+def _wd_combine(draw, _budget: int) -> None:
+    h, u0, u1 = draw
+    w0 = is_weakly_distributive_at(h, u0).witness
+    w1 = is_weakly_distributive_at(h, u1).witness
+    wd_join_combine(h, u0, u1, w0, w1)
+
+
+def _urp_split_points(items) -> list:
+    population = []
+    for item_id, L in items:
+        S = FiniteJoinSemilattice.from_lattice(L)
+        if has_refinement_property(S).holds:
+            population.extend((item_id, (S, e0, e1)) for e0 in range(S.n) for e1 in range(S.n))
+    return population
+
+
+def _urp_combine(draw, budget: int) -> str | None:
+    S, e0, e1 = draw
+    combined = canonical_instance(S, S.join_rows[e0][e1])
+    i0, i1 = refine_instance(combined, e0, e1)
+    w0 = search_urp_witness(i0, budget)
+    w1 = search_urp_witness(i1, budget)
+    if w0 is None or w1 is None:
+        return "failures"
+    urp_join_combine(combined, i0, i1, w0, w1)
+    return None
+
+
+def _wd_points(items) -> list:
+    return [
+        (src_id, (h, u))
+        for src_id, h in _semilattice_homs(items)
+        if is_weakly_distributive(h)
+        for u in range(h.source.n)
+    ]
+
+
+def _urp_pull_back(draw, budget: int) -> None:
+    h, u = draw
+    urp_transfer(h, u, canonical_instance(h.target, h.map[u]), budget)
+
+
+# A trial may also end in one of these exceptions, which then names the tally
+# its draw adds to; a campaign catches only those whose tally it keeps.
+# NoSourceWitness means URP fails at the source point: the premise does not
+# apply.
+_TRIAL_OUTCOMES = (
+    (SearchBudgetExceeded, "budget_exceeded"),
+    (NoSourceWitness, "no_source_witness"),
+    (AssertionError, "failures"),
+)
+_FAILURE_TALLIES = ("failures", "wd_failures", "chain_failures")
 
 
 def _sample(population: list, trials: int, rng: random.Random) -> list:
@@ -435,239 +434,214 @@ def _sample(population: list, trials: int, rng: random.Random) -> list:
     return list(population) + rng.choices(population, k=trials - len(population))
 
 
-def _campaign_prop_convhom(items, budget, seed, trials) -> tuple[list[dict], list[str]]:
-    """Lattice homomorphisms with convex range induce weakly distributive
-    maps on congruence lattices; chain monotonization stays label-faithful."""
+def _sampled_rows(c: Campaign, items, budget: int, seed: int, trials: int) -> list[dict]:
     rng = random.Random(seed)
-    pop = _convex_hom_population(items)
-    sampled = _sample(pop, trials, rng)
-    per_item: dict[str, dict] = {
-        item_id: {"homs_checked": 0, "wd_failures": 0} for item_id, _ in items
+    caught = tuple(exc for exc, tally in _TRIAL_OUTCOMES if tally in c.tallies)
+    stats = {item_id: dict.fromkeys(c.tallies, 0) for item_id, _ in items}
+    for item_id, draw in _sample(c.draws(items), trials, rng):
+        tally = stats[item_id]
+        tally[c.tallies[0]] += 1
+        try:
+            outcome = c.trial(draw, budget)
+        except caught as exc:
+            outcome = next(t for e, t in _TRIAL_OUTCOMES if isinstance(exc, e))
+        if outcome:
+            tally[outcome] += 1
+    if c.check is not None:
+        for item_id, L in items:
+            stats[item_id].update(c.check(L, budget))
+    rows = []
+    for item_id, _ in items:
+        tally = stats[item_id]
+        if any(tally.get(t) for t in _FAILURE_TALLIES):
+            verdict = "fails"
+        elif tally.get("budget_exceeded"):
+            verdict = "budget-exceeded"
+        else:
+            verdict = "holds"
+        rows.append({"item": item_id, "property": c.id, "verdict": verdict, "detail": tally})
+    return rows
+
+
+# -- ring checks ------------------------------------------------------------------
+
+
+def _known_lattice_names() -> dict[str, str]:
+    names = {canonical_form(m3()): "M3", canonical_form(n5()): "N5"}
+    for k in range(1, 9):
+        names[canonical_form(chain(k))] = f"{k}-chain"
+    for k in range(1, 4):
+        names[canonical_form(boolean(k))] = f"2^{k} Boolean"
+    return names
+
+
+def _right_ideal_lattice(R: FiniteRing, _budget: int) -> dict:
+    L = regring.principal_right_ideals(R).lattice
+    code = canonical_form(L)
+    detail = {
+        "size": L.n,
+        "canonical": code,
+        "known-as": _known_lattice_names().get(code, "(unnamed)"),
     }
-    for src_id, h in sampled:
-        stats = per_item[src_id]
-        stats["homs_checked"] += 1
-        ch = induced_con_map(h)
-        if not is_weakly_distributive(ch):
-            stats["wd_failures"] += 1
-    # chain monotonization on each item: every principal pair, every
-    # congruence pair covering it
-    for item_id, L in items:
-        con = con_lattice(L)
-        jn = con.as_lattice.join_rows
-        k = len(con)
-        checked = 0
-        failures = 0
-        for u in range(L.n):
-            for v in range(L.n):
-                if not L.leq[u, v]:
-                    continue
-                tgt = con.principal[u][v]
-                for i0 in range(k):
-                    for i1 in range(k):
-                        if jn[i0][i1] != tgt:
-                            continue
-                        chain_ = alternating_chain(
-                            L, u, v, con.congruences[i0], con.congruences[i1]
-                        )
-                        checked += 1
-                        if not chain_.validate():
-                            failures += 1
-        per_item[item_id]["chains_checked"] = checked
-        per_item[item_id]["chain_failures"] = failures
+    return _verdict(is_modular(L) and is_complemented(L), detail=detail)
+
+
+def _pi_map_checks(R: FiniteRing, _budget: int) -> dict:
+    checks = regring.verify_pi_map(R)
+    return _verdict(all(checks.values()), detail=checks)
+
+
+def _universal_quotient(R: FiniteRing) -> bool:
+    return regring.max_semilattice_quotient(regring.v_monoid(R).k).verify_universal_property()
+
+
+def _ring_pi(R: FiniteRing, _budget: int) -> dict:
+    checks = regring.verify_pi_map(R)
+    universal = _universal_quotient(R)
+    detail = {**checks, "k": regring.v_monoid(R).k, "universal-property": universal}
+    return _verdict(all(checks.values()) and universal, detail=detail)
+
+
+CAMPAIGNS: tuple[Campaign, ...] = (
+    # check PROPERTY: one decision per corpus lattice
+    Campaign(
+        "property-c", "check", "items",
+        lambda L, _: _decided(has_property_C(L).failing, lambda a, b, c: {"a": a, "b": b, "c": c}),
+    ),
+    Campaign(
+        "cong-splitting", "check", "items",
+        lambda L, _: _decided(
+            is_congruence_splitting(L).failing,
+            lambda a, b, i0, i1: {"a": a, "b": b, "alpha0": i0, "alpha1": i1},
+        ),
+    ),
+    Campaign("urp", "check", "items", _urp_everywhere, annotate=True),
+    Campaign(
+        "con-distributive", "check", "items",
+        lambda L, _: _decided(
+            has_refinement_property(con_lattice(L).as_semilattice).counterexample,
+            lambda *eq: dict(zip(("a0", "a1", "b0", "b1"), eq)),
+        ),
+    ),
+    # verify-theorem THEOREM over a corpus
+    # prop-a: sectionally or relatively complemented lattices have property (C)
+    Campaign(
+        "prop-a", "verify-theorem", "items", _property_c_triple,
+        premise=lambda L: is_sectionally_complemented(L) or is_relatively_complemented(L),
+    ),
+    # prop-b: atomistic lattices have property (C)
+    Campaign("prop-b", "verify-theorem", "items", _property_c_triple, premise=is_atomistic),
+    # prop-d: property (C) implies congruence splitting, constructively
+    Campaign(
+        "prop-d", "verify-theorem", "items", _splits_constructively,
+        premise=lambda L: has_property_C(L).holds,
+    ),
+    # thm-csurp: Con L of a congruence-splitting L satisfies the uniform
+    # refinement property, via the constructed witness
+    Campaign(
+        "thm-csurp", "verify-theorem", "items", _csurp_witnesses_verify,
+        premise=lambda L: is_congruence_splitting(L).holds, annotate=True,
+    ),
+    # prop-convhom: convex-range lattice homs induce weakly distributive maps
+    # on Con; chain monotonization stays label-faithful on every instance
+    Campaign(
+        "prop-convhom", "verify-theorem", "items", _chains_label_faithful,
+        draws=_convex_homs,
+        trial=lambda h, _: None if is_weakly_distributive(induced_con_map(h)) else "wd_failures",
+        tallies=("homs_checked", "wd_failures"),
+    ),
+    # lem-wdadd: weak distributivity is closed under join
+    Campaign(
+        "lem-wdadd", "verify-theorem", "items",
+        draws=_wd_point_pairs, trial=_wd_combine, tallies=("combined", "failures"),
+    ),
+    # prop-urpadd: URP is closed under join: split the canonical instance at
+    # e0 + e1, solve both halves, recombine, validate
+    Campaign(
+        "prop-urpadd", "verify-theorem", "items",
+        draws=_urp_split_points, trial=_urp_combine,
+        tallies=("combined", "failures", "budget_exceeded"),
+    ),
+    # prop-urpclwd: URP transfers along weakly distributive maps: pull the
+    # instance back, solve at the source, push forward
+    Campaign(
+        "prop-urpclwd", "verify-theorem", "items",
+        draws=_wd_points, trial=_urp_pull_back,
+        tallies=("transfers", "failures", "budget_exceeded", "no_source_witness"),
+    ),
+    # verify-theorem THEOREM over rings
+    Campaign(
+        "ring-nid-id", "verify-theorem", "rings",
+        lambda R, _: _verdict(regring.verify_nid_id_iso(R) and regring.neutral_iff_iso_closed(R)),
+    ),
+    Campaign(
+        "ring-conc-idc", "verify-theorem", "rings", lambda R, _: _verdict(regring.conc_idc_iso(R))
+    ),
+    Campaign("ring-pi", "verify-theorem", "rings", _ring_pi),
+    # ring SPEC: the pipeline stages, in order; a non-regular ring stops it
+    Campaign("regular", "ring", "rings", lambda R, _: _verdict(regring.is_regular(R).holds)),
+    Campaign("principal-right-ideals", "ring", "rings", _right_ideal_lattice),
+    Campaign(
+        "two-sided-ideals", "ring", "rings",
+        lambda R, _: _verdict(True, detail={"size": regring.two_sided_ideals(R).lattice.n}),
+    ),
+    Campaign(
+        "v-monoid", "ring", "rings",
+        lambda R, _: _verdict(True, detail={"k": regring.v_monoid(R).k}),
+    ),
+    Campaign("nid-id-iso", "ring", "rings", lambda R, _: _verdict(regring.verify_nid_id_iso(R))),
+    Campaign(
+        "neutral-iff-iso-closed", "ring", "rings",
+        lambda R, _: _verdict(regring.neutral_iff_iso_closed(R)),
+    ),
+    Campaign("conc-idc-iso", "ring", "rings", lambda R, _: _verdict(regring.conc_idc_iso(R))),
+    Campaign("pi-map", "ring", "rings", _pi_map_checks),
+    Campaign(
+        "max-semilattice-quotient", "ring", "rings", lambda R, _: _verdict(_universal_quotient(R))
+    ),
+)
+
+_CHECKS = {c.id: c for c in CAMPAIGNS if c.command == "check"}
+_THEOREMS = {c.id: c for c in CAMPAIGNS if c.command == "verify-theorem"}
+_STAGES = tuple(c for c in CAMPAIGNS if c.command == "ring")
+PROPERTY_IDS = tuple(_CHECKS)
+THEOREM_IDS = tuple(_THEOREMS)
+RING_THEOREMS = tuple(t for t, c in _THEOREMS.items() if c.population == "rings")
+
+
+# -- walking the table --------------------------------------------------------------
+
+
+def _rows(c: Campaign, population, budget: int, seed: int = 0, trials: int = 0) -> list[dict]:
+    if c.draws is not None:
+        return _sampled_rows(c, population, budget, seed, trials)
     rows = []
-    for item_id, _ in items:
-        stats = per_item[item_id]
-        verdict = (
-            "fails"
-            if stats["wd_failures"] or stats.get("chain_failures")
-            else "holds"
-        )
-        rows.append(
-            {"item": item_id, "property": "prop-convhom", "verdict": verdict, "detail": stats}
-        )
-    return rows, []
+    for item_id, x in population:
+        if c.premise is not None and not c.premise(x):
+            fragment = {"verdict": "holds", "detail": "premise does not apply"}
+        else:
+            fragment = c.check(x, budget)
+        rows.append({"item": item_id, "property": c.id, **fragment})
+    return rows
 
 
-def _semilattice_hom_population(
-    items: Sequence[tuple[str, FiniteLattice]]
-) -> list[tuple[str, SemilatticeHom]]:
-    sls = [(item_id, FiniteJoinSemilattice.from_lattice(L)) for item_id, L in items]
-    pop = []
-    for src_id, S in sls:
-        for _, T in sls:
-            pop.extend((src_id, h) for h in enumerate_semilattice_homs(S, T))
-    return pop
+def _report(c: Campaign, params: dict, rows: list[dict]) -> CampaignReport:
+    report = CampaignReport(c.command, params, rows)
+    if c.annotate and not report.summary["fails"]:
+        report.annotations.append(NO_FINITE_COUNTEREXAMPLE)
+    return report
 
 
-def _campaign_lem_wdadd(items, budget, seed, trials) -> tuple[list[dict], list[str]]:
-    """Weak distributivity is closed under join: combine witnesses at u0 and
-    u1 into one at u0 + u1 and validate it."""
-    rng = random.Random(seed)
-    population = []
-    for src_id, h in _semilattice_hom_population(items):
-        if not has_refinement_property(h.target).holds:
-            continue
-        wd_at = [u for u in range(h.source.n) if is_weakly_distributive_at(h, u).holds]
-        population.extend(
-            (src_id, h, u0, u1) for u0 in wd_at for u1 in wd_at
-        )
-    sampled = _sample(population, trials, rng)
-    per_item = {item_id: {"combined": 0, "failures": 0} for item_id, _ in items}
-    for src_id, h, u0, u1 in sampled:
-        stats = per_item[src_id]
-        stats["combined"] += 1
-        w0 = is_weakly_distributive_at(h, u0).witness
-        w1 = is_weakly_distributive_at(h, u1).witness
-        try:
-            wd_join_combine(h, u0, u1, w0, w1)
-        except AssertionError:
-            stats["failures"] += 1
-    rows = [
-        {
-            "item": item_id,
-            "property": "lem-wdadd",
-            "verdict": "fails" if per_item[item_id]["failures"] else "holds",
-            "detail": per_item[item_id],
-        }
-        for item_id, _ in items
-    ]
-    return rows, []
-
-
-def _campaign_prop_urpadd(items, budget, seed, trials) -> tuple[list[dict], list[str]]:
-    """The uniform refinement property is closed under join: split the
-    canonical instance at e0 + e1, solve both halves, recombine, validate."""
-    rng = random.Random(seed)
-    population = []
-    for item_id, L in items:
-        S = FiniteJoinSemilattice.from_lattice(L)
-        if not has_refinement_property(S).holds:
-            continue
-        population.extend(
-            (item_id, S, e0, e1) for e0 in range(S.n) for e1 in range(S.n)
-        )
-    sampled = _sample(population, trials, rng)
-    per_item = {item_id: {"combined": 0, "failures": 0, "budget_exceeded": 0} for item_id, _ in items}
-    for item_id, S, e0, e1 in sampled:
-        stats = per_item[item_id]
-        stats["combined"] += 1
-        try:
-            combined = canonical_instance(S, S.join_rows[e0][e1])
-            i0, i1 = refine_instance(combined, e0, e1)
-            w0 = search_urp_witness(i0, budget)
-            w1 = search_urp_witness(i1, budget)
-            if w0 is None or w1 is None:
-                stats["failures"] += 1
-                continue
-            urp_join_combine(combined, i0, i1, w0, w1)
-        except SearchBudgetExceeded:
-            stats["budget_exceeded"] += 1
-        except AssertionError:
-            stats["failures"] += 1
-    rows = []
-    for item_id, _ in items:
-        stats = per_item[item_id]
-        verdict = "fails" if stats["failures"] else (
-            "budget-exceeded" if stats["budget_exceeded"] else "holds"
-        )
-        rows.append(
-            {"item": item_id, "property": "prop-urpadd", "verdict": verdict, "detail": stats}
-        )
-    return rows, []
-
-
-def _campaign_prop_urpclwd(items, budget, seed, trials) -> tuple[list[dict], list[str]]:
-    """The uniform refinement property transfers along weakly distributive
-    maps: pull the instance back, solve at the source, push forward."""
-    rng = random.Random(seed)
-    population = []
-    for src_id, h in _semilattice_hom_population(items):
-        if not is_weakly_distributive(h):
-            continue
-        population.extend((src_id, h, u) for u in range(h.source.n))
-    sampled = _sample(population, trials, rng)
-    per_item = {item_id: {"transfers": 0, "failures": 0, "budget_exceeded": 0, "no_source_witness": 0} for item_id, _ in items}
-    from .urp import NoSourceWitness
-
-    for src_id, h, u in sampled:
-        stats = per_item[src_id]
-        stats["transfers"] += 1
-        try:
-            inst = canonical_instance(h.target, h.map[u])
-            urp_transfer(h, u, inst, budget)
-        except SearchBudgetExceeded:
-            stats["budget_exceeded"] += 1
-        except NoSourceWitness:
-            # URP fails at u in the source; the premise does not apply
-            stats["no_source_witness"] += 1
-        except AssertionError:
-            stats["failures"] += 1
-    rows = []
-    for item_id, _ in items:
-        stats = per_item[item_id]
-        verdict = "fails" if stats["failures"] else (
-            "budget-exceeded" if stats["budget_exceeded"] else "holds"
-        )
-        rows.append(
-            {"item": item_id, "property": "prop-urpclwd", "verdict": verdict, "detail": stats}
-        )
-    return rows, []
-
-
-def _campaign_ring_nid_id(rings, budget, seed, trials) -> tuple[list[dict], list[str]]:
-    rows = []
-    for spec in rings:
-        R = FiniteRing.from_matrix_spec(spec)
-        ok = regring.verify_nid_id_iso(R) and regring.neutral_iff_iso_closed(R)
-        rows.append(
-            {"item": spec, "property": "ring-nid-id", "verdict": "holds" if ok else "fails"}
-        )
-    return rows, []
-
-
-def _campaign_ring_conc_idc(rings, budget, seed, trials) -> tuple[list[dict], list[str]]:
-    rows = []
-    for spec in rings:
-        R = FiniteRing.from_matrix_spec(spec)
-        ok = regring.conc_idc_iso(R)
-        rows.append(
-            {"item": spec, "property": "ring-conc-idc", "verdict": "holds" if ok else "fails"}
-        )
-    return rows, []
-
-
-def _campaign_ring_pi(rings, budget, seed, trials) -> tuple[list[dict], list[str]]:
-    rows = []
-    for spec in rings:
-        R = FiniteRing.from_matrix_spec(spec)
-        checks = regring.verify_pi_map(R)
-        k = regring.v_monoid(R).k
-        universal = regring.max_semilattice_quotient(k).verify_universal_property()
-        ok = all(checks.values()) and universal
-        row = {
-            "item": spec,
-            "property": "ring-pi",
-            "verdict": "holds" if ok else "fails",
-            "detail": {**checks, "k": k, "universal-property": universal},
-        }
-        rows.append(row)
-    return rows, []
-
-
-_THEOREMS: dict[str, Callable] = {
-    "prop-a": _campaign_prop_a,
-    "prop-b": _campaign_prop_b,
-    "prop-d": _campaign_prop_d,
-    "thm-csurp": _campaign_thm_csurp,
-    "prop-convhom": _campaign_prop_convhom,
-    "lem-wdadd": _campaign_lem_wdadd,
-    "prop-urpadd": _campaign_prop_urpadd,
-    "prop-urpclwd": _campaign_prop_urpclwd,
-    "ring-nid-id": _campaign_ring_nid_id,
-    "ring-conc-idc": _campaign_ring_conc_idc,
-    "ring-pi": _campaign_ring_pi,
-}
+def campaign_check(
+    property_id: str,
+    items: Sequence[tuple[str, FiniteLattice]],
+    budget: int = DEFAULT_SEARCH_BUDGET,
+) -> CampaignReport:
+    if property_id not in _CHECKS:
+        raise UnknownProperty(property_id)
+    c = _CHECKS[property_id]
+    params = {"property": property_id, "items": len(items), "budget": budget}
+    return _report(c, params, _rows(c, items, budget))
 
 
 def campaign_theorem(
@@ -680,104 +654,26 @@ def campaign_theorem(
 ) -> CampaignReport:
     if theorem_id not in _THEOREMS:
         raise UnknownTheorem(theorem_id)
+    c = _THEOREMS[theorem_id]
     params: dict = {"theorem": theorem_id, "budget": budget, "seed": seed}
-    if theorem_id in RING_THEOREMS:
-        universe: Sequence = tuple(rings) if rings else TEST_RINGS
-        params["rings"] = list(universe)
+    if c.population == "rings":
+        specs = tuple(rings) if rings else TEST_RINGS
+        params["rings"] = list(specs)
+        population = ((spec, FiniteRing.from_matrix_spec(spec)) for spec in specs)
     else:
-        universe = items if items is not None else default_corpus(5)
-        params["items"] = len(universe)
+        population = items if items is not None else default_corpus(5)
+        params["items"] = len(population)
         params["trials"] = trials
-    rows, annotations = _THEOREMS[theorem_id](universe, budget, seed, trials)
-    report = CampaignReport("verify-theorem", params, rows, annotations)
-    return report
-
-
-# -- single-ring pipeline --------------------------------------------------------
-
-
-def _known_lattice_names() -> dict[str, str]:
-    names = {canonical_form(m3()): "M3", canonical_form(n5()): "N5"}
-    for k in range(1, 9):
-        names[canonical_form(chain(k))] = f"{k}-chain"
-    for k in range(1, 4):
-        names[canonical_form(boolean(k))] = f"2^{k} Boolean"
-    return names
+    return _report(c, params, _rows(c, population, budget, seed, trials))
 
 
 def campaign_ring(spec: str) -> CampaignReport:
-    comps = parse_ring_spec(spec)
-    R = FiniteRing.from_matrix_spec(comps)
+    R = FiniteRing.from_matrix_spec(spec)
     report = CampaignReport("ring", {"spec": spec, "size": R.n})
-    names = _known_lattice_names()
-
-    reg = regring.is_regular(R)
-    report.rows.append(
-        {"item": spec, "property": "regular", "verdict": "holds" if reg.holds else "fails"}
-    )
-    if not reg.holds:
-        return report
-    lr = regring.principal_right_ideals(R)
-    code = canonical_form(lr.lattice)
-    from .lattice import is_complemented, is_modular
-
-    report.rows.append(
-        {
-            "item": spec,
-            "property": "principal-right-ideals",
-            "verdict": "holds"
-            if is_modular(lr.lattice) and is_complemented(lr.lattice)
-            else "fails",
-            "detail": {
-                "size": lr.lattice.n,
-                "canonical": code,
-                "known-as": names.get(code, "(unnamed)"),
-            },
-        }
-    )
-    tsl = regring.two_sided_ideals(R)
-    report.rows.append(
-        {
-            "item": spec,
-            "property": "two-sided-ideals",
-            "verdict": "holds",
-            "detail": {"size": tsl.lattice.n},
-        }
-    )
-    vm = regring.v_monoid(R)
-    report.rows.append(
-        {
-            "item": spec,
-            "property": "v-monoid",
-            "verdict": "holds",
-            "detail": {"k": vm.k},
-        }
-    )
-    for prop, ok in (
-        ("nid-id-iso", regring.verify_nid_id_iso(R)),
-        ("neutral-iff-iso-closed", regring.neutral_iff_iso_closed(R)),
-        ("conc-idc-iso", regring.conc_idc_iso(R)),
-    ):
-        report.rows.append(
-            {"item": spec, "property": prop, "verdict": "holds" if ok else "fails"}
-        )
-    checks = regring.verify_pi_map(R)
-    report.rows.append(
-        {
-            "item": spec,
-            "property": "pi-map",
-            "verdict": "holds" if all(checks.values()) else "fails",
-            "detail": checks,
-        }
-    )
-    universal = regring.max_semilattice_quotient(vm.k).verify_universal_property()
-    report.rows.append(
-        {
-            "item": spec,
-            "property": "max-semilattice-quotient",
-            "verdict": "holds" if universal else "fails",
-        }
-    )
+    for stage in _STAGES:
+        report.rows.extend(_rows(stage, [(spec, R)], DEFAULT_SEARCH_BUDGET))
+        if stage.id == "regular" and report.rows[-1]["verdict"] == "fails":
+            break  # every later stage needs a regular ring
     return report
 
 
@@ -797,6 +693,13 @@ class _Parser(argparse.ArgumentParser):
         return 3
 
 
+def _budget(text: str) -> int:
+    budget = int(text)
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"budget must be at least 0, got {budget}")
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="conlat", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"conlat {__version__}")
@@ -810,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("property", choices=PROPERTY_IDS)
     p.add_argument("--in", dest="in_path", help="JSONL corpus path")
     p.add_argument("--max-size", type=int, help="generate the corpus in memory")
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("verify-theorem", help="run a verification campaign")
@@ -818,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path")
     p.add_argument("--max-size", type=int)
     p.add_argument("--ring", action="append", help="ring spec (repeatable)")
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
 

@@ -409,8 +409,12 @@ def induced_con_map(h: LatticeHom) -> SemilatticeHom:
 
     The extension sends theta to the congruence generated by the image pairs
     of theta; this is monotone and join-preserving on all of Con(source),
-    which is re-checked here.
+    which is re-checked here.  Cached on h, so that the weak-distributivity
+    verdict cached on the induced map is shared by every use of h.
     """
+    cached = getattr(h, "_induced_con_map", None)
+    if cached is not None:
+        return cached
     if not check_hom(h):
         raise NotAHom("map does not preserve join and meet")
     conK = con_lattice(h.source)
@@ -427,7 +431,9 @@ def induced_con_map(h: LatticeHom) -> SemilatticeHom:
         for j in range(k):
             if mapping[jn_k[i][j]] != jn_l[mapping[i]][mapping[j]]:
                 raise AssertionError("induced map failed to preserve joins")
-    return SemilatticeHom(conK.as_semilattice, conL.as_semilattice, tuple(mapping))
+    cached = SemilatticeHom(conK.as_semilattice, conL.as_semilattice, tuple(mapping))
+    object.__setattr__(h, "_induced_con_map", cached)  # h is frozen
+    return cached
 
 
 # -- ideals and neutrality -------------------------------------------------------

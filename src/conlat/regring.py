@@ -53,10 +53,6 @@ class DecompositionFail(ValueError):
     """No complement found while decomposing into indecomposables."""
 
 
-class BoundExceeded(ValueError):
-    """See RING_SIZE_BOUND."""
-
-
 class SpecParse(ValueError):
     """Malformed ring spec string."""
 
@@ -242,8 +238,12 @@ class RightIdealLattice:
 
 
 def principal_right_ideals(R: FiniteRing) -> RightIdealLattice:
-    """Compute L(R); requires regularity so that idempotent generators exist
-    and the inclusion order is a (complemented, modular) lattice."""
+    """Compute L(R), cached on the ring; requires regularity so that
+    idempotent generators exist and the inclusion order is a (complemented,
+    modular) lattice."""
+    cached = getattr(R, "_principal_right_ideals", None)
+    if cached is not None:
+        return cached
     reg = is_regular(R)
     if not reg.holds:
         raise NotRegular(f"element {reg.failing} has no quasi-inverse")
@@ -259,7 +259,8 @@ def principal_right_ideals(R: FiniteRing) -> RightIdealLattice:
     for s in ideals:
         e = next(e for e in s if mul[e][e] == e and frozenset(mul[e]) == s)
         gens.append(e)
-    return RightIdealLattice(R, lattice, tuple(ideals), tuple(gens))
+    R._principal_right_ideals = RightIdealLattice(R, lattice, tuple(ideals), tuple(gens))
+    return R._principal_right_ideals
 
 
 @dataclass(frozen=True)
@@ -317,7 +318,11 @@ class TwoSidedIdealLattice:
 
 def two_sided_ideals(R: FiniteRing) -> TwoSidedIdealLattice:
     """Id R: all two-sided ideals, as the join-closure of the principal
-    two-sided ideals RxR (every ideal is a finite sum of principal ones)."""
+    two-sided ideals RxR (every ideal is a finite sum of principal ones);
+    cached on the ring."""
+    cached = getattr(R, "_two_sided_ideals", None)
+    if cached is not None:
+        return cached
     mul = R.mul
     found: set[frozenset[int]] = {frozenset({R.zero})}
     for x in range(R.n):
@@ -334,7 +339,8 @@ def two_sided_ideals(R: FiniteRing) -> TwoSidedIdealLattice:
                 work.append(s)
     ideals = sorted(found, key=lambda s: (len(s), sorted(s)))
     leq = [[s <= t for t in ideals] for s in ideals]
-    return TwoSidedIdealLattice(R, FiniteLattice(leq), tuple(ideals))
+    R._two_sided_ideals = TwoSidedIdealLattice(R, FiniteLattice(leq), tuple(ideals))
+    return R._two_sided_ideals
 
 
 def is_two_sided(R: FiniteRing, I: frozenset[int]) -> bool:
@@ -461,7 +467,10 @@ def v_monoid(R: FiniteRing) -> VMonoid:
     Repeatedly split off an atom A <= J with a complement C of A in [0, J]
     (exists: L(R) is complemented and modular, hence relatively
     complemented); the multiplicity vector is independent of choices, which
-    the caller can confirm via iso-invariance checks."""
+    the caller can confirm via iso-invariance checks.  Cached on the ring."""
+    cached = getattr(R, "_v_monoid", None)
+    if cached is not None:
+        return cached
     lr = principal_right_ideals(R)
     L = lr.lattice
     atoms = list(L.atoms)
@@ -517,12 +526,13 @@ def v_monoid(R: FiniteRing) -> VMonoid:
         ) == b1
         if not (rows and cols and all(v >= 0 for c in (c00, c01, c10, c11) for v in c)):
             raise AssertionError("refinement failed in N^k")
-    return VMonoid(
+    R._v_monoid = VMonoid(
         lr,
         k,
         tuple(tuple(c) for c in classes),
         tuple(vec[node] for node in range(L.n)),
     )
+    return R._v_monoid
 
 
 def refine_nonneg_vectors(

@@ -17,7 +17,6 @@ joins; :func:`wd_join_combine` realizes that closure constructively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -365,10 +364,18 @@ def is_weakly_distributive_at(h: SemilatticeHom, u: int) -> WdAtResult:
     return WdAtResult(True, WdWitness(h, u, table), None)
 
 
-@lru_cache(maxsize=None)
 def is_weakly_distributive(h: SemilatticeHom) -> bool:
-    """True iff h is weakly distributive at every element of its source.
-    For surjective h this is the usual weakly distributive homomorphism."""
+    """True iff h is weakly distributive at every element of its source;
+    cached on the hom.  For surjective h this is the usual weakly
+    distributive homomorphism."""
+    cached = getattr(h, "_weakly_distributive", None)
+    if cached is None:
+        cached = _weakly_distributive_everywhere(h)
+        object.__setattr__(h, "_weakly_distributive", cached)  # h is frozen
+    return cached
+
+
+def _weakly_distributive_everywhere(h: SemilatticeHom) -> bool:
     S, T, f = h.source, h.target, h.map
     M = _max_pullbacks(h)
     for u in range(S.n):

@@ -142,6 +142,27 @@ def test_check_malformed_corpus(tmp_path, capsys):
     assert code == 3
 
 
+def test_check_out_of_range_cover_exits_three(tmp_path, capsys):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text(json.dumps({"n": 3, "covers": [[0, 1], [1, 7]]}) + "\n")
+    code, out, err = run(capsys, "check", "property-c", "--in", str(corpus))
+    assert code == 3
+    assert out == ""
+    assert "bad.jsonl:1" in err
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    for command in (("check", "urp"), ("verify-theorem", "prop-urpadd")):
+        code, out, err = run(capsys, *command, "--max-size", "3", "--budget", "-5")
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+    # zero stays a valid budget: every search runs out at once
+    code, out, _ = run(capsys, "check", "urp", "--max-size", "3", "--budget", "0")
+    assert code == 2
+    assert json.loads(out)["params"]["budget"] == 0
+
+
 # ---------------------------------------------------------------------------
 # verify-theorem
 

@@ -283,8 +283,10 @@ def test_monotonize_preserves_step_labels(case):
 
 
 def test_induced_map_of_identity():
-    f = induced_con_map(LatticeHom(N5, N5, tuple(range(5))))
+    h = LatticeHom(N5, N5, tuple(range(5)))
+    f = induced_con_map(h)
     assert f.map == tuple(range(len(CON_N5.congruences)))
+    assert induced_con_map(h) is f
 
 
 def test_induced_map_of_constant():

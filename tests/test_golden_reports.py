@@ -1,0 +1,80 @@
+"""Pinned SHA-256 digests of campaign reports.
+
+Every report is deterministic for a fixed (corpus, seed, trials, budget), so
+its serialized bytes are pinned here: a change to a campaign's rows, detail
+counters, sampling order or annotations shows up as a digest mismatch.  The
+corpus is every lattice with at most 5 elements, which includes M3 and N5 and
+therefore the failing rows of property-c and cong-splitting.
+"""
+from __future__ import annotations
+
+import hashlib
+from functools import lru_cache
+
+import pytest
+
+from conlat.cli import (
+    PROPERTY_IDS,
+    RING_THEOREMS,
+    THEOREM_IDS,
+    campaign_check,
+    campaign_ring,
+    campaign_theorem,
+    default_corpus,
+)
+
+RINGS = ["M(1,2)", "M(2,2)", "M(1,2)xM(1,2)"]
+
+GOLDEN = [
+    ("check", "property-c", "db56b7aba5fd9ef3e775ba276b8208c9eb7bd59a536e0537dddfa80a93758615"),
+    ("check", "cong-splitting", "111f497870774dfe01f7f822e1efbe0ef86e9391487f131875a00c8ffd0a3864"),
+    ("check", "urp", "8545380fe36d71987d7c5fe1c63f428bc0ed3f302604f361be9fd474cda2e071"),
+    ("check", "con-distributive", "9856e02637755961234df2d5986d86484d60b4e6cfbb0ce641df4bbc93ad262f"),
+    ("verify-theorem", "prop-a", "236b4cf637fcaa8ee3c4e6f74a5ac5486c9dbe08a7f7de2b58145dbf9877cc6f"),
+    ("verify-theorem", "prop-b", "a3121830b4d66bf73df9b199bcdba19cd1a30ee5a3e9f7764e3ce534263e600f"),
+    ("verify-theorem", "prop-d", "03477a7b539fe69213e6a012bcf7df3f8597a9e98722fadb7dc5f5dc2a701638"),
+    ("verify-theorem", "thm-csurp", "47d156dfc7e27539ceb3ec56da5ffa52490f4573f8e9140e0dba84d9b72e40f7"),
+    ("verify-theorem", "prop-convhom", "6949ef31463c53322878d2f8686de60b357955c75e6cb69597c86b054b6472e2"),
+    ("verify-theorem", "lem-wdadd", "218a6c0a4d3e11c6187a274770027728e40da9732f318d496660c1289426133e"),
+    ("verify-theorem", "prop-urpadd", "0dba1bc7228c9624a92b59fa9b2f185ae7bbb3eca00e63f12e27911a82fcb922"),
+    ("verify-theorem", "prop-urpclwd", "a8f2e0bf46d65e0560123a34e0cf7466626c5403228cea09bb846f2c0d56bf16"),
+    ("verify-theorem", "ring-nid-id", "2c4c66a4bbd2e46a200d17a7bc1cb62f95bafdf3d7b6e8dff807660d36e26b26"),
+    ("verify-theorem", "ring-conc-idc", "76b33f197062acf7154da8cdccf44af2913bf177ce142fdee2426101655d9016"),
+    ("verify-theorem", "ring-pi", "ed1677191809ac8d8fbb3c4aca07a2b36cc5df0ef511b80a58f67efae4cb6aac"),
+    ("ring", "M(1,2)", "387dafb0ff4233ed4e70c8cb0735d4f91790c0c4d8579e02e30fe93cc69ba3c7"),
+    ("ring", "M(2,2)", "7ff913ceed3bf60df37739486f24e189d08264561328643378278b75adfb8f81"),
+    ("ring", "M(1,2)xM(1,2)", "7e43ce1d7c2dd6a6a11f6f79d775e94ff0f1a27378740c6343e7da2f65d90a70"),
+]
+
+
+@lru_cache(maxsize=None)
+def _corpus5():
+    return default_corpus(5)
+
+
+def _report(command, target):
+    if command == "check":
+        return campaign_check(target, _corpus5())
+    if command == "ring":
+        return campaign_ring(target)
+    if target in RING_THEOREMS:
+        return campaign_theorem(target, rings=RINGS)
+    return campaign_theorem(target, _corpus5(), seed=0, trials=500)
+
+
+def test_golden_covers_every_campaign():
+    pinned = [(c, t) for c, t, _ in GOLDEN]
+    expected = (
+        [("check", p) for p in PROPERTY_IDS]
+        + [("verify-theorem", t) for t in THEOREM_IDS]
+        + [("ring", r) for r in RINGS]
+    )
+    assert sorted(pinned) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "command,target,digest", GOLDEN, ids=[f"{c}:{t}" for c, t, _ in GOLDEN]
+)
+def test_report_bytes_are_pinned(command, target, digest):
+    text = _report(command, target).serialize()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

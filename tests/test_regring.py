@@ -146,6 +146,15 @@ def test_generators_are_idempotent():
         assert R.mul[e][e] == e
 
 
+def test_derived_structures_are_built_once_per_ring():
+    R = FiniteRing.from_matrix_spec("M(2,2)")
+    assert two_sided_ideals(R) is two_sided_ideals(R)
+    assert principal_right_ideals(R) is principal_right_ideals(R)
+    assert v_monoid(R) is v_monoid(R)
+    assert v_monoid(R).lr is principal_right_ideals(R)
+    assert pi_map(R).tsl is two_sided_ideals(R)
+
+
 def test_non_regular_rejected():
     with pytest.raises(NotRegular):
         principal_right_ideals(z4())

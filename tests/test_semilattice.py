@@ -1,8 +1,10 @@
 """Join-semilattices, refinement, weak distributivity, and the join combinator."""
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +190,17 @@ def test_join_irreducible_image_trivial_split():
     h = SemilatticeHom(S, T, (0, 1, 2))
     res = is_weakly_distributive_at(h, 2)
     assert res.holds
+
+
+def test_weak_distributivity_cache_does_not_keep_homs_alive():
+    S, T = fjs(chain(3)), fjs(chain(3))
+    h = SemilatticeHom(S, T, (0, 1, 2))
+    assert is_weakly_distributive(h)
+    assert is_weakly_distributive(h)
+    ref = weakref.ref(h)
+    del h
+    gc.collect()
+    assert ref() is None
 
 
 def test_non_wd_hom_detected():
