@@ -255,26 +255,11 @@ def _urp_everywhere(L: FiniteLattice, budget: int) -> dict:
     return _verdict(True)
 
 
-def _join_decompositions(L: FiniteLattice):
-    """Each (u, v, eps, fams) with u <= v, eps = Theta(u, v) and fams every
-    (i0, i1) with alpha_i0 v alpha_i1 = eps, as indices into Con L."""
-    con = con_lattice(L)
-    jn = con.as_lattice.join_rows
-    k = len(con)
-    for u in range(L.n):
-        for v in range(L.n):
-            if L.leq[u, v]:
-                eps = con.principal[u][v]
-                fams = tuple(
-                    (i0, i1) for i0 in range(k) for i1 in range(k) if jn[i0][i1] == eps
-                )
-                yield u, v, eps, fams
-
-
 def _join_instances(L: FiniteLattice):
     """Each (u, v, alpha0, alpha1) with u <= v and alpha0 v alpha1 = Theta(u, v)."""
-    congs = con_lattice(L).congruences
-    for u, v, _, fams in _join_decompositions(L):
+    con = con_lattice(L)
+    congs = con.congruences
+    for u, v, _, fams in con.join_decompositions():
         for i0, i1 in fams:
             yield u, v, congs[i0], congs[i1]
 
@@ -326,7 +311,7 @@ def _csurp_witnesses_verify(L: FiniteLattice, _budget: int) -> dict:
         check = verify_urp_witness(UrpInstance(S, eps, fams), csurp_witness(L, u, v, fams))
         return None if check.ok else {"u": u, "v": v, "clause": check.clause}
 
-    checked, bad = _first_failure(_join_decompositions(L), failure)
+    checked, bad = _first_failure(con_lattice(L).join_decompositions(), failure)
     if bad is None:
         return _verdict(True, detail={"instances": checked})
     return _verdict(False, counterexample=bad)

@@ -2,10 +2,12 @@
 
 A congruence is an equivalence relation compatible with join and meet; it is
 stored as a class-representative array (each element mapped to the least
-member of its block).  Con L is generated by the principal congruences
-Theta(u, v) under join; for a finite lattice this recovers every congruence,
-and Con L is a distributive lattice (here also a finite join-semilattice, so
-compact congruences are simply all congruences).
+member of its block).  Inside Con L it is also the bitmask of the covers
+x < y that it collapses.  The mask is exact: a congruence is the join of the
+Theta(x, y) of the covers it collapses, and these join-irreducibles are
+join-prime because Con L is distributive, so a join of congruences collapses
+exactly the covers that one of them collapses.  Con L is thus built from one
+principal congruence per cover, with join OR and order mask inclusion.
 
 Also here: alternating chains between congruent elements, the monotonization
 transform, congruence maps induced by lattice homomorphisms, and the
@@ -17,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .lattice import (
     FiniteLattice,
@@ -186,51 +186,55 @@ def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
 class CongruenceLattice:
     """Con L with precomputed order, operation tables and principal table.
 
-    Congruences are indexed 0..k-1, the identity congruence first and the
-    all-collapsing congruence last; ``principal[u][v]`` is the index of
-    Theta(u, v).  ``as_lattice`` is the containment order as a FiniteLattice
-    (same indexing), ``as_semilattice`` the corresponding join-semilattice.
+    Congruences are indexed 0..k-1 by (number of blocks, rep) descending: the
+    identity congruence first and the all-collapsing congruence last.
+    ``masks[i]`` is the set of covers (bit j for ``covers[j]``) that
+    congruence i collapses, so ``masks`` ordered by inclusion is Con L and
+    join is OR.  ``principal[u][v]`` is the index of Theta(u, v).
+    ``as_lattice`` is the containment order as a FiniteLattice (same
+    indexing), ``as_semilattice`` the corresponding join-semilattice.
     """
 
     def __init__(self, host: FiniteLattice):
         self.host = host
         n = host.n
-        found: dict[tuple[int, ...], Congruence] = {}
-        delta = Congruence(host, tuple(range(n)))
-        found[delta.rep] = delta
-        principals: dict[tuple[int, int], Congruence] = {}
-        for u in range(n):
-            for v in range(u + 1, n):
-                th = principal_congruence(host, u, v)
-                principals[(u, v)] = th
-                found.setdefault(th.rep, th)
-        # close under binary join; every congruence is a join of principals
-        work = list(found.values())
-        while work:
-            t1 = work.pop()
-            for t2 in list(found.values()):
-                j = congruence_join(t1, t2)
-                if j.rep not in found:
-                    found[j.rep] = j
-                    work.append(j)
-        congs = sorted(found.values(), key=lambda t: (t.num_blocks, t.rep), reverse=True)
-        self.congruences: tuple[Congruence, ...] = tuple(congs)
-        self.index: dict[tuple[int, ...], int] = {
-            t.rep: i for i, t in enumerate(congs)
+        self.covers = covers = host.covers()
+        gens = []
+        for x, y in covers:
+            theta = principal_congruence(host, x, y)
+            gens.append(sum(1 << j for j, c in enumerate(covers) if theta.same(*c)))
+        # every congruence is the join of the Theta(x, y) of the covers it
+        # collapses, and join is OR, so Con L is the OR-closure of gens
+        found = {0}
+        for g in set(gens):
+            found |= {m | g for m in found}
+        congs = {
+            m: _closure(host, [c for j, c in enumerate(covers) if m >> j & 1])
+            for m in found
         }
-        k = len(congs)
-        leq = np.zeros((k, k), dtype=bool)
-        for i, ti in enumerate(congs):
-            for j, tj in enumerate(congs):
-                leq[i, j] = ti.refines(tj)
-        self.as_lattice = FiniteLattice(leq)
-        pc = [[0] * n for _ in range(n)]
-        for u in range(n):
-            for v in range(n):
-                if u != v:
-                    a, b = min(u, v), max(u, v)
-                    pc[u][v] = self.index[principals[(a, b)].rep]
-        self.principal: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in pc)
+        masks = sorted(
+            found, key=lambda m: (congs[m].num_blocks, congs[m].rep), reverse=True
+        )
+        self.masks: tuple[int, ...] = tuple(masks)
+        self.congruences: tuple[Congruence, ...] = tuple(congs[m] for m in masks)
+        self.index = {t.rep: i for i, t in enumerate(self.congruences)}
+        self.as_lattice = FiniteLattice([[mi & ~mj == 0 for mj in masks] for mi in masks])
+        # Theta(u, v) = Theta(u ^ v, u v v) is the join of the Theta(x, y) of
+        # the covers x < y inside [u ^ v, u v v]
+        at = {m: i for i, m in enumerate(masks)}
+        up, down = host.up_bits, host.down_bits
+        jn, mt = host.join_rows, host.meet_rows
+
+        def theta_index(a: int, b: int) -> int:
+            m = 0
+            for g, (x, y) in zip(gens, covers):
+                if up[a] >> x & 1 and down[b] >> y & 1:
+                    m |= g
+            return at[m]
+
+        self.principal: tuple[tuple[int, ...], ...] = tuple(
+            tuple(theta_index(mt[u][v], jn[u][v]) for v in range(n)) for u in range(n)
+        )
         self.delta_index = self.as_lattice.bottom
         self.nabla_index = self.as_lattice.top
 
@@ -240,7 +244,26 @@ class CongruenceLattice:
     def congruence_index(self, theta: Congruence) -> int:
         if theta.host is not self.host:
             raise HostMismatch("congruence on a different lattice")
-        return self.index[theta.rep]
+        i = self.index.get(theta.rep)
+        if i is None:
+            raise ValueError(f"{theta!r} is not a congruence of its lattice")
+        return i
+
+    def below_join(self, u: int, v: int, alpha: Congruence, beta: Congruence) -> bool:
+        """Theta(u, v) <= alpha v beta."""
+        m = self.masks
+        joined = m[self.congruence_index(alpha)] | m[self.congruence_index(beta)]
+        return m[self.principal[u][v]] & ~joined == 0
+
+    def join_decompositions(self):
+        """Each (u, v, eps, fams) with u <= v, eps = Theta(u, v) and fams every
+        (i0, i1) with alpha_i0 v alpha_i1 = eps, in ascending order."""
+        leq, S = self.host.leq, self.as_semilattice
+        for u in range(self.host.n):
+            for v in range(self.host.n):
+                if leq[u, v]:
+                    eps = self.principal[u][v]
+                    yield u, v, eps, S.decompositions(eps)
 
     @cached_property
     def as_semilattice(self) -> FiniteJoinSemilattice:
@@ -348,7 +371,7 @@ def alternating_chain(
         raise HostMismatch("congruences on a different lattice")
     if not L.leq[u, v]:
         raise NotJoined(f"{u} is not below {v}")
-    if not principal_congruence(L, u, v).refines(congruence_join(alpha, beta)):
+    if not con_lattice(L).below_join(u, v, alpha, beta):
         raise NotJoined("Theta(u, v) is not below alpha v beta")
     if u == v:
         return Chain(L, (u,), ())
@@ -408,7 +431,8 @@ def induced_con_map(h: LatticeHom) -> SemilatticeHom:
     Theta(h(u), h(v)) and extended by joins.
 
     The extension sends theta to the congruence generated by the image pairs
-    of theta; this is monotone and join-preserving on all of Con(source),
+    of the covers theta collapses, read off the principal and join tables of
+    Con(target); this is monotone and join-preserving on all of Con(source),
     which is re-checked here.  Cached on h, so that the weak-distributivity
     verdict cached on the induced map is shared by every use of h.
     """
@@ -419,11 +443,13 @@ def induced_con_map(h: LatticeHom) -> SemilatticeHom:
         raise NotAHom("map does not preserve join and meet")
     conK = con_lattice(h.source)
     conL = con_lattice(h.target)
-    f = h.map
-    mapping = []
-    for theta in conK.congruences:
-        pairs = [(f[x], f[theta.rep[x]]) for x in range(h.source.n)]
-        mapping.append(conL.index[_closure(h.target, pairs).rep])
+    f, pc = h.map, conL.principal
+    mapping = [
+        conL.as_lattice.join_all(
+            pc[f[x]][f[y]] for j, (x, y) in enumerate(conK.covers) if m >> j & 1
+        )
+        for m in conK.masks
+    ]
     jn_k = conK.as_lattice.join_rows
     jn_l = conL.as_lattice.join_rows
     k = len(conK)

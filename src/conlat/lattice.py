@@ -117,10 +117,15 @@ class FiniteLattice:
     @classmethod
     def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> "FiniteLattice":
         """Build the lattice whose order is the reflexive-transitive closure
-        of the given acyclic relation; ``(i, j)`` means i is below j."""
+        of the given acyclic relation; ``(i, j)`` means i is below j.
+
+        A lattice is connected, so n elements need at least n - 1 covers;
+        fewer is rejected before anything of size n is allocated."""
+        edges = list(covers)
+        if n > len(edges) + 1:
+            raise NotALattice(f"{len(edges)} covers cannot connect {n} elements")
         succ: list[list[int]] = [[] for _ in range(n)]
         indeg = [0] * n
-        edges = list(covers)
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise IndexOutOfRange(f"cover ({i}, {j}) outside 0..{n - 1}")

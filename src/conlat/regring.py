@@ -642,21 +642,25 @@ class SupportQuotient:
 
     def verify_universal_property(self, max_target_size: int = 4) -> bool:
         """Every monoid hom from N^k to a bounded join-semilattice factors
-        uniquely through the support map.
+        through ``map``.
 
         Targets range over all lattices with at most max_target_size
         elements viewed as join-semilattices with bottom; every finite
         join-semilattice with bottom arises this way (common lower bounds
         form a nonempty join-closed set, so meets exist).  A hom h is
-        determined by the generator images g_i = h(e_i); since targets are
-        idempotent, h(alpha) = join of g_i over the support of alpha, so the
-        factoring map A |-> join_{i in A} g_i is checked to be a semilattice
-        hom agreeing with h.  Uniqueness is automatic: the support map is
-        onto 2^k, so no second factoring can differ anywhere."""
+        determined by the generator images g_i = h(e_i): h(alpha) is the
+        join of alpha_i copies of each g_i.  The factoring map
+        A |-> join_{i in A} g_i is checked to be a semilattice hom with
+        h(alpha) = hbar(map(alpha)), which holds for the support map because
+        the target is idempotent.  Uniqueness is automatic: the support map
+        is onto 2^k, so no second factoring can differ anywhere."""
         from .lattice import enumerate_lattices
 
         k = self.k
         test_vectors = list(itertools.product(range(3), repeat=k)) if k else [()]
+        subsets = [
+            frozenset(s) for r in range(k + 1) for s in itertools.combinations(range(k), r)
+        ]
         for L in enumerate_lattices(max_target_size):
             jn = L.join_rows
             bot = L.bottom
@@ -666,21 +670,16 @@ class SupportQuotient:
                     for i in A:
                         acc = jn[acc][gens[i]]
                     return acc
-                # h on N^k by iterated addition (idempotent target)
+                # h: the monoid hom N^k -> L with e_i |-> g_i
                 def h(alpha) -> int:
                     acc = bot
-                    for i, v in enumerate(alpha):
-                        if v > 0:
-                            acc = jn[acc][gens[i]]
+                    for g, v in zip(gens, alpha):
+                        for _ in range(v):
+                            acc = jn[acc][g]
                     return acc
                 for al in test_vectors:
                     if h(al) != hbar(self.map(al)):
                         return False
-                subsets = [
-                    frozenset(s)
-                    for r in range(k + 1)
-                    for s in itertools.combinations(range(k), r)
-                ]
                 for A in subsets:
                     for B in subsets:
                         if hbar(A | B) != jn[hbar(A)][hbar(B)]:

@@ -329,7 +329,10 @@ class WdAtResult:
 def _max_pullbacks(h: SemilatticeHom) -> list[list[int | None]]:
     # M[u][y] = greatest x <= u with f(x) <= y, or None; the candidate set is
     # join-closed, so its join is its greatest element and the only candidate
-    # pullback component that can work
+    # pullback component that can work.  Cached on h.
+    cached = getattr(h, "_max_pullbacks", None)
+    if cached is not None:
+        return cached
     S, T, f = h.source, h.target, h.map
     fmask = [0] * T.n
     for x in range(S.n):
@@ -347,6 +350,7 @@ def _max_pullbacks(h: SemilatticeHom) -> list[list[int | None]]:
                 for x in _bits(mask):
                     acc = x if acc is None else rows[acc][x]
                 M[u][y] = acc
+    object.__setattr__(h, "_max_pullbacks", M)  # h is frozen
     return M
 
 
@@ -370,20 +374,9 @@ def is_weakly_distributive(h: SemilatticeHom) -> bool:
     distributive homomorphism."""
     cached = getattr(h, "_weakly_distributive", None)
     if cached is None:
-        cached = _weakly_distributive_everywhere(h)
+        cached = all(is_weakly_distributive_at(h, u).holds for u in range(h.source.n))
         object.__setattr__(h, "_weakly_distributive", cached)  # h is frozen
     return cached
-
-
-def _weakly_distributive_everywhere(h: SemilatticeHom) -> bool:
-    S, T, f = h.source, h.target, h.map
-    M = _max_pullbacks(h)
-    for u in range(S.n):
-        for y0, y1 in T.decompositions(f[u]):
-            x0, x1 = M[u][y0], M[u][y1]
-            if x0 is None or x1 is None or S.join_rows[x0][x1] != u:
-                return False
-    return True
 
 
 def weakly_distributive_points(h: SemilatticeHom) -> list[int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruence import Congruence, congruence_join, principal_congruence
+from .congruence import Congruence, con_lattice
 from .lattice import FiniteLattice
 
 
@@ -37,13 +37,10 @@ class SplitInstance:
     alpha1: Congruence
 
     def __post_init__(self) -> None:
-        L = self.L
-        if self.alpha0.host is not L or self.alpha1.host is not L:
-            raise ValueError("congruences live on a different lattice")
-        if not L.leq[self.a, self.b]:
+        if not self.L.leq[self.a, self.b]:
             raise ValueError(f"{self.a} is not below {self.b}")
-        theta = principal_congruence(L, self.a, self.b)
-        if not theta.refines(congruence_join(self.alpha0, self.alpha1)):
+        con = con_lattice(self.L)
+        if not con.below_join(self.a, self.b, self.alpha0, self.alpha1):
             raise ValueError("Theta(a, b) is not below alpha0 v alpha1")
 
 
@@ -132,9 +129,12 @@ def splitting_witness(inst: SplitInstance) -> tuple[int, int] | None:
     Theta(a, xi) <= alphai; ascending order, so the result is deterministic."""
     L, a, b = inst.L, inst.a, inst.b
     jn, leq = L.join_rows, L.leq
+    con = con_lattice(L)
+    below, pa = con.as_lattice.leq, con.principal[a]
+    i0, i1 = con.congruence_index(inst.alpha0), con.congruence_index(inst.alpha1)
     box = [x for x in range(L.n) if leq[a, x] and leq[x, b]]
-    ok0 = [x for x in box if principal_congruence(L, a, x).refines(inst.alpha0)]
-    ok1 = set(x for x in box if principal_congruence(L, a, x).refines(inst.alpha1))
+    ok0 = [x for x in box if below[pa[x], i0]]
+    ok1 = set(x for x in box if below[pa[x], i1])
     for x0 in ok0:
         for x1 in box:
             if x1 in ok1 and jn[x0][x1] == b:
@@ -152,25 +152,13 @@ def is_congruence_splitting(L: FiniteLattice) -> SplittingResult:
     """Check every instance with alpha0 v alpha1 = Theta(a, b) exactly;
     in a finite lattice every congruence is compact, so this is the full
     splitting property."""
-    from .congruence import con_lattice
-
     con = con_lattice(L)
-    jn = con.as_lattice.join_rows
-    k = len(con)
-    for a in range(L.n):
-        for b in range(L.n):
-            if not L.leq[a, b]:
-                continue
-            eps = con.principal[a][b]
-            for i0 in range(k):
-                for i1 in range(k):
-                    if jn[i0][i1] != eps:
-                        continue
-                    inst = SplitInstance(
-                        L, a, b, con.congruences[i0], con.congruences[i1]
-                    )
-                    if splitting_witness(inst) is None:
-                        return SplittingResult(False, (a, b, i0, i1))
+    congs = con.congruences
+    for a, b, _, fams in con.join_decompositions():
+        for i0, i1 in fams:
+            inst = SplitInstance(L, a, b, congs[i0], congs[i1])
+            if splitting_witness(inst) is None:
+                return SplittingResult(False, (a, b, i0, i1))
     return SplittingResult(True, None)
 
 

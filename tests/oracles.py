@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's own algorithms: posets are
 enumerated by down-set DFS rather than semilattice augmentation, congruences
 by filtering all set partitions, refinement by quadruple loops, ring ideals
-by additive-subgroup scans.  Slow but obviously correct.
+by additive-subgroup scans.  Slow but obviously correct.  The one exception
+is :func:`con_tables_by_joins`, the former construction of Con L from the
+library's closure-based ``principal_congruence`` and ``congruence_join``,
+kept as the reference for the cover-bitmask construction.
 """
 from __future__ import annotations
 
@@ -134,6 +137,38 @@ def congruence_partitions(L) -> set[frozenset[frozenset[int]]]:
         if ok:
             out.add(frozenset(frozenset(b) for b in blocks))
     return out
+
+
+def con_tables_by_joins(L):
+    """Con L as (congruences, leq, principal): every principal congruence,
+    closed under congruence_join, sorted by (num_blocks, rep) descending,
+    ordered by refines; principal[u][v] indexes Theta(u, v)."""
+    from conlat import Congruence, congruence_join, principal_congruence
+
+    n = L.n
+    found = {tuple(range(n)): Congruence(L, tuple(range(n)))}
+    principals = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            th = principal_congruence(L, u, v)
+            principals[(u, v)] = th
+            found.setdefault(th.rep, th)
+    work = list(found.values())
+    while work:
+        t1 = work.pop()
+        for t2 in list(found.values()):
+            j = congruence_join(t1, t2)
+            if j.rep not in found:
+                found[j.rep] = j
+                work.append(j)
+    congs = sorted(found.values(), key=lambda t: (t.num_blocks, t.rep), reverse=True)
+    index = {t.rep: i for i, t in enumerate(congs)}
+    leq = [[ti.refines(tj) for tj in congs] for ti in congs]
+    principal = [
+        [0 if u == v else index[principals[(min(u, v), max(u, v))].rep] for v in range(n)]
+        for u in range(n)
+    ]
+    return congs, leq, principal
 
 
 def refinement_holds(S) -> bool:

@@ -151,6 +151,17 @@ def test_check_out_of_range_cover_exits_three(tmp_path, capsys):
     assert "bad.jsonl:1" in err
 
 
+def test_check_oversized_row_exits_three(tmp_path, capsys):
+    # a million elements cannot be connected by one cover: rejected before
+    # any n x n table is built
+    corpus = tmp_path / "big.jsonl"
+    corpus.write_text(json.dumps({"n": 1000000, "covers": [[0, 1]]}) + "\n")
+    code, out, err = run(capsys, "check", "property-c", "--in", str(corpus))
+    assert code == 3
+    assert out == ""
+    assert "big.jsonl:1" in err
+
+
 def test_negative_budget_is_a_usage_error(capsys):
     for command in (("check", "urp"), ("verify-theorem", "prop-urpadd")):
         code, out, err = run(capsys, *command, "--max-size", "3", "--budget", "-5")

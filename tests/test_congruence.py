@@ -32,7 +32,7 @@ from conlat import (
     neutral_ideals,
     principal_congruence,
 )
-from oracles import congruence_partitions
+from oracles import con_tables_by_joins, congruence_partitions
 
 SMALL = list(enumerate_lattices(5))
 
@@ -156,6 +156,27 @@ def test_con_agrees_with_partition_oracle(corpus5):
             for t in con_lattice(L).congruences
         }
         assert got == congruence_partitions(L)
+
+
+def test_con_tables_match_join_closure_oracle(corpus7):
+    # the cover-bitmask construction against the closure-under-join one,
+    # index for index
+    for L in corpus7:
+        cl = con_lattice(L)
+        congs, leq, principal = con_tables_by_joins(L)
+        assert [t.rep for t in cl.congruences] == [t.rep for t in congs]
+        assert cl.as_lattice.leq.tolist() == leq
+        assert [list(row) for row in cl.principal] == principal
+
+
+def test_con_join_table_matches_congruence_join(corpus6):
+    for L in corpus6:
+        cl = con_lattice(L)
+        congs = cl.congruences
+        jn = cl.as_lattice.join_rows
+        for i, ti in enumerate(congs):
+            for j, tj in enumerate(congs):
+                assert congs[jn[i][j]] == congruence_join(ti, tj)
 
 
 def test_con_contains_bounds_and_is_closed(corpus5):

@@ -14,6 +14,7 @@ from conlat import (
     NotTwoSided,
     RingTooLarge,
     SpecParse,
+    SupportQuotient,
     algebraic_below,
     canonical_form,
     chain,
@@ -415,6 +416,16 @@ def test_support_map_values():
 def test_support_universal_property():
     for k in range(4):
         assert max_semilattice_quotient(k).verify_universal_property(4)
+
+
+def test_support_universal_property_rejects_a_wrong_map():
+    # dropping the classes of multiplicity one breaks h = hbar . map
+    class SupportOfTwice(SupportQuotient):
+        def map(self, alpha):
+            return frozenset(i for i, v in enumerate(alpha) if v > 1)
+
+    assert max_semilattice_quotient(2).verify_universal_property(2)
+    assert not SupportOfTwice(2).verify_universal_property(2)
 
 
 def test_support_composite_matches_ideals():

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from conlat import (
+    Congruence,
     FiniteLattice,
     NoChain,
     SplitInstance,
@@ -192,6 +193,15 @@ def test_splitting_witness_m3_nabla():
     pair = splitting_witness(inst)
     assert pair is not None
     check_split(inst, pair)
+
+
+def test_split_instance_rejects_a_partition_outside_con():
+    # {0, 2} | {1} is not convex in the 3-chain, so it is no congruence
+    L = chain(3)
+    bad = Congruence(L, (0, 1, 0))
+    nabla = con_lattice(L).congruences[-1]
+    with pytest.raises(ValueError, match="not a congruence"):
+        SplitInstance(L, 0, 2, bad, nabla)
 
 
 # ---------------------------------------------------------------------------
