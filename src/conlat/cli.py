@@ -188,7 +188,8 @@ def read_corpus(path: str) -> list[tuple[str, FiniteLattice]]:
             try:
                 obj = json.loads(line)
                 L = FiniteLattice.from_json(obj)
-                items.append((obj.get("id", canonical_form(L)), L))
+                item_id = obj["id"] if "id" in obj else canonical_form(L)
+                items.append((item_id, L))
             except (ValueError, KeyError, TypeError, IndexError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return items

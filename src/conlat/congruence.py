@@ -208,10 +208,7 @@ class CongruenceLattice:
         found = {0}
         for g in set(gens):
             found |= {m | g for m in found}
-        congs = {
-            m: _closure(host, [c for j, c in enumerate(covers) if m >> j & 1])
-            for m in found
-        }
+        congs = {m: Congruence(host, _cover_blocks(n, covers, m)) for m in found}
         masks = sorted(
             found, key=lambda m: (congs[m].num_blocks, congs[m].rep), reverse=True
         )
@@ -271,6 +268,25 @@ class CongruenceLattice:
 
     def __repr__(self) -> str:
         return f"CongruenceLattice(|Con|={len(self.congruences)})"
+
+
+def _cover_blocks(n: int, covers: list[tuple[int, int]], mask: int) -> list[int]:
+    # rep array of the congruence collapsing the covers in mask: its blocks
+    # are intervals, so exactly the components of the collapsed covers.
+    # Union-find keeps the least element of each component as its root.
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for j, (x, y) in enumerate(covers):
+        if mask >> j & 1:
+            rx, ry = find(x), find(y)
+            parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(n)]
 
 
 def con_lattice(L: FiniteLattice) -> CongruenceLattice:

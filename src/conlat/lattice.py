@@ -8,10 +8,19 @@ The module also provides lattice homomorphisms, interval sublattices, the
 standard structural predicates (modular, complemented, atomistic, ...),
 perspectivity of elements, a canonical form for isomorphism testing, and an
 exhaustive isomorph-free enumerator of all lattices up to a size bound.
+
+The canonical form is the lexicographically least order matrix over the
+relabelings that list the classes of an iterated colour refinement in rank
+order.  Ranks refine the size of the down-set, so in rank order the matrix
+is lower-triangular and each row depends only on the elements placed before
+it.  A depth-first branch and bound therefore places one element per
+position, follows only the candidates with the least row, and drops a branch
+once its row exceeds the least row seen at that depth; twins (elements with
+equal strict down- and up-sets) are placed in index order only, since
+swapping them is an automorphism.  The code is computed once per lattice.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -80,24 +89,27 @@ class FiniteLattice:
             raise ValueError("order is not transitive")
 
         # up[x] = bitmask of {y : x <= y}, down[x] = bitmask of {y : y <= x}
-        up = [0] * n
-        down = [0] * n
-        for x in range(n):
-            for y in range(n):
-                if leq[x, y]:
-                    up[x] |= 1 << y
-                    down[y] |= 1 << x
+        up = _row_masks(leq)
+        down = _row_masks(leq.T)
 
-        join = np.zeros((n, n), dtype=np.int64)
-        meet = np.zeros((n, n), dtype=np.int64)
+        # x v y is the element whose up-set is up[x] & up[y], the set of
+        # upper bounds; dually for x ^ y.  Up-sets are distinct by antisymmetry.
+        lub = {m: z for z, m in enumerate(up)}
+        glb = {m: z for z, m in enumerate(down)}
+        jn = [[0] * n for _ in range(n)]
+        mt = [[0] * n for _ in range(n)]
         for x in range(n):
             for y in range(x, n):
-                join[x, y] = join[y, x] = _extremum(
-                    up[x] & up[y], up, "least upper", x, y
-                )
-                meet[x, y] = meet[y, x] = _extremum(
-                    down[x] & down[y], down, "greatest lower", x, y
-                )
+                j = lub.get(up[x] & up[y])
+                if j is None:
+                    raise NotALattice(f"elements {x} and {y} have no least upper bound")
+                m = glb.get(down[x] & down[y])
+                if m is None:
+                    raise NotALattice(f"elements {x} and {y} have no greatest lower bound")
+                jn[x][y] = jn[y][x] = j
+                mt[x][y] = mt[y][x] = m
+        join = np.array(jn, dtype=np.int64)
+        meet = np.array(mt, dtype=np.int64)
 
         leq.setflags(write=False)
         join.setflags(write=False)
@@ -198,13 +210,6 @@ class FiniteLattice:
             acc = row[acc][x]
         return acc
 
-    def meet_all(self, xs: Iterable[int]) -> int:
-        acc = self.top
-        row = self.meet_rows
-        for x in xs:
-            acc = row[acc][x]
-        return acc
-
     def covers(self) -> list[tuple[int, int]]:
         """The cover pairs (i, j): i < j with nothing strictly between."""
         out = []
@@ -237,13 +242,11 @@ class FiniteLattice:
         return f"FiniteLattice(n={self.n})"
 
 
-def _extremum(cand_mask: int, closure: list[int], kind: str, x: int, y: int) -> int:
-    # least element of an upper-bound set (or greatest of a lower-bound set):
-    # the member comparable below (above) every other member
-    for z in _bits(cand_mask):
-        if cand_mask & ~closure[z] == 0:
-            return z
-    raise NotALattice(f"elements {x} and {y} have no {kind} bound")
+def _row_masks(m: np.ndarray) -> list[int]:
+    # each row of a boolean matrix as a bitmask, bit j for m[i, j]
+    packed = np.packbits(m, axis=1, bitorder="little")
+    data, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * w : (i + 1) * w], "little") for i in range(len(m))]
 
 
 # -- named small lattices ---------------------------------------------------
@@ -457,51 +460,89 @@ def enumerate_lattice_homs(K: FiniteLattice, L: FiniteLattice) -> Iterator[Latti
 # -- canonical form and enumeration -------------------------------------------
 
 
-def _refine_ranks(n: int, down: tuple[int, ...], up: tuple[int, ...]) -> list[int]:
-    # iterated colour refinement; colours start from (|down x|, |up x|) and
-    # are rebuilt from the sorted colour multisets of the sets below/above x
-    keys: list[tuple] = [(down[x].bit_count(), up[x].bit_count()) for x in range(n)]
+def _refine_ranks(below: list[list[int]], above: list[list[int]]) -> list[int]:
+    # iterated colour refinement over the element lists of the down- and
+    # up-sets; colours start from (|down x|, |up x|) and are rebuilt from
+    # the sorted colour multisets of the sets below/above x
+    n = len(below)
+    keys: list[tuple] = [(len(below[x]), len(above[x])) for x in range(n)]
     while True:
         order = sorted(set(keys))
         rank = {k: i for i, k in enumerate(order)}
         ranks = [rank[k] for k in keys]
+        of = ranks.__getitem__
         new_keys = [
-            (
-                ranks[x],
-                tuple(sorted(ranks[y] for y in _bits(down[x]))),
-                tuple(sorted(ranks[y] for y in _bits(up[x]))),
-            )
+            (ranks[x], tuple(sorted(map(of, below[x]))), tuple(sorted(map(of, above[x]))))
             for x in range(n)
         ]
-        if len(set(new_keys)) == len(set(keys)):
+        if len(set(new_keys)) == len(order):
             return ranks
         keys = new_keys
 
 
 def _poset_code(n: int, down: tuple[int, ...], up: tuple[int, ...]) -> str:
-    # lexicographically least bit-packed order matrix over all relabelings
-    # that respect the refinement ranks
-    ranks = _refine_ranks(n, down, up)
+    # lexicographically least bit-packed order matrix (bit (p, q) set iff the
+    # element at position q is below the one at position p) over all
+    # relabelings that list the refinement classes in rank order, found by
+    # the branch and bound described in the module docstring
+    below = [list(_bits(down[x])) for x in range(n)]
+    ranks = _refine_ranks(below, [list(_bits(up[x])) for x in range(n)])
     classes: dict[int, list[int]] = {}
     for x, r in enumerate(ranks):
         classes.setdefault(r, []).append(x)
-    pools = [classes[r] for r in sorted(classes)]
-    best: int | None = None
-    for parts in itertools.product(*(itertools.permutations(p) for p in pools)):
-        perm = [x for part in parts for x in part]
-        code = 0
-        for p in range(n):
-            dp = down[perm[p]]
-            for q in range(n):
-                code = (code << 1) | ((dp >> perm[q]) & 1)
-        if best is None or code < best:
-            best = code
-    return f"{n}:{best:x}"
+    cell = [classes[r] for r in sorted(ranks)]  # the candidates for each position
+    twin_before = [-1] * n
+    last: dict[tuple[int, int], int] = {}
+    for x in range(n):
+        # twins: swapping them is an automorphism, so keep them in index order
+        key = (down[x] & ~(1 << x), up[x] & ~(1 << x))
+        twin_before[x] = last.get(key, -1)
+        last[key] = x
+    pos = [-1] * n
+    worst = 1 << n  # above every n-bit row
+    best = [worst] * n
+
+    def place(p: int) -> None:
+        rows = []
+        for x in cell[p]:
+            t = twin_before[x]
+            if pos[x] >= 0 or (t >= 0 and pos[t] < 0):
+                continue
+            # everything strictly below x has a lower rank, so is placed
+            pos[x] = p
+            row = 0
+            for y in below[x]:
+                row |= 1 << (n - 1 - pos[y])
+            pos[x] = -1
+            rows.append((row, x))
+        low = min(rows)[0]
+        if low > best[p]:
+            return
+        if low < best[p]:
+            best[p] = low
+            best[p + 1 :] = [worst] * (n - 1 - p)
+        if p + 1 == n:
+            return
+        for row, x in rows:
+            if row == low:
+                pos[x] = p
+                place(p + 1)
+                pos[x] = -1
+
+    place(0)
+    code = 0
+    for row in best:
+        code = (code << n) | row
+    return f"{n}:{code:x}"
 
 
 def canonical_form(L: FiniteLattice) -> str:
-    """A string invariant: two lattices get equal codes iff isomorphic."""
-    return _poset_code(L.n, L._down_bits, L._up_bits)
+    """A string invariant: two lattices get equal codes iff isomorphic.
+    Cached on the lattice object."""
+    code = getattr(L, "_canonical_form", None)
+    if code is None:
+        code = L._canonical_form = _poset_code(L.n, L._down_bits, L._up_bits)
+    return code
 
 
 def is_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:

@@ -457,9 +457,6 @@ class VMonoid:
     atom_classes: tuple[tuple[int, ...], ...]  # atoms grouped by iso class
     class_of_node: tuple[tuple[int, ...], ...]  # node -> vector in N^k
 
-    def class_of(self, node: int) -> tuple[int, ...]:
-        return self.class_of_node[node]
-
 
 def v_monoid(R: FiniteRing) -> VMonoid:
     """Decompose every principal right ideal into indecomposables.

@@ -82,16 +82,6 @@ class FiniteJoinSemilattice:
         return cls(L.join, validate=False)
 
     @classmethod
-    def from_lattice_without_bottom(cls, L: FiniteLattice) -> "FiniteJoinSemilattice":
-        """L minus its least element; join-closed, so again a semilattice."""
-        if L.n < 2:
-            raise ValueError("need at least two elements to drop the bottom")
-        keep = [x for x in range(L.n) if x != L.bottom]
-        idx = {x: i for i, x in enumerate(keep)}
-        table = [[idx[L.join_rows[x][y]] for y in keep] for x in keep]
-        return cls(table, validate=False)
-
-    @classmethod
     def from_json(cls, obj: dict) -> "FiniteJoinSemilattice":
         return cls(obj["join"])
 

@@ -6,7 +6,9 @@ by filtering all set partitions, refinement by quadruple loops, ring ideals
 by additive-subgroup scans.  Slow but obviously correct.  The one exception
 is :func:`con_tables_by_joins`, the former construction of Con L from the
 library's closure-based ``principal_congruence`` and ``congruence_join``,
-kept as the reference for the cover-bitmask construction.
+kept as the reference for the cover-bitmask construction.  :func:`poset_code`
+is the former canonical code, which tries every relabeling the colour
+refinement allows, kept as the reference for the branch-and-bound search.
 """
 from __future__ import annotations
 
@@ -91,6 +93,54 @@ def _canonical(le) -> tuple:
         if best is None or mat < best:
             best = mat
     return best
+
+
+def _bit_list(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _refine_ranks(n: int, down, up) -> list[int]:
+    # iterated colour refinement; colours start from (|down x|, |up x|) and
+    # are rebuilt from the sorted colour multisets of the sets below/above x
+    keys: list[tuple] = [(down[x].bit_count(), up[x].bit_count()) for x in range(n)]
+    while True:
+        order = sorted(set(keys))
+        rank = {k: i for i, k in enumerate(order)}
+        ranks = [rank[k] for k in keys]
+        new_keys = [
+            (
+                ranks[x],
+                tuple(sorted(ranks[y] for y in _bit_list(down[x]))),
+                tuple(sorted(ranks[y] for y in _bit_list(up[x]))),
+            )
+            for x in range(n)
+        ]
+        if len(set(new_keys)) == len(set(keys)):
+            return ranks
+        keys = new_keys
+
+
+def poset_code(n: int, down, up) -> str:
+    """The canonical code of the poset with down-set masks ``down`` and
+    up-set masks ``up``: the lexicographically least bit-packed order matrix
+    over every relabeling that lists the refinement classes in rank order,
+    found by trying the product of the permutations of every class."""
+    ranks = _refine_ranks(n, down, up)
+    classes: dict[int, list[int]] = {}
+    for x, r in enumerate(ranks):
+        classes.setdefault(r, []).append(x)
+    pools = [classes[r] for r in sorted(classes)]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(p) for p in pools)):
+        perm = [x for part in parts for x in part]
+        code = 0
+        for p in range(n):
+            dp = down[perm[p]]
+            for q in range(n):
+                code = (code << 1) | ((dp >> perm[q]) & 1)
+        if best is None or code < best:
+            best = code
+    return f"{n}:{best:x}"
 
 
 def count_lattices(n: int) -> int:

@@ -73,6 +73,25 @@ def test_corpus_round_trip(tmp_path, capsys):
         assert canonical_form(L) == item_id
 
 
+def test_read_corpus_codes_only_rows_without_id(tmp_path, monkeypatch):
+    import conlat.cli
+
+    calls = []
+
+    def counting(L):
+        calls.append(L)
+        return canonical_form(L)
+
+    monkeypatch.setattr(conlat.cli, "canonical_form", counting)
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '{"id": "given", "n": 2, "covers": [[0, 1]]}\n{"n": 2, "covers": [[0, 1]]}\n'
+    )
+    ids = [item_id for item_id, _ in read_corpus(str(path))]
+    assert ids == ["given", "2:b"]
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # check
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conlat import (
     BoundExceeded,
@@ -29,7 +29,8 @@ from conlat import (
     m3,
     n5,
 )
-from oracles import count_lattices
+from conlat import lattice
+from oracles import count_lattices, poset_code
 
 # Small corpus materialized at import time for hypothesis strategies.
 SMALL = list(enumerate_lattices(5))
@@ -51,6 +52,16 @@ def b2() -> FiniteLattice:
 def permuted(L: FiniteLattice, perm: tuple[int, ...]) -> FiniteLattice:
     covers = [(perm[x], perm[y]) for x, y in L.covers()]
     return FiniteLattice.from_covers(L.n, covers)
+
+
+def m_k(k: int) -> FiniteLattice:
+    """k atoms between a bottom 0 and a top k + 1."""
+    atoms = range(1, k + 1)
+    return FiniteLattice.from_covers(k + 2, [(0, a) for a in atoms] + [(a, k + 1) for a in atoms])
+
+
+def oracle_code(L: FiniteLattice) -> str:
+    return poset_code(L.n, L.down_bits, L.up_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +92,21 @@ def test_from_covers_missing_top_rejected():
     # 1 and 2 are maximal but incomparable: no least upper bound
     with pytest.raises(NotALattice):
         FiniteLattice.from_covers(4, [(0, 1), (0, 2)])
+
+
+@pytest.mark.parametrize(
+    "n, covers, message",
+    [
+        (3, [(0, 1), (0, 2)], "elements 1 and 2 have no least upper bound"),
+        (3, [(0, 2), (1, 2)], "elements 0 and 1 have no greatest lower bound"),
+        # 1 and 2 have the upper bounds 3, 4 and 5 but no least one
+        (6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)],
+         "elements 1 and 2 have no least upper bound"),
+    ],
+)
+def test_missing_bound_rejected(n, covers, message):
+    with pytest.raises(NotALattice, match=message):
+        FiniteLattice.from_covers(n, covers)
 
 
 def test_from_covers_cycle_rejected():
@@ -263,7 +289,72 @@ def test_no_two_yields_share_a_code(corpus6):
 @settings(max_examples=60, deadline=None)
 def test_canonical_form_relabeling_invariant(case):
     L, perm = case
-    assert canonical_form(permuted(L, perm)) == canonical_form(L)
+    relabeled = permuted(L, perm)
+    assert canonical_form(relabeled) == canonical_form(L) == oracle_code(relabeled)
+
+
+def test_canonical_form_matches_permutation_oracle():
+    for L in enumerate_lattices(8):
+        assert canonical_form(L) == oracle_code(L)
+
+
+def test_canonical_form_matches_oracle_on_semilattice_candidates(monkeypatch):
+    # every meet-semilattice the augmentation codes, lattice or not
+    search = lattice._poset_code
+    coded = []
+
+    def checked(n, down, up):
+        code = search(n, down, up)
+        assert code == poset_code(n, down, up)
+        coded.append(n)
+        return code
+
+    monkeypatch.setattr(lattice, "_poset_code", checked)
+    lattice._meet_semilattice_levels(7)
+    assert max(coded) == 7
+
+
+def with_ups(down: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    n = len(down)
+    up = tuple(sum(1 << x for x in range(n) if down[x] >> y & 1) for y in range(n))
+    return n, down, up
+
+
+@st.composite
+def posets(draw):
+    # down-set masks in a linear extension: x may lie above any y < x
+    down: list[int] = []
+    for x in range(draw(st.integers(1, 7))):
+        mask = 1 << x
+        for y in range(x):
+            if draw(st.booleans()):
+                mask |= down[y]
+        down.append(mask)
+    return with_ups(tuple(down))
+
+
+# a smaller row found deeper in a later tied branch must discard the least
+# rows recorded below it by earlier branches; these two posets need that
+@example(with_ups((1, 2, 5, 8, 17, 45, 83)))
+@example(with_ups((1, 2, 6, 9, 16, 32, 97, 146)))
+@given(posets())
+@settings(max_examples=200, deadline=None)
+def test_poset_code_matches_oracle_on_posets(case):
+    assert lattice._poset_code(*case) == poset_code(*case)
+
+
+def test_canonical_form_matches_oracle_on_m_k():
+    for k in range(1, 8):
+        assert canonical_form(m_k(k)) == oracle_code(m_k(k))
+
+
+def test_canonical_form_of_m_12():
+    assert canonical_form(m_k(12)).startswith("14:")
+
+
+def test_canonical_form_is_cached():
+    L = m3()
+    assert canonical_form(L) is canonical_form(L)
 
 
 @given(relabelings())
@@ -277,8 +368,8 @@ def test_relabeled_lattice_isomorphic(case):
 # table invariants
 
 
-def test_join_meet_are_lub_glb(corpus5):
-    for L in corpus5:
+def test_join_meet_are_lub_glb(corpus7):
+    for L in corpus7:
         for x, y in itertools.product(range(L.n), repeat=2):
             j, m = L.join_of(x, y), L.meet_of(x, y)
             assert L.le(x, j) and L.le(y, j)
@@ -294,6 +385,16 @@ def test_bounds(corpus5):
     for L in corpus5:
         for x in range(L.n):
             assert L.le(L.bottom, x) and L.le(x, L.top)
+
+
+# A006966: lattices on 9 and 10 elements
+LATTICE_COUNTS_9_10 = {9: 1078, 10: 5994}
+
+
+@pytest.mark.slow
+def test_enumeration_counts_n9_n10():
+    sizes = [L.n for L in enumerate_lattices(10, bound=10)]
+    assert {n: sizes.count(n) for n in (9, 10)} == LATTICE_COUNTS_9_10
 
 
 @pytest.mark.slow
