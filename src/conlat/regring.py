@@ -3,8 +3,11 @@
 A ring is regular when every x has a quasi-inverse y with xyx = x.  Rings
 here are finite and table-driven: structured rings are finite products of
 full matrix rings over prime fields, built from a spec string like
-"M(1,2)xM(2,3)" (elements are tuples of matrices, tables are computed once);
-tabular rings are given by explicit addition/multiplication tables.
+"M(1,2)xM(2,3)"; tabular rings are given by explicit addition/multiplication
+tables.  M(n,p) is numbered by its row-major entry tuples in
+``itertools.product`` order.  A product with a factor C of size k numbers
+(i, s) as i*k + s, so add[(i,s)][(j,t)] = add[i][j]*k + add_C[s][t] (and
+likewise mul) folds the product tables from the factor tables.
 
 From a regular ring R the module computes:
 
@@ -12,7 +15,9 @@ From a regular ring R the module computes:
   each node labelled by an idempotent generator;
 * isomorphism of principal right ideals, with certificates x in aRb,
   y in bRa such that xy = a and yx = b;
-* Id R, the lattice of two-sided ideals;
+* Id R, the lattice of two-sided ideals: the join-closure of the
+  principal ideals RxR, built once per element and kept on the lattice.
+  Subgroups grow by <H, g> = H + <g>, the union of the cosets H + mg;
 * the inverse bijections between neutral ideals of L(R) and Id R;
 * V(R), the monoid of isomorphism classes of principal right ideals, which
   for a finite (hence semisimple) regular ring is free commutative on the
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .congruence import con_lattice, con_nid_iso, is_neutral_ideal, neutral_ideals
@@ -91,6 +96,39 @@ def parse_ring_spec(spec: str) -> list[tuple[int, int]]:
     return out
 
 
+def _matrix_tables(n: int, p: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """Addition and multiplication tables and the identity of M(n,p), over
+    the row-major entry tuples in ``itertools.product`` order."""
+    entries = list(itertools.product(range(p), repeat=n * n))
+    index = {e: i for i, e in enumerate(entries)}
+    cells = [(i, j) for i in range(n) for j in range(n)]
+
+    def times(a, b):
+        return tuple(sum(a[i * n + t] * b[t * n + j] for t in range(n)) % p for i, j in cells)
+
+    add = [[index[tuple((x + y) % p for x, y in zip(a, b))] for b in entries] for a in entries]
+    mul = [[index[times(a, b)] for b in entries] for a in entries]
+    return add, mul, index[tuple(int(i == j) for i, j in cells)]
+
+
+def _fold(outer: list[list[int]], inner: list[list[int]]) -> list[list[int]]:
+    """The table of a product from its factors' tables: (i, s) is i*k + s for
+    k = len(inner).  Equal entries share one int object, read from a list."""
+    k = len(inner)
+    elements = list(range(len(outer) * k))
+    return [[elements[o * k + c] for o in orow for c in irow] for orow in outer for irow in inner]
+
+
+def _product_tables(comps: list[tuple[int, int]]) -> tuple[list[list[int]], list[list[int]], int]:
+    """Addition and multiplication tables and the identity of the product of
+    the matrix rings M(n,p) in ``comps``, folded one factor at a time."""
+    add, mul, one = _matrix_tables(*comps[0])
+    for n, p in comps[1:]:
+        c_add, c_mul, c_one = _matrix_tables(n, p)
+        add, mul, one = _fold(add, c_add), _fold(mul, c_mul), one * len(c_add) + c_one
+    return add, mul, one
+
+
 class FiniteRing:
     """A finite ring with identity, as full addition/multiplication tables."""
 
@@ -100,23 +138,29 @@ class FiniteRing:
         mul: Sequence[Sequence[int]],
         one: int,
         *,
-        labels: tuple[str, ...] | None = None,
         validate: bool = True,
     ):
         self.add = tuple(tuple(int(v) for v in row) for row in add)
         self.mul = tuple(tuple(int(v) for v in row) for row in mul)
-        n = len(self.add)
-        self.n = n
+        self.n = n = len(self.add)
         self.one = one
-        self.labels = labels
-        zero = next(
-            (z for z in range(n) if all(self.add[z][x] == x for x in range(n))), None
-        )
-        if zero is None:
+        if validate:
+            self._validate_shape()
+        self.zero = next((z for z in range(n) if all(self.add[z][x] == x for x in range(n))), None)
+        if self.zero is None:
             raise ValueError("no additive identity")
-        self.zero = zero
         if validate:
             self._validate()
+
+    def _validate_shape(self) -> None:
+        n = self.n
+        for table in (self.add, self.mul):
+            if len(table) != n or any(len(row) != n for row in table):
+                raise ValueError("tables must both be n x n")
+            if any(not 0 <= v < n for row in table for v in row):
+                raise ValueError(f"table entry outside 0..{n - 1}")
+        if not 0 <= self.one < n:
+            raise ValueError(f"one must be an element of 0..{n - 1}")
 
     def _validate(self) -> None:
         n, add, mul, one, zero = self.n, self.add, self.mul, self.one, self.zero
@@ -155,47 +199,7 @@ class FiniteRing:
             size *= p ** (n * n)
             if size > RING_SIZE_BOUND:
                 raise RingTooLarge(f"ring would have more than {RING_SIZE_BOUND} elements")
-        matrices_per_comp = []
-        for n, p in comps:
-            entries = list(itertools.product(range(p), repeat=n * n))
-            matrices_per_comp.append(
-                [tuple(tuple(e[i * n + j] for j in range(n)) for i in range(n)) for e in entries]
-            )
-        elements = list(itertools.product(*matrices_per_comp))
-        index = {e: i for i, e in enumerate(elements)}
-
-        def mat_add(a, b, p):
-            return tuple(
-                tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-            )
-
-        def mat_mul(a, b, p):
-            n = len(a)
-            return tuple(
-                tuple(sum(a[i][t] * b[t][j] for t in range(n)) % p for j in range(n))
-                for i in range(n)
-            )
-
-        N = len(elements)
-        add = [[0] * N for _ in range(N)]
-        mul = [[0] * N for _ in range(N)]
-        for i, e in enumerate(elements):
-            for j, f in enumerate(elements):
-                add[i][j] = index[
-                    tuple(mat_add(a, b, p) for (a, b, (_, p)) in zip(e, f, comps))
-                ]
-                mul[i][j] = index[
-                    tuple(mat_mul(a, b, p) for (a, b, (_, p)) in zip(e, f, comps))
-                ]
-        one = index[
-            tuple(
-                tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-                for n, p in comps
-            )
-        ]
-        ring = cls(add, mul, one, labels=tuple(map(str, elements)), validate=False)
-        ring.spec = list(comps)
-        return ring
+        return cls(*_product_tables(comps), validate=False)
 
     def idempotents(self) -> list[int]:
         return [e for e in range(self.n) if self.mul[e][e] == e]
@@ -219,22 +223,41 @@ def is_regular(R: FiniteRing) -> RegularityResult:
     return RegularityResult(True, None)
 
 
+def _inclusion_lattice(
+    sets: Iterable[frozenset[int]],
+) -> tuple[tuple[frozenset[int], ...], FiniteLattice, dict[frozenset[int], int]]:
+    """The distinct sets in (size, elements) order, their inclusion lattice
+    and the set -> index dict."""
+    ordered = tuple(sorted(set(sets), key=lambda s: (len(s), sorted(s))))
+    lattice = FiniteLattice([[s <= t for t in ordered] for s in ordered])
+    return ordered, lattice, {s: i for i, s in enumerate(ordered)}
+
+
+def _lookup(index: dict[frozenset[int], int], s: Iterable[int]) -> int:
+    try:
+        return index[frozenset(s)]
+    except KeyError:
+        raise ValueError("set is not a node of the lattice") from None
+
+
 @dataclass(frozen=True)
 class RightIdealLattice:
     """L(R): principal right ideals ordered by inclusion.
 
     ``ideals[k]`` is the element set of node k, ``generators[k]`` an
-    idempotent generating it.  The lattice indexing matches both tuples.
+    idempotent generating it.  The lattice indexing matches both tuples,
+    and ``index`` maps each ideal back to its node.
     """
 
     ring: FiniteRing
     lattice: FiniteLattice
     ideals: tuple[frozenset[int], ...]
     generators: tuple[int, ...]
+    index: dict[frozenset[int], int] = field(repr=False, compare=False)
 
     def node_of(self, x: int) -> int:
         """The node holding xR."""
-        return self.ideals.index(frozenset(self.ring.mul[x]))
+        return _lookup(self.index, self.ring.mul[x])
 
 
 def principal_right_ideals(R: FiniteRing) -> RightIdealLattice:
@@ -248,18 +271,10 @@ def principal_right_ideals(R: FiniteRing) -> RightIdealLattice:
     if not reg.holds:
         raise NotRegular(f"element {reg.failing} has no quasi-inverse")
     mul = R.mul
-    seen: dict[frozenset[int], int] = {}
-    for x in range(R.n):
-        seen.setdefault(frozenset(mul[x]), x)
-    ideals = sorted(seen, key=lambda s: (len(s), sorted(s)))
-    k = len(ideals)
-    leq = [[s <= t for t in ideals] for s in ideals]
-    lattice = FiniteLattice(leq)
-    gens = []
-    for s in ideals:
-        e = next(e for e in s if mul[e][e] == e and frozenset(mul[e]) == s)
-        gens.append(e)
-    R._principal_right_ideals = RightIdealLattice(R, lattice, tuple(ideals), tuple(gens))
+    xr = [frozenset(row) for row in mul]
+    ideals, lattice, index = _inclusion_lattice(xr)
+    gens = tuple(next(e for e in s if mul[e][e] == e and xr[e] == s) for s in ideals)
+    R._principal_right_ideals = RightIdealLattice(R, lattice, ideals, gens, index)
     return R._principal_right_ideals
 
 
@@ -289,31 +304,44 @@ def ideals_isomorphic(R: FiniteRing, a: int, b: int) -> IsoCertificate | None:
 
 
 def _additive_closure(R: FiniteRing, gens: Iterable[int]) -> frozenset[int]:
+    """The additive subgroup generated by gens.  A generator g outside the
+    group H so far gives <H, g> = H + <g>: the cosets H + mg for m = 1, 2, ...
+    until mg falls back into H."""
     add = R.add
-    group = {R.zero}
-    work = []
+    group = [R.zero]
+    members = {R.zero}
     for g in gens:
-        if g not in group:
-            group.add(g)
-            work.append(g)
-    while work:
-        g = work.pop()
-        for h in list(group):
-            s = add[g][h]
-            if s not in group:
-                group.add(s)
-                work.append(s)
-    return frozenset(group)
+        coset = group
+        while add[coset[0]][g] not in members:
+            coset = [add[h][g] for h in coset]
+            members.update(coset)
+            group.extend(coset)
+    return frozenset(members)
+
+
+def _principal_ideals(R: FiniteRing) -> tuple[frozenset[int], ...]:
+    """RxR for every element x: the additive closure of the products ys with
+    y in Rx."""
+    mul, rng = R.mul, range(R.n)
+    return tuple(
+        _additive_closure(R, {mul[y][s] for y in {mul[r][x] for r in rng} for s in rng})
+        for x in rng
+    )
 
 
 @dataclass(frozen=True)
 class TwoSidedIdealLattice:
+    """Id R: ``ideals[k]`` is the element set of node k, ``index`` maps it
+    back to k, and ``principal[x]`` is RxR."""
+
     ring: FiniteRing
     lattice: FiniteLattice
     ideals: tuple[frozenset[int], ...]
+    principal: tuple[frozenset[int], ...]
+    index: dict[frozenset[int], int] = field(repr=False, compare=False)
 
     def index_of(self, I: frozenset[int]) -> int:
-        return self.ideals.index(I)
+        return _lookup(self.index, I)
 
 
 def two_sided_ideals(R: FiniteRing) -> TwoSidedIdealLattice:
@@ -323,12 +351,8 @@ def two_sided_ideals(R: FiniteRing) -> TwoSidedIdealLattice:
     cached = getattr(R, "_two_sided_ideals", None)
     if cached is not None:
         return cached
-    mul = R.mul
-    found: set[frozenset[int]] = {frozenset({R.zero})}
-    for x in range(R.n):
-        rx = {mul[r][x] for r in range(R.n)}
-        gens = {mul[y][s] for y in rx for s in range(R.n)}
-        found.add(_additive_closure(R, gens))
+    principal = _principal_ideals(R)
+    found = {frozenset({R.zero}), *principal}
     work = list(found)
     while work:
         I = work.pop()
@@ -337,22 +361,9 @@ def two_sided_ideals(R: FiniteRing) -> TwoSidedIdealLattice:
             if s not in found:
                 found.add(s)
                 work.append(s)
-    ideals = sorted(found, key=lambda s: (len(s), sorted(s)))
-    leq = [[s <= t for t in ideals] for s in ideals]
-    R._two_sided_ideals = TwoSidedIdealLattice(R, FiniteLattice(leq), tuple(ideals))
+    ideals, lattice, index = _inclusion_lattice(found)
+    R._two_sided_ideals = TwoSidedIdealLattice(R, lattice, ideals, principal, index)
     return R._two_sided_ideals
-
-
-def is_two_sided(R: FiniteRing, I: frozenset[int]) -> bool:
-    mul, add = R.mul, R.add
-    if R.zero not in I:
-        return False
-    return all(
-        add[x][y] in I and mul[r][x] in I and mul[x][r] in I
-        for x in I
-        for y in I
-        for r in range(R.n)
-    )
 
 
 # -- neutral ideals of L(R) vs two-sided ideals of R -----------------------------
@@ -361,17 +372,14 @@ def is_two_sided(R: FiniteRing, I: frozenset[int]) -> bool:
 def phi(lr: RightIdealLattice, node_set: Iterable[int]) -> frozenset[int]:
     """phi(a) = { x in R : xR in a }, for a neutral ideal a of L(R)."""
     nodes = frozenset(node_set)
-    down = frozenset(
-        x for k in nodes for x in range(lr.ring.n) if lr.node_of(x) == k
-    )
     if not is_neutral_ideal(lr.lattice, nodes):
         raise NotNeutral("node set is not a neutral ideal of L(R)")
-    return down
+    return frozenset(x for x in range(lr.ring.n) if lr.node_of(x) in nodes)
 
 
 def psi(lr: RightIdealLattice, tsl: TwoSidedIdealLattice, I: frozenset[int]) -> frozenset[int]:
     """psi(I) = { J in L(R) : J <= I }, for a two-sided ideal I."""
-    if I not in tsl.ideals and not is_two_sided(lr.ring, I):
+    if frozenset(I) not in tsl.index:
         raise NotTwoSided("element set is not a two-sided ideal")
     return frozenset(k for k, s in enumerate(lr.ideals) if s <= I)
 
@@ -385,7 +393,7 @@ def verify_nid_id_iso(R: FiniteRing) -> bool:
     images = []
     for a in nid:
         I = phi(lr, a)
-        if I not in tsl.ideals:
+        if I not in tsl.index:
             return False
         if psi(lr, tsl, I) != a:
             return False
@@ -574,11 +582,7 @@ class PiMap:
 def pi_map(R: FiniteRing) -> PiMap:
     vm = v_monoid(R)
     tsl = two_sided_ideals(R)
-    lr = vm.lr
-    node_by_set = {s: i for i, s in enumerate(lr.ideals)}
-    elem_class = tuple(
-        vm.class_of_node[node_by_set[frozenset(R.mul[x])]] for x in range(R.n)
-    )
+    elem_class = tuple(vm.class_of_node[vm.lr.node_of(x)] for x in range(R.n))
     return PiMap(vm, tsl, elem_class)
 
 
@@ -593,26 +597,16 @@ def verify_pi_map(R: FiniteRing) -> dict[str, bool]:
       from the Boolean semilattice 2^k onto Id R.
     """
     pm = pi_map(R)
-    vm, tsl = pm.vm, pm.tsl
-    R_ = vm.lr.ring
-    k = vm.k
+    tsl, k = pm.tsl, pm.vm.k
     vectors = list(itertools.product(range(3), repeat=k)) if k else [()]
     out: dict[str, bool] = {}
     out["hom"] = all(
         pm([x + y for x, y in zip(al, be)])
-        == _additive_closure(R_, pm(al) | pm(be))
+        == _additive_closure(R, pm(al) | pm(be))
         for al in vectors
         for be in vectors
     )
-    ok = True
-    mul = R_.mul
-    for x in range(R_.n):
-        rx = {mul[r][x] for r in range(R_.n)}
-        rxr = _additive_closure(R_, {mul[y][s] for y in rx for s in range(R_.n)})
-        if pm(pm.elem_class[x]) != rxr:
-            ok = False
-            break
-    out["principal"] = ok
+    out["principal"] = all(pm(v) == rxr for v, rxr in zip(pm.elem_class, tsl.principal))
     out["order"] = all(
         (pm(al) <= pm(be)) == algebraic_below(al, be)
         for al in vectors

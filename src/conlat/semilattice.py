@@ -16,7 +16,7 @@ joins; :func:`wd_join_combine` realizes that closure constructively.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -245,12 +245,11 @@ def refinement_square(
 
 @dataclass(frozen=True)
 class RefinementResult:
-    """Outcome of the refinement-property scan: a square per solvable
-    equation, or the first failing equation."""
+    """Outcome of the refinement-property scan: the first failing equation,
+    if any."""
 
     holds: bool
     counterexample: tuple[int, int, int, int] | None
-    squares: dict[tuple[int, int, int, int], RefinementSquare] = field(repr=False)
 
 
 def has_refinement_property(S: FiniteJoinSemilattice) -> RefinementResult:
@@ -262,25 +261,18 @@ def has_refinement_property(S: FiniteJoinSemilattice) -> RefinementResult:
     cached = getattr(S, "_refinement_result", None)
     if cached is not None:
         return cached
-    squares: dict[tuple[int, int, int, int], RefinementSquare] = {}
-    result = None
-    for e in range(S.n):
-        pairs = S.decompositions(e)
-        for a0, a1 in pairs:
-            for b0, b1 in pairs:
-                sq = refinement_square(S, a0, a1, b0, b1)
-                if sq is None:
-                    result = RefinementResult(False, (a0, a1, b0, b1), squares)
-                    break
-                squares[(a0, a1, b0, b1)] = sq
-            if result:
-                break
-        if result:
-            break
-    if result is None:
-        result = RefinementResult(True, None, squares)
-    S._refinement_result = result
-    return result
+    failing = next(
+        (
+            (a0, a1, b0, b1)
+            for e in range(S.n)
+            for a0, a1 in S.decompositions(e)
+            for b0, b1 in S.decompositions(e)
+            if refinement_square(S, a0, a1, b0, b1) is None
+        ),
+        None,
+    )
+    S._refinement_result = RefinementResult(failing is None, failing)
+    return S._refinement_result
 
 
 # -- weak distributivity --------------------------------------------------------

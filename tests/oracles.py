@@ -9,6 +9,9 @@ library's closure-based ``principal_congruence`` and ``congruence_join``,
 kept as the reference for the cover-bitmask construction.  :func:`poset_code`
 is the former canonical code, which tries every relabeling the colour
 refinement allows, kept as the reference for the branch-and-bound search.
+:func:`matrix_ring_tables` is the former construction of product ring
+tables, which computes every sum and product on tuples of matrices, kept as
+the reference for the tables folded from the factor tables.
 """
 from __future__ import annotations
 
@@ -247,30 +250,74 @@ def refinement_holds(S) -> bool:
     return True
 
 
+def matrix_ring_tables(comps) -> tuple[list[list[int]], list[list[int]], int, int]:
+    """(add, mul, one, zero) of the product of the matrix rings M(n, p) in
+    ``comps``: elements are tuples of matrices, each a tuple of rows,
+    numbered in ``itertools.product`` order of the row-major entry tuples."""
+    matrices_per_comp = []
+    for n, p in comps:
+        entries = itertools.product(range(p), repeat=n * n)
+        matrices_per_comp.append(
+            [tuple(tuple(e[i * n + j] for j in range(n)) for i in range(n)) for e in entries]
+        )
+    elements = list(itertools.product(*matrices_per_comp))
+    index = {e: i for i, e in enumerate(elements)}
+
+    def mat_add(a, b, p):
+        return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+    def mat_mul(a, b, p):
+        n = len(a)
+        return tuple(
+            tuple(sum(a[i][t] * b[t][j] for t in range(n)) % p for j in range(n))
+            for i in range(n)
+        )
+
+    primes = [p for _, p in comps]
+    add = [
+        [index[tuple(mat_add(a, b, p) for a, b, p in zip(e, f, primes))] for f in elements]
+        for e in elements
+    ]
+    mul = [
+        [index[tuple(mat_mul(a, b, p) for a, b, p in zip(e, f, primes))] for f in elements]
+        for e in elements
+    ]
+
+    def constant(diagonal: int):
+        return tuple(
+            tuple(tuple(diagonal * (i == j) for j in range(n)) for i in range(n))
+            for n, _ in comps
+        )
+
+    return add, mul, index[constant(1)], index[constant(0)]
+
+
+def additive_closure(R, gens) -> frozenset[int]:
+    """The additive subgroup generated by gens, by a work list that adds
+    every new element to every element found so far."""
+    add = R.add
+    group = {R.zero}
+    work = list(gens)
+    while work:
+        g = work.pop()
+        if g in group:
+            continue
+        group.add(g)
+        for h in list(group):
+            s = add[g][h]
+            if s not in group:
+                work.append(s)
+    return frozenset(group)
+
+
 def additive_subgroups(R) -> list[frozenset[int]]:
     """Every additive subgroup, grown one generator at a time."""
-    add = R.add
-
-    def close(gens: frozenset[int]) -> frozenset[int]:
-        group = {R.zero}
-        work = list(gens)
-        while work:
-            g = work.pop()
-            if g in group:
-                continue
-            group.add(g)
-            for h in list(group):
-                s = add[g][h]
-                if s not in group:
-                    work.append(s)
-        return frozenset(group)
-
     found = {frozenset({R.zero})}
     work = [frozenset({R.zero})]
     while work:
         g = work.pop()
         for x in range(R.n):
-            bigger = close(g | {x})
+            bigger = additive_closure(R, g | {x})
             if bigger not in found:
                 found.add(bigger)
                 work.append(bigger)

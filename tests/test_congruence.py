@@ -17,6 +17,7 @@ from conlat import (
     chain,
     con_lattice,
     con_nid_iso,
+    congruence_from_blocks,
     congruence_join,
     congruence_meet,
     enumerate_lattices,
@@ -42,6 +43,27 @@ N5 = n5()
 CON_N5 = con_lattice(N5)
 
 n5_congruences = st.sampled_from(list(CON_N5.congruences))
+
+
+def test_congruence_from_blocks_round_trips():
+    for L in SMALL:
+        for t in con_lattice(L).congruences:
+            assert congruence_from_blocks(L, t.blocks()) == t
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [[0, 1], [1, 2, 3, 4]],
+        [[0], [1, 2], [3]],
+        [[0], [1, 2], [3], [4, 5]],
+        [[0], [1, 2], [3], [4]],
+    ],
+    ids=["overlapping", "missing-element", "out-of-range", "incompatible"],
+)
+def test_congruence_from_blocks_rejects_bad_partitions(blocks):
+    with pytest.raises(ValueError):
+        congruence_from_blocks(m3(), blocks)
 
 
 def b2() -> FiniteLattice:

@@ -1,6 +1,7 @@
 """Regular rings: ideal lattices, the two correspondences, V(R), and pi."""
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
@@ -39,7 +40,14 @@ from conlat import (
     verify_nid_id_iso,
     verify_pi_map,
 )
-from oracles import two_sided_ideal_sets
+from conlat.cli import TEST_RINGS
+from conlat.regring import _additive_closure
+from oracles import additive_closure, matrix_ring_tables, two_sided_ideal_sets
+
+
+@functools.lru_cache(maxsize=None)
+def ring(spec: str) -> FiniteRing:
+    return FiniteRing.from_matrix_spec(spec)
 
 
 def z4() -> FiniteRing:
@@ -82,6 +90,40 @@ def test_structured_sizes():
     assert FiniteRing.from_matrix_spec("M(1,2)").n == 2
     assert FiniteRing.from_matrix_spec("M(2,2)").n == 16
     assert FiniteRing.from_matrix_spec("M(1,2)xM(2,3)").n == 162
+
+
+@pytest.mark.parametrize(
+    "spec", TEST_RINGS + ("M(1,3)xM(2,3)", "M(2,2)xM(1,3)xM(1,2)")
+)
+def test_matrix_spec_tables_match_matrix_tuple_oracle(spec):
+    R = FiniteRing.from_matrix_spec(spec)
+    add, mul, one, zero = matrix_ring_tables(parse_ring_spec(spec))
+    assert R.add == tuple(map(tuple, add))
+    assert R.mul == tuple(map(tuple, mul))
+    assert (R.one, R.zero) == (one, zero)
+
+
+@given(st.sampled_from(TEST_RINGS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_additive_closure_matches_work_list_oracle(spec, data):
+    R = ring(spec)
+    gens = data.draw(st.lists(st.integers(min_value=0, max_value=R.n - 1), max_size=4))
+    assert _additive_closure(R, gens) == additive_closure(R, gens)
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [
+        {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "one": 5},
+        {"add": [[0, 1], [1]], "mul": [[0, 0], [0, 1]], "one": 1},
+        {"add": [[0, 1], [1, 0]], "mul": [[0]], "one": 1},
+        {"add": [[0, 1], [1, 2]], "mul": [[0, 0], [0, 1]], "one": 1},
+    ],
+    ids=["one-out-of-range", "ragged-add-row", "mul-wrong-size", "entry-out-of-range"],
+)
+def test_malformed_tables_raise_value_error(tables):
+    with pytest.raises(ValueError):
+        FiniteRing.from_tables(tables)
 
 
 def test_tabular_validation_rejects_broken_tables():
@@ -251,10 +293,30 @@ def test_field_has_two_ideals():
 
 
 def test_two_sided_ideals_match_subgroup_oracle():
-    for spec in ("M(2,2)", "M(1,2)xM(1,2)", "M(1,3)"):
+    for spec in ("M(2,2)", "M(1,2)xM(1,2)", "M(1,3)", "M(2,3)", "M(1,2)xM(2,2)"):
         R = FiniteRing.from_matrix_spec(spec)
         got = set(two_sided_ideals(R).ideals)
         assert got == set(two_sided_ideal_sets(R))
+
+
+def test_principal_ideal_is_least_oracle_ideal_containing_x():
+    for spec in ("M(2,2)", "M(1,2)xM(1,2)", "M(1,3)", "M(1,2)xM(2,2)"):
+        R = FiniteRing.from_matrix_spec(spec)
+        principal = two_sided_ideals(R).principal
+        oracle = two_sided_ideal_sets(R)
+        for x in range(R.n):
+            containing = [I for I in oracle if x in I]
+            assert principal[x] in containing
+            assert all(principal[x] <= I for I in containing)
+
+
+def test_ideal_lookups_reject_unknown_sets():
+    R = ring("M(2,2)")
+    lr, tsl = principal_right_ideals(R), two_sided_ideals(R)
+    assert [lr.node_of(e) for e in lr.generators] == list(range(lr.lattice.n))
+    assert [tsl.index_of(I) for I in tsl.ideals] == list(range(tsl.lattice.n))
+    with pytest.raises(ValueError):
+        tsl.index_of(frozenset({0, 1}))
 
 
 # ---------------------------------------------------------------------------

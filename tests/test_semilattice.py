@@ -119,14 +119,16 @@ def test_distributive_lattices_refine_by_meets(corpus5):
 def test_refinement_squares_returned_are_valid(corpus5):
     for L in corpus5:
         S = fjs(L)
-        res = has_refinement_property(S)
-        if not res.holds:
+        if not has_refinement_property(S).holds:
             continue
-        for (a0, a1, b0, b1), sq in res.squares.items():
-            assert S.join_of(sq.c00, sq.c01) == a0
-            assert S.join_of(sq.c10, sq.c11) == a1
-            assert S.join_of(sq.c00, sq.c10) == b0
-            assert S.join_of(sq.c01, sq.c11) == b1
+        for e in range(S.n):
+            for a0, a1 in S.decompositions(e):
+                for b0, b1 in S.decompositions(e):
+                    sq = refinement_square(S, a0, a1, b0, b1)
+                    assert S.join_of(sq.c00, sq.c01) == a0
+                    assert S.join_of(sq.c10, sq.c11) == a1
+                    assert S.join_of(sq.c00, sq.c10) == b0
+                    assert S.join_of(sq.c01, sq.c11) == b1
 
 
 def test_refinement_agrees_with_oracle(corpus6):
