@@ -17,6 +17,7 @@ joins; :func:`wd_join_combine` realizes that closure constructively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -105,18 +106,31 @@ class FiniteJoinSemilattice:
             acc = row[acc][x]
         return acc
 
-    def clb_mask(self, x: int, y: int) -> int:
-        """Bitmask of the common lower bounds of x and y (may be empty)."""
-        return self.down_bits[x] & self.down_bits[y]
-
     def pseudo_meet(self, x: int, y: int) -> int | None:
         """Greatest common lower bound if one exists, else None."""
-        mask = self.clb_mask(x, y)
-        for z in _bits(mask):
-            if mask & ~self.down_bits[z] == 0:
-                return z
-        # no greatest element among the common lower bounds
-        return None
+        return self.pseudo_meet_rows[x][y]
+
+    @cached_property
+    def pseudo_meet_rows(self) -> tuple[tuple[int | None, ...], ...]:
+        """The table of :meth:`pseudo_meet`, built once.  A greatest common
+        lower bound z of x and y is the element whose down-set is exactly
+        the set of common lower bounds."""
+        d = self.down_bits
+        by_down = {mask: z for z, mask in enumerate(d)}
+        return tuple(tuple(by_down.get(dx & dy) for dy in d) for dx in d)
+
+    @cached_property
+    def clb_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """clb_rows[x][y]: the common lower bounds of x and y, larger down-set
+        first and ties by index, so the greatest one, when it exists, comes
+        first.  Built once; the candidate lists of :func:`refinement_square`."""
+        d = self.down_bits
+        order = sorted(range(self.n), key=lambda z: -d[z].bit_count())
+        rows = []
+        for dx in d:
+            below = [z for z in order if dx >> z & 1]
+            rows.append(tuple(tuple(z for z in below if dy >> z & 1) for dy in d))
+        return tuple(rows)
 
     def decompositions(self, e: int) -> tuple[tuple[int, int], ...]:
         """All ordered pairs (y0, y1) with y0 + y1 = e, cached."""
@@ -223,22 +237,23 @@ def refinement_square(
     if j[a0][a1] != j[b0][b1]:
         raise ValueError("a0 + a1 and b0 + b1 differ")
 
-    def cands(x: int, y: int) -> list[int]:
-        # greatest common lower bound first when it exists, then the rest,
-        # larger (by down-set size) first
-        mask = S.clb_mask(x, y)
-        out = sorted(_bits(mask), key=lambda z: -(S.down_bits[z].bit_count()))
-        return out
-
-    for c00 in cands(a0, b0):
-        for c01 in cands(a0, b1):
-            if j[c00][c01] != a0:
+    # candidates for c_xy are the common lower bounds of x and y, greatest
+    # common lower bound first when it exists, then the rest by decreasing
+    # down-set size; the lists come from the table built once per semilattice
+    r0, r1 = S.clb_rows[a0], S.clb_rows[a1]
+    cs01, cs10, cs11 = r0[b1], r1[b0], r1[b1]
+    for c00 in r0[b0]:
+        j00 = j[c00]
+        for c01 in cs01:
+            if j00[c01] != a0:
                 continue
-            for c10 in cands(a1, b0):
-                if j[c00][c10] != b0:
+            j01 = j[c01]
+            for c10 in cs10:
+                if j00[c10] != b0:
                     continue
-                for c11 in cands(a1, b1):
-                    if j[c10][c11] == a1 and j[c01][c11] == b1:
+                j10 = j[c10]
+                for c11 in cs11:
+                    if j10[c11] == a1 and j01[c11] == b1:
                         return RefinementSquare(a0, a1, b0, b1, c00, c01, c10, c11)
     return None
 

@@ -14,12 +14,25 @@ by reindexing (pure substitution, no semilattice theory), deciding URP at e
 reduces to the single canonical pair-set instance; the search itself stays
 literal, with no internal deduplication, so that reduction remains testable.
 
+The verifier checks clause (iii) once per distinct row i of c, distinct
+(row, column) pair j and distinct column k, since c_ik <= c_ij + c_jk reads
+index i only through row i, k only through column k and j only through both;
+clause (ii) likewise reads (row i, a*_i) and (column k, a*_k, b*_k).  The
+first occurrences are scanned in index order, so the first failure reported
+is the literal first one.  For a greedy witness of the canonical instance
+the rows follow the distinct a_i and the columns the distinct b_k, so the
+m^3 triples shrink to |{a_i}| * m * |{b_k}|.
+
 The searcher first tries the greedy witness (a*, b*) = (a, b) with c_ij the
-greatest common lower bound of (a_i, b_j); in a distributive lattice this
-always validates.  Otherwise it backtracks exhaustively: pair choices first
-with pairwise feasibility pruning of clause (ii), then matrix cells with
-incremental checks of clause (iii).  A node budget bounds the search; hitting
-it raises instead of reporting a false negative.
+greatest common lower bound of (a_i, b_j), read from the semilattice's
+pseudo-meet table; in a distributive lattice this always validates.
+Otherwise it backtracks exhaustively: pair choices first with pairwise
+feasibility pruning of clause (ii), then matrix cells with incremental
+checks of clause (iii).  The candidate lists of a pair and of a cell depend
+only on the semilattice and on (a, b), or on (a*_i, b*_k, a*_k, diagonal),
+so each is built once and kept on the semilattice; indices stay literal and
+duplicate pairs are not merged.  A node budget bounds the search; hitting it
+raises instead of reporting a false negative.
 
 Also here: combination of URP witnesses across joins, transfer of URP along
 weakly distributive maps, and the direct witness construction in Con L for a
@@ -47,6 +60,10 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 
 class IndexMismatch(ValueError):
     """Witness shape does not match the instance's index set."""
+
+
+class ElementOutOfRange(ValueError):
+    """An instance or witness names an element outside 0..n-1."""
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -86,8 +103,12 @@ class UrpInstance:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        j = self.S.join_rows
+        n, j = self.S.n, self.S.join_rows
+        if not 0 <= self.e < n:
+            raise ElementOutOfRange(f"target {self.e} outside 0..{n - 1}")
         for a, b in self.pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ElementOutOfRange(f"pair ({a}, {b}) outside 0..{n - 1}")
             if j[a][b] != self.e:
                 raise ValueError(f"pair ({a}, {b}) does not join to {self.e}")
 
@@ -116,41 +137,73 @@ class UrpVerification:
     indices: tuple[int, ...] | None = None
 
 
+def _classes(keys) -> tuple[list[int], list[int]]:
+    """Number the distinct keys in order of first occurrence: the number of
+    each index's key, and the first index of each number."""
+    number: dict = {}
+    firsts: list[int] = []
+    ids = []
+    for i, key in enumerate(keys):
+        k = number.get(key)
+        if k is None:
+            k = number[key] = len(firsts)
+            firsts.append(i)
+        ids.append(k)
+    return ids, firsts
+
+
 def verify_urp_witness(inst: UrpInstance, w: UrpWitness) -> UrpVerification:
-    """Check clauses (i)-(iii); reports the first violated clause."""
+    """Check clauses (i)-(iii); reports the first violated clause.
+
+    Clauses (ii) and (iii) are checked over distinct rows and columns only:
+    the check at (i, k) or (i, j, k) depends on each index through a key
+    (row i of c, column k, ...), and the first failing index tuple is made
+    of first occurrences of its keys, so scanning the first occurrences in
+    index order finds exactly the literal first failure."""
     m = len(inst.pairs)
     if len(w.astar) != m or len(w.bstar) != m or len(w.c) != m or any(
         len(row) != m for row in w.c
     ):
         raise IndexMismatch("witness arrays do not match the instance size")
     S = inst.S
-    j = S.join_rows
-    le = S.le
-    for i, (a, b) in enumerate(inst.pairs):
-        if not le(w.astar[i], a):
-            return UrpVerification(False, "i-a", (i,))
-        if not le(w.bstar[i], b):
-            return UrpVerification(False, "i-b", (i,))
-        if j[w.astar[i]][w.bstar[i]] != inst.e:
-            return UrpVerification(False, "i-sum", (i,))
     astar, bstar, c = w.astar, w.bstar, w.c
-    for i in range(m):
+    if m and not (
+        0 <= min(min(astar), min(bstar), min(map(min, c)))
+        and max(max(astar), max(bstar), max(map(max, c))) < S.n
+    ):
+        raise ElementOutOfRange(f"witness entries outside 0..{S.n - 1}")
+    j = S.join_rows
+    down = S.down_bits  # x <= y iff down[y] >> x & 1
+    for i, (a, b) in enumerate(inst.pairs):
+        if not down[a] >> astar[i] & 1:
+            return UrpVerification(False, "i-a", (i,))
+        if not down[b] >> bstar[i] & 1:
+            return UrpVerification(False, "i-b", (i,))
+        if j[astar[i]][bstar[i]] != inst.e:
+            return UrpVerification(False, "i-sum", (i,))
+    rows, row_firsts = _classes(map(tuple, c))
+    cols, col_firsts = _classes(zip(*c))
+    # (ii) at (i, k) reads row i and a*_i, and column k, a*_k and b*_k
+    ks = _classes(zip(cols, astar, bstar))[1]
+    for i in _classes(zip(rows, astar))[1]:
         ci, ai = c[i], astar[i]
-        for k in range(m):
+        for k in ks:
             v = ci[k]
-            if not le(v, ai):
+            if not down[ai] >> v & 1:
                 return UrpVerification(False, "ii-ca", (i, k))
-            if not le(v, bstar[k]):
+            if not down[bstar[k]] >> v & 1:
                 return UrpVerification(False, "ii-cb", (i, k))
-            if not le(ai, j[astar[k]][v]):
+            if not down[j[astar[k]][v]] >> ai & 1:
                 return UrpVerification(False, "ii-tri", (i, k))
-    for i in range(m):
+    # (iii) at (i, j, k) reads row i, row and column j, and column k
+    js = _classes(zip(rows, cols))[1]
+    for i in row_firsts:
         ci = c[i]
-        for jx in range(m):
-            cij = ci[jx]
-            cj = c[jx]
-            for k in range(m):
-                if not le(ci[k], j[cij][cj[k]]):
+        cik = [ci[k] for k in col_firsts]
+        for jx in js:
+            jr, cj = j[ci[jx]], c[jx]
+            for k, v in zip(col_firsts, cik):
+                if not down[jr[cj[k]]] >> v & 1:
                     return UrpVerification(False, "iii", (i, jx, k))
     return UrpVerification(True)
 
@@ -161,22 +214,22 @@ def canonical_instance(S: FiniteJoinSemilattice, e: int) -> UrpInstance:
 
 
 def _greedy_witness(inst: UrpInstance, tick: "_Budget") -> UrpWitness | None:
-    S, m = inst.S, len(inst.pairs)
-    c: list[list[int]] = []
-    for i in range(m):
-        row = []
-        for k in range(m):
+    # c_ik = a_i ^ b_k, read from the semilattice's pseudo-meet table; rows
+    # of equal a_i are one shared tuple
+    pm = inst.S.pseudo_meet_rows
+    bs = [b for _, b in inst.pairs]
+    made: dict[int, tuple[int, ...]] = {}
+    c = []
+    for a, _ in inst.pairs:
+        row = pm[a]
+        for b in bs:
             tick.spend()
-            pm = S.pseudo_meet(inst.pairs[i][0], inst.pairs[k][1])
-            if pm is None:
+            if row[b] is None:
                 return None
-            row.append(pm)
-        c.append(row)
-    w = UrpWitness(
-        tuple(a for a, _ in inst.pairs),
-        tuple(b for _, b in inst.pairs),
-        tuple(tuple(r) for r in c),
-    )
+        if a not in made:
+            made[a] = tuple(row[b] for b in bs)
+        c.append(made[a])
+    w = UrpWitness(tuple(a for a, _ in inst.pairs), tuple(bs), tuple(c))
     return w if verify_urp_witness(inst, w).ok else None
 
 
@@ -214,29 +267,35 @@ def search_urp_witness(
     j = S.join_rows
     down = S.down_bits
 
-    # candidate (a*, b*) per index: the pair itself first, then smaller ones
-    pair_cands: list[list[tuple[int, int]]] = []
-    for a, b in inst.pairs:
-        cands = [
-            (x, y)
-            for x in _bits(down[a])
-            for y in _bits(down[b])
-            if j[x][y] == inst.e
-        ]
-        cands.sort(
-            key=lambda p: (
-                p != (a, b),
-                -(down[p[0]].bit_count() + down[p[1]].bit_count()),
-                p,
+    # candidate lists depend only on the semilattice and their key, so they
+    # are kept on it for every search; a pair's key is itself, as a + b = e
+    pair_memo = vars(S).setdefault("_urp_pair_cands", {})
+    cell_memo = vars(S).setdefault("_urp_cell_cands", {})
+
+    def pair_cands(a: int, b: int) -> list[tuple[int, int]]:
+        # candidate (a*, b*) for the pair (a, b): itself first, then smaller ones
+        out = pair_memo.get((a, b))
+        if out is None:
+            e = j[a][b]
+            out = [(x, y) for x in _bits(down[a]) for y in _bits(down[b]) if j[x][y] == e]
+            out.sort(
+                key=lambda p: (
+                    p != (a, b),
+                    -(down[p[0]].bit_count() + down[p[1]].bit_count()),
+                    p,
+                )
             )
-        )
-        pair_cands.append(cands)
+            pair_memo[a, b] = out
+        return out
 
     def cell_cands(ai: int, bk: int, ak: int, diagonal: bool) -> list[int]:
         # clause (ii) filtered candidates for c_ik given a*_i = ai, b*_k = bk,
         # a*_k = ak; small first on the diagonal, large first off it
-        out = [v for v in _bits(down[ai] & down[bk]) if S.le(ai, j[ak][v])]
-        out.sort(key=lambda v: down[v].bit_count() if diagonal else -down[v].bit_count())
+        out = cell_memo.get((ai, bk, ak, diagonal))
+        if out is None:
+            out = [v for v in _bits(down[ai] & down[bk]) if down[j[ak][v]] >> ai & 1]
+            out.sort(key=lambda v: down[v].bit_count() if diagonal else -down[v].bit_count())
+            cell_memo[ai, bk, ak, diagonal] = out
         return out
 
     chosen: list[tuple[int, int]] = [(-1, -1)] * m
@@ -254,18 +313,17 @@ def search_urp_witness(
     c: list[list[int]] = [[-1] * m for _ in range(m)]
 
     def iii_ok(i: int, k: int) -> bool:
-        v = c[i][k]
+        ci, ck = c[i], c[k]
+        v = ci[k]
+        jv = j[v]
         for t in range(m):
-            vit, vtk = c[i][t], c[t][k]
-            if vit >= 0 and vtk >= 0 and not S.le(v, j[vit][vtk]):
+            ct = c[t]
+            vit, vtk, vkt, vti = ci[t], ct[k], ck[t], ct[i]
+            if vit >= 0 and vtk >= 0 and not down[j[vit][vtk]] >> v & 1:
                 return False
-            vkt = c[k][t]
-            vit2 = c[i][t]
-            if vkt >= 0 and vit2 >= 0 and not S.le(vit2, j[v][vkt]):
+            if vkt >= 0 and vit >= 0 and not down[jv[vkt]] >> vit & 1:
                 return False
-            vti = c[t][i]
-            vtk2 = c[t][k]
-            if vti >= 0 and vtk2 >= 0 and not S.le(vtk2, j[vti][v]):
+            if vti >= 0 and vtk >= 0 and not down[j[vti][v]] >> vtk & 1:
                 return False
         return True
 
@@ -300,7 +358,7 @@ def search_urp_witness(
                 for t in range(m):
                     row[t] = -1
             return fill_cells(cells, 0)
-        for cand in pair_cands[i]:
+        for cand in pair_cands(*inst.pairs[i]):
             tick.spend()
             chosen[i] = cand
             if feasible_with(i) and assign_pairs(i + 1):

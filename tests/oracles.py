@@ -12,6 +12,11 @@ refinement allows, kept as the reference for the branch-and-bound search.
 :func:`matrix_ring_tables` is the former construction of product ring
 tables, which computes every sum and product on tuples of matrices, kept as
 the reference for the tables folded from the factor tables.
+:func:`verify_urp_witness_literal` is the former URP verifier, which checks
+clause (iii) on all m^3 index triples, kept as the reference for the check
+over distinct rows and columns; :func:`refinement_square_sorting` is the
+former refinement-square search, which sorts its candidate lists on every
+call, kept as the reference for the lists built once per semilattice.
 """
 from __future__ import annotations
 
@@ -248,6 +253,78 @@ def refinement_holds(S) -> bool:
                     ):
                         return False
     return True
+
+
+def refinement_square_sorting(S, a0, a1, b0, b1):
+    """The first refinement square in the search order of the library's
+    ``refinement_square``, with the candidates for c_xy sorted on each call:
+    common lower bounds of x and y, larger down-set first, ties by index."""
+    from conlat.semilattice import RefinementSquare
+
+    j = S.join_rows
+    if j[a0][a1] != j[b0][b1]:
+        raise ValueError("a0 + a1 and b0 + b1 differ")
+
+    def cands(x, y):
+        mask = S.down_bits[x] & S.down_bits[y]
+        return sorted(
+            (z for z in range(S.n) if mask >> z & 1),
+            key=lambda z: -(S.down_bits[z].bit_count()),
+        )
+
+    for c00 in cands(a0, b0):
+        for c01 in cands(a0, b1):
+            if j[c00][c01] != a0:
+                continue
+            for c10 in cands(a1, b0):
+                if j[c00][c10] != b0:
+                    continue
+                for c11 in cands(a1, b1):
+                    if j[c10][c11] == a1 and j[c01][c11] == b1:
+                        return RefinementSquare(a0, a1, b0, b1, c00, c01, c10, c11)
+    return None
+
+
+def verify_urp_witness_literal(inst, w):
+    """Clauses (i), (ii) and (iii) of a URP witness over every index, in
+    index order, with the first failing clause and its indices."""
+    from conlat.urp import IndexMismatch, UrpVerification
+
+    m = len(inst.pairs)
+    if len(w.astar) != m or len(w.bstar) != m or len(w.c) != m or any(
+        len(row) != m for row in w.c
+    ):
+        raise IndexMismatch("witness arrays do not match the instance size")
+    S = inst.S
+    j = S.join_rows
+    le = S.le
+    astar, bstar, c = w.astar, w.bstar, w.c
+    for i, (a, b) in enumerate(inst.pairs):
+        if not le(astar[i], a):
+            return UrpVerification(False, "i-a", (i,))
+        if not le(bstar[i], b):
+            return UrpVerification(False, "i-b", (i,))
+        if j[astar[i]][bstar[i]] != inst.e:
+            return UrpVerification(False, "i-sum", (i,))
+    for i in range(m):
+        ci, ai = c[i], astar[i]
+        for k in range(m):
+            v = ci[k]
+            if not le(v, ai):
+                return UrpVerification(False, "ii-ca", (i, k))
+            if not le(v, bstar[k]):
+                return UrpVerification(False, "ii-cb", (i, k))
+            if not le(ai, j[astar[k]][v]):
+                return UrpVerification(False, "ii-tri", (i, k))
+    for i in range(m):
+        ci = c[i]
+        for jx in range(m):
+            cij = ci[jx]
+            cj = c[jx]
+            for k in range(m):
+                if not le(ci[k], j[cij][cj[k]]):
+                    return UrpVerification(False, "iii", (i, jx, k))
+    return UrpVerification(True)
 
 
 def matrix_ring_tables(comps) -> tuple[list[list[int]], list[list[int]], int, int]:

@@ -30,7 +30,7 @@ from conlat import (
     wd_join_combine,
     weakly_distributive_points,
 )
-from oracles import all_semilattice_homs, refinement_holds
+from oracles import all_semilattice_homs, refinement_holds, refinement_square_sorting
 
 SMALL = [FiniteJoinSemilattice.from_lattice(L) for L in enumerate_lattices(5)]
 
@@ -46,6 +46,10 @@ def semilattice_with_elements(draw, k: int = 3):
 
 def fjs(L) -> FiniteJoinSemilattice:
     return FiniteJoinSemilattice.from_lattice(L)
+
+
+# two minimal elements below a top: 0 and 1 have no common lower bound
+VEE = FiniteJoinSemilattice([[0, 2, 2], [2, 1, 2], [2, 2, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +133,31 @@ def test_refinement_squares_returned_are_valid(corpus5):
                     assert S.join_of(sq.c10, sq.c11) == a1
                     assert S.join_of(sq.c00, sq.c10) == b0
                     assert S.join_of(sq.c01, sq.c11) == b1
+
+
+def _semilattices_of(corpus) -> list[FiniteJoinSemilattice]:
+    return [VEE] + [
+        S for L in corpus for S in (con_lattice(L).as_semilattice, fjs(L))
+    ]
+
+
+def test_refinement_square_matches_sorting_oracle(corpus5):
+    for S in _semilattices_of(corpus5):
+        for e in range(S.n):
+            for a0, a1 in S.decompositions(e):
+                for b0, b1 in S.decompositions(e):
+                    assert refinement_square(S, a0, a1, b0, b1) == (
+                        refinement_square_sorting(S, a0, a1, b0, b1)
+                    )
+
+
+def test_pseudo_meet_table_matches_brute_force(corpus5):
+    for S in _semilattices_of(corpus5):
+        for x, y in itertools.product(range(S.n), repeat=2):
+            lower = [z for z in range(S.n) if S.le(z, x) and S.le(z, y)]
+            greatest = [z for z in lower if all(S.le(w, z) for w in lower)]
+            assert S.pseudo_meet(x, y) == (greatest[0] if greatest else None)
+    assert VEE.pseudo_meet(0, 1) is None and VEE.pseudo_meet(0, 2) == 0
 
 
 def test_refinement_agrees_with_oracle(corpus6):

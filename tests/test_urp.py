@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conlat import (
+    ElementOutOfRange,
     FiniteJoinSemilattice,
     IndexMismatch,
     NoSourceWitness,
@@ -43,6 +45,7 @@ from conlat import (
     verify_urp_witness,
 )
 from conlat import FiniteLattice, LatticeHom
+from oracles import verify_urp_witness_literal
 
 SMALL = list(enumerate_lattices(5))
 DISTRIBUTIVE = [L for L in SMALL if is_distributive(L)]
@@ -131,6 +134,167 @@ def test_instance_requires_exact_joins():
         UrpInstance(S, 2, ((1, 1),))
 
 
+def _replace_cell(w: UrpWitness, i: int, k: int, v: int) -> UrpWitness:
+    c = [list(row) for row in w.c]
+    c[i][k] = v
+    return UrpWitness(w.astar, w.bstar, tuple(map(tuple, c)))
+
+
+def test_out_of_range_elements_are_rejected():
+    # Con of the 3-chain has 4 elements: a negative id must not wrap around
+    # to a valid one, nor an id of 4 raise a bare IndexError
+    S = con_lattice(chain(3)).as_semilattice
+    assert S.n == 4 and S.top == 3
+    inst = canonical_instance(S, S.top)
+    w = search_urp_witness(inst)
+    assert verify_urp_witness(inst, w).ok
+    m = len(inst.pairs)
+    for v in (-4, -1, 4):
+        for i, k in ((0, 0), (m - 1, 1)):
+            with pytest.raises(ElementOutOfRange):
+                verify_urp_witness(inst, _replace_cell(w, i, k, v))
+        with pytest.raises(ElementOutOfRange):
+            verify_urp_witness(inst, UrpWitness((v,) + w.astar[1:], w.bstar, w.c))
+        with pytest.raises(ElementOutOfRange):
+            verify_urp_witness(inst, UrpWitness(w.astar, w.bstar[:-1] + (v,), w.c))
+    for e, pairs in ((3, ((-1, 0),)), (3, ((0, -1),)), (3, ((4, 3),)), (4, ()), (-1, ())):
+        with pytest.raises(ElementOutOfRange):
+            UrpInstance(S, e, pairs)
+    assert issubclass(ElementOutOfRange, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# the verifier against the literal m^3 oracle
+
+
+def greedy_candidate(inst: UrpInstance) -> UrpWitness | None:
+    """a* = a, b* = b and c_ik = a_i ^ b_k when every such greatest common
+    lower bound exists; not necessarily a witness."""
+    S = inst.S
+    c = tuple(
+        tuple(S.pseudo_meet(a, b) for _, b in inst.pairs) for a, _ in inst.pairs
+    )
+    if any(v is None for row in c for v in row):
+        return None
+    return UrpWitness(
+        tuple(a for a, _ in inst.pairs), tuple(b for _, b in inst.pairs), c
+    )
+
+
+def matches_oracle(inst: UrpInstance, w: UrpWitness):
+    got = verify_urp_witness(inst, w)
+    assert got == verify_urp_witness_literal(inst, w)
+    return got
+
+
+def test_verifier_matches_oracle_on_con_greedy_witnesses(corpus6):
+    for L in corpus6:
+        S = con_lattice(L).as_semilattice
+        for e in range(S.n):
+            inst = canonical_instance(S, e)
+            assert matches_oracle(inst, greedy_candidate(inst)).ok
+
+
+def test_verifier_matches_oracle_on_lattice_greedy_candidates(corpus5):
+    outcomes = Counter()
+    for L in corpus5:
+        S = fjs(L)
+        for e in range(S.n):
+            inst = canonical_instance(S, e)
+            w = greedy_candidate(inst)
+            if w is not None:
+                outcomes[matches_oracle(inst, w).ok] += 1
+    # M3 and N5 have a top at which the greedy candidate is no witness
+    assert outcomes[True] and outcomes[False]
+
+
+def test_verifier_matches_oracle_on_csurp_certificates(corpus5):
+    checked = 0
+    for L in corpus5:
+        if not is_congruence_splitting(L).holds:
+            continue
+        S = con_lattice(L).as_semilattice
+        for u, v, eps, fams in con_lattice(L).join_decompositions():
+            inst = UrpInstance(S, eps, tuple(fams))
+            assert matches_oracle(inst, csurp_witness(L, u, v, fams)).ok
+            checked += 1
+    assert checked
+
+
+def _mutation_bases() -> list[tuple[UrpInstance, UrpWitness]]:
+    # canonical instances small enough for the literal oracle, each with
+    # its greedy candidate; equal a_i (rows) and b_k (columns) repeat
+    bases = []
+    for L in SMALL:
+        for S in (fjs(L), con_lattice(L).as_semilattice):
+            for e in range(S.n):
+                inst = canonical_instance(S, e)
+                w = greedy_candidate(inst)
+                if S.n > 1 and w is not None and len(inst.pairs) <= 27:
+                    bases.append((inst, w))
+    return bases
+
+
+MUTATION_BASES = _mutation_bases()
+CLAUSES = {None, "i-a", "i-b", "i-sum", "ii-ca", "ii-cb", "ii-tri", "iii"}
+
+
+def _mutate(w: UrpWitness, n: int, edits) -> UrpWitness:
+    """Apply edits (field, i, k, shift): the entry moves to another element,
+    (old + shift) mod n with 0 < shift < n."""
+    astar, bstar = list(w.astar), list(w.bstar)
+    c = [list(row) for row in w.c]
+    for field, i, k, shift in edits:
+        if field == "astar":
+            astar[i] = (astar[i] + shift) % n
+        elif field == "bstar":
+            bstar[i] = (bstar[i] + shift) % n
+        else:
+            c[i][k] = (c[i][k] + shift) % n
+    return UrpWitness(tuple(astar), tuple(bstar), tuple(map(tuple, c)))
+
+
+@st.composite
+def mutated_witnesses(draw):
+    inst, w = draw(st.sampled_from(MUTATION_BASES))
+    n, m = inst.S.n, len(inst.pairs)
+    edit = st.tuples(
+        st.sampled_from(("astar", "bstar", "c")),
+        st.integers(0, m - 1),
+        st.integers(0, m - 1),
+        st.integers(1, n - 1),
+    )
+    return inst, _mutate(w, n, draw(st.lists(edit, min_size=1, max_size=2)))
+
+
+@given(mutated_witnesses())
+@settings(max_examples=300, deadline=None)
+def test_verifier_matches_oracle_on_mutated_witnesses(case):
+    matches_oracle(*case)
+
+
+def test_mutated_witnesses_reach_every_clause():
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(3000):
+        inst, w = rng.choice(MUTATION_BASES)
+        n, m = inst.S.n, len(inst.pairs)
+        edits = [
+            (
+                rng.choice(("astar", "bstar", "c", "c")),
+                rng.randrange(m),
+                rng.randrange(m),
+                rng.randrange(1, n),
+            )
+            for _ in range(rng.choice((1, 2)))
+        ]
+        res = matches_oracle(inst, _mutate(w, n, edits))
+        seen[res.clause] += 1
+        if res.indices and max(res.indices) > 0:
+            seen["later index"] += 1
+    assert CLAUSES | {"later index"} == set(seen), seen
+
+
 # ---------------------------------------------------------------------------
 # search
 
@@ -160,6 +324,52 @@ def test_search_on_con_instances(corpus5):
             inst = canonical_instance(S, e)
             w = search_urp_witness(inst)
             assert w is not None and verify_urp_witness(inst, w).ok
+
+
+HEXAGON = FiniteLattice.from_covers(
+    6, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)]
+)
+PINNED_LATTICES = {"m3": m3(), "n5": n5(), "chain4": chain(4), "hexagon": HEXAGON}
+
+# (lattice, e, pairs appended to the canonical instance at e, nodes, found):
+# the exact node count of the search on from_lattice(lattice).  At the tops
+# of M3, N5 and the hexagon the greedy candidate fails and the search
+# backtracks; M3 has no witness at its top.
+NODE_COUNTS = [
+    ("m3", 0, (), 1, True),
+    ("m3", 1, (), 9, True),
+    ("m3", 2, (), 9, True),
+    ("m3", 3, (), 9, True),
+    ("m3", 4, (), 236, False),
+    ("n5", 0, (), 1, True),
+    ("n5", 1, (), 9, True),
+    ("n5", 2, (), 25, True),
+    ("n5", 3, (), 9, True),
+    ("n5", 4, (), 362, True),
+    ("n5", 4, ((0, 4),), 417, True),
+    ("n5", 4, ((4, 4), (2, 3)), 479, True),
+    ("chain4", 0, (), 1, True),
+    ("chain4", 1, (), 9, True),
+    ("chain4", 2, (), 25, True),
+    ("chain4", 3, (), 49, True),
+    ("hexagon", 5, (), 781, True),
+    ("hexagon", 5, ((0, 5),), 860, True),
+    ("hexagon", 5, ((5, 5), (1, 5)), 949, True),
+]
+
+
+@pytest.mark.parametrize(
+    "name,e,extra,nodes,found",
+    NODE_COUNTS,
+    ids=[f"{t[0]}-{t[1]}-{len(t[2])}" for t in NODE_COUNTS],
+)
+def test_search_node_count_is_pinned(name, e, extra, nodes, found):
+    S = fjs(PINNED_LATTICES[name])
+    inst = UrpInstance(S, e, canonical_instance(S, e).pairs + extra)
+    w = search_urp_witness(inst, budget=nodes)
+    assert (w is not None) == found
+    with pytest.raises(SearchBudgetExceeded):
+        search_urp_witness(inst, budget=nodes - 1)
 
 
 def test_search_budget_is_a_distinct_outcome():
