@@ -22,12 +22,12 @@ print("1 v 2 =", square.join_of(1, 2))
 print("1 ^ 2 =", square.meet_of(1, 2))
 
 # %%
-# The order relation is a numpy boolean matrix, convenient for bulk queries.
-import numpy as np
-
+# The order relation is stored as bitmasks: bit y of down_bits[x] is set iff
+# y <= x, so an order query is a bit test.
 print("leq matrix:")
-print(square.leq.astype(int))
-print("elements below 3:", np.flatnonzero(square.leq[:, 3]))
+for x in range(square.n):
+    print([int(square.le(x, y)) for y in range(square.n)])
+print("elements below 3:", [y for y in range(square.n) if square.down_bits[3] >> y & 1])
 
 # %%
 # Stock examples

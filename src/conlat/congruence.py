@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from .lattice import (
     FiniteLattice,
     LatticeHom,
+    _bits,
     are_perspective,
     check_hom,
     is_modular,
@@ -215,7 +216,9 @@ class CongruenceLattice:
         self.masks: tuple[int, ...] = tuple(masks)
         self.congruences: tuple[Congruence, ...] = tuple(congs[m] for m in masks)
         self.index = {t.rep: i for i, t in enumerate(self.congruences)}
-        self.as_lattice = FiniteLattice([[mi & ~mj == 0 for mj in masks] for mi in masks])
+        self.as_lattice = FiniteLattice(
+            sum(1 << j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks
+        )
         # Theta(u, v) = Theta(u ^ v, u v v) is the join of the Theta(x, y) of
         # the covers x < y inside [u ^ v, u v v]
         at = {m: i for i, m in enumerate(masks)}
@@ -255,16 +258,15 @@ class CongruenceLattice:
     def join_decompositions(self):
         """Each (u, v, eps, fams) with u <= v, eps = Theta(u, v) and fams every
         (i0, i1) with alpha_i0 v alpha_i1 = eps, in ascending order."""
-        leq, S = self.host.leq, self.as_semilattice
+        up, S = self.host.up_bits, self.as_semilattice
         for u in range(self.host.n):
-            for v in range(self.host.n):
-                if leq[u, v]:
-                    eps = self.principal[u][v]
-                    yield u, v, eps, S.decompositions(eps)
+            for v in _bits(up[u]):
+                eps = self.principal[u][v]
+                yield u, v, eps, S.decompositions(eps)
 
     @cached_property
     def as_semilattice(self) -> FiniteJoinSemilattice:
-        return FiniteJoinSemilattice(self.as_lattice.join, validate=False)
+        return FiniteJoinSemilattice.from_lattice(self.as_lattice)
 
     def __repr__(self) -> str:
         return f"CongruenceLattice(|Con|={len(self.congruences)})"
@@ -318,7 +320,7 @@ class Chain:
         """Steps are (weakly) increasing and lie in their labels."""
         e = self.elements
         for i, lab in enumerate(self.labels):
-            if monotone and not self.host.leq[e[i], e[i + 1]]:
+            if monotone and not self.host.le(e[i], e[i + 1]):
                 return False
             if lab is not None and not lab.same(e[i], e[i + 1]):
                 return False
@@ -354,7 +356,7 @@ def monotonize_chain(
     endpoints to u and v.  Any congruence containing a step of the raw fence
     still contains the corresponding step of the output, so labels carry over.
     """
-    if not L.leq[u, v]:
+    if not L.le(u, v):
         raise ValueError(f"{u} is not below {v}")
     seq = list(raw)
     if len(seq) < 2:
@@ -385,7 +387,7 @@ def alternating_chain(
     """
     if alpha.host is not L or beta.host is not L:
         raise HostMismatch("congruences on a different lattice")
-    if not L.leq[u, v]:
+    if not L.le(u, v):
         raise NotJoined(f"{u} is not below {v}")
     if not con_lattice(L).below_join(u, v, alpha, beta):
         raise NotJoined("Theta(u, v) is not below alpha v beta")
@@ -483,7 +485,7 @@ def induced_con_map(h: LatticeHom) -> SemilatticeHom:
 
 def ideals(L: FiniteLattice) -> list[frozenset[int]]:
     """All ideals of L; in a finite lattice every ideal is principal."""
-    return [frozenset(x for x in range(L.n) if L.leq[x, a]) for a in range(L.n)]
+    return [frozenset(_bits(L.down_bits[a])) for a in range(L.n)]
 
 
 def is_neutral_ideal(L: FiniteLattice, subset: Iterable[int]) -> bool:
@@ -492,9 +494,8 @@ def is_neutral_ideal(L: FiniteLattice, subset: Iterable[int]) -> bool:
     if not I or any(not 0 <= x < L.n for x in I):
         raise NotAnIdeal("not a nonempty subset of the lattice")
     for x in I:
-        for y in range(L.n):
-            if L.leq[y, x] and y not in I:
-                raise NotAnIdeal("subset is not downward closed")
+        if any(y not in I for y in _bits(L.down_bits[x])):
+            raise NotAnIdeal("subset is not downward closed")
         for y in I:
             if L.join_rows[x][y] not in I:
                 raise NotAnIdeal("subset is not join closed")
@@ -541,10 +542,10 @@ def con_nid_iso(L: FiniteLattice) -> ConNidCorrespondence:
     for i, I in enumerate(to_ideal):
         if from_ideal[I] != i:
             raise AssertionError("correspondence maps are not mutually inverse")
-    leq = con.as_lattice.leq
+    le = con.as_lattice.le
     items = list(enumerate(to_ideal))
     for i, I in items:
         for j, J in items:
-            if bool(leq[i, j]) != (I <= J):
+            if le(i, j) != (I <= J):
                 raise AssertionError("correspondence is not an order isomorphism")
     return ConNidCorrespondence(L, tuple(to_ideal), from_ideal)

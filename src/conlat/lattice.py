@@ -1,8 +1,9 @@
 """Finite bounded lattices with explicit order and operation tables.
 
-Elements are the integers 0..n-1.  The order is an n x n boolean matrix and
-join/meet are full n x n element tables, so every lattice operation is a
-table lookup.  Instances are immutable after construction and safe to share.
+Elements are the integers 0..n-1.  The order is stored as the down-set and
+up-set bitmask of every element and join/meet as full n x n element tables,
+so every lattice operation is a bit test or a table lookup.  Instances are
+immutable after construction and safe to share.
 
 The module also provides lattice homomorphisms, interval sublattices, the
 standard structural predicates (modular, complemented, atomistic, ...),
@@ -24,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
-
-import numpy as np
 
 DEFAULT_ENUMERATION_BOUND = 8
 
@@ -61,68 +60,62 @@ def _bits(mask: int) -> Iterator[int]:
 class FiniteLattice:
     """A finite lattice on elements 0..n-1.
 
-    Construct from a full order matrix (``FiniteLattice(leq)``) or from a
-    cover relation (:meth:`from_covers`).  Construction validates that the
-    input is a partial order in which every pair of elements has a least
-    upper bound and a greatest lower bound; finiteness then gives a least
-    element ``bottom`` and a greatest element ``top``.
+    Construct from the down-sets of the order (``FiniteLattice(down)``,
+    where bit y of ``down[x]`` is set iff y <= x) or from a cover relation
+    (:meth:`from_covers`).  Construction validates that the input is a
+    partial order in which every pair of elements has a least upper bound
+    and a greatest lower bound; finiteness then gives a least element
+    ``bottom`` and a greatest element ``top``.
 
     Attributes:
         n: number of elements.
-        leq: read-only boolean matrix, ``leq[x, y]`` iff x <= y.
-        join, meet: read-only n x n element tables.
+        down_bits, up_bits: ``down_bits[x]`` has bit y set iff y <= x,
+            ``up_bits[x]`` bit y iff x <= y.
+        join_rows, meet_rows: n x n element tables as tuples of rows.
         bottom, top: least and greatest element.
     """
 
-    def __init__(self, leq) -> None:
-        leq = np.array(leq, dtype=bool)
-        if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
-            raise ValueError("leq must be a square matrix")
-        n = leq.shape[0]
+    def __init__(self, down: Iterable[int]) -> None:
+        down = tuple(down)
+        n = len(down)
         if n == 0:
             raise ValueError("a lattice needs at least one element")
-        if not leq.diagonal().all():
+        if any(d >> n for d in down):
+            raise ValueError(f"order bits outside 0..{n - 1}")
+        if any(not d >> x & 1 for x, d in enumerate(down)):
             raise ValueError("order is not reflexive")
-        if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
+        up = [0] * n
+        for x, d in enumerate(down):
+            for y in _bits(d):
+                up[y] |= 1 << x
+        if any(d & u != 1 << x for x, (d, u) in enumerate(zip(down, up))):
             raise ValueError("order is not antisymmetric")
-        if ((leq.astype(int) @ leq.astype(int) > 0) & ~leq).any():
+        # transitive iff the down-set of every y <= x lies inside down[x]
+        if any(down[y] & ~d for d in down for y in _bits(d)):
             raise ValueError("order is not transitive")
-
-        # up[x] = bitmask of {y : x <= y}, down[x] = bitmask of {y : y <= x}
-        up = _row_masks(leq)
-        down = _row_masks(leq.T)
 
         # x v y is the element whose up-set is up[x] & up[y], the set of
         # upper bounds; dually for x ^ y.  Up-sets are distinct by antisymmetry.
         lub = {m: z for z, m in enumerate(up)}
         glb = {m: z for z, m in enumerate(down)}
-        jn = [[0] * n for _ in range(n)]
-        mt = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(x, n):
-                j = lub.get(up[x] & up[y])
-                if j is None:
-                    raise NotALattice(f"elements {x} and {y} have no least upper bound")
-                m = glb.get(down[x] & down[y])
-                if m is None:
-                    raise NotALattice(f"elements {x} and {y} have no greatest lower bound")
-                jn[x][y] = jn[y][x] = j
-                mt[x][y] = mt[y][x] = m
-        join = np.array(jn, dtype=np.int64)
-        meet = np.array(mt, dtype=np.int64)
+        jn = [[lub.get(ux & uy) for uy in up] for ux in up]
+        mt = [[glb.get(dx & dy) for dy in down] for dx in down]
+        if any(None in row for row in jn) or any(None in row for row in mt):
+            for x in range(n):
+                for y in range(x, n):
+                    if jn[x][y] is None:
+                        raise NotALattice(f"elements {x} and {y} have no least upper bound")
+                    if mt[x][y] is None:
+                        raise NotALattice(f"elements {x} and {y} have no greatest lower bound")
 
-        leq.setflags(write=False)
-        join.setflags(write=False)
-        meet.setflags(write=False)
         self.n = n
-        self.leq = leq
-        self.join = join
-        self.meet = meet
-        self._up_bits = tuple(up)
-        self._down_bits = tuple(down)
+        self.down_bits: tuple[int, ...] = down
+        self.up_bits: tuple[int, ...] = tuple(up)
+        self.join_rows: tuple[tuple[int, ...], ...] = tuple(map(tuple, jn))
+        self.meet_rows: tuple[tuple[int, ...], ...] = tuple(map(tuple, mt))
         full = (1 << n) - 1
-        self.bottom = next(x for x in range(n) if up[x] == full)
-        self.top = next(x for x in range(n) if down[x] == full)
+        self.bottom: int = lub[full]
+        self.top: int = glb[full]
 
     # -- constructors ------------------------------------------------------
 
@@ -145,29 +138,22 @@ class FiniteLattice:
                 raise CyclicCovers(f"self-loop at {i}")
             succ[i].append(j)
             indeg[j] += 1
-        # Kahn's algorithm; leftovers mean a cycle
+        # Kahn's algorithm; leftovers mean a cycle.  Each element's down-set
+        # is complete when it is dequeued and is pushed to its successors.
+        down = [1 << x for x in range(n)]
         order = [x for x in range(n) if indeg[x] == 0]
         head = 0
         while head < len(order):
             x = order[head]
             head += 1
             for y in succ[x]:
+                down[y] |= down[x]
                 indeg[y] -= 1
                 if indeg[y] == 0:
                     order.append(y)
         if len(order) < n:
             raise CyclicCovers("covers contain a directed cycle")
-        up = [0] * n
-        for x in reversed(order):
-            m = 1 << x
-            for y in succ[x]:
-                m |= up[y]
-            up[x] = m
-        leq = np.zeros((n, n), dtype=bool)
-        for x in range(n):
-            for y in _bits(up[x]):
-                leq[x, y] = True
-        return cls(leq)
+        return cls(down)
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteLattice":
@@ -176,32 +162,16 @@ class FiniteLattice:
     def to_json(self) -> dict:
         return {"n": self.n, "covers": [list(c) for c in self.covers()]}
 
-    # -- derived views -----------------------------------------------------
-
-    @cached_property
-    def join_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(v) for v in row) for row in self.join)
-
-    @cached_property
-    def meet_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(v) for v in row) for row in self.meet)
-
-    @property
-    def up_bits(self) -> tuple[int, ...]:
-        return self._up_bits
-
-    @property
-    def down_bits(self) -> tuple[int, ...]:
-        return self._down_bits
+    # -- queries -----------------------------------------------------------
 
     def le(self, x: int, y: int) -> bool:
-        return bool(self.leq[x, y])
+        return bool(self.down_bits[y] >> x & 1)
 
     def join_of(self, x: int, y: int) -> int:
-        return int(self.join[x, y])
+        return self.join_rows[x][y]
 
     def meet_of(self, x: int, y: int) -> int:
-        return int(self.meet[x, y])
+        return self.meet_rows[x][y]
 
     def join_all(self, xs: Iterable[int]) -> int:
         acc = self.bottom
@@ -213,7 +183,7 @@ class FiniteLattice:
     def covers(self) -> list[tuple[int, int]]:
         """The cover pairs (i, j): i < j with nothing strictly between."""
         out = []
-        n, up, down = self.n, self._up_bits, self._down_bits
+        n, up, down = self.n, self.up_bits, self.down_bits
         for i in range(n):
             strict_up = up[i] & ~(1 << i)
             for j in _bits(strict_up):
@@ -230,7 +200,7 @@ class FiniteLattice:
     @cached_property
     def height(self) -> int:
         """Length (number of edges) of a longest chain."""
-        n, down = self.n, self._down_bits
+        n, down = self.n, self.down_bits
         order = sorted(range(n), key=lambda x: down[x].bit_count())
         h = [0] * n
         for x in order:
@@ -242,26 +212,20 @@ class FiniteLattice:
         return f"FiniteLattice(n={self.n})"
 
 
-def _row_masks(m: np.ndarray) -> list[int]:
-    # each row of a boolean matrix as a bitmask, bit j for m[i, j]
-    packed = np.packbits(m, axis=1, bitorder="little")
-    data, w = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(data[i * w : (i + 1) * w], "little") for i in range(len(m))]
-
-
 # -- named small lattices ---------------------------------------------------
 
 
 def chain(n: int) -> FiniteLattice:
     """The n-element chain 0 < 1 < ... < n-1."""
-    return FiniteLattice(np.triu(np.ones((n, n), dtype=bool)))
+    return FiniteLattice((2 << x) - 1 for x in range(n))
 
 
 def boolean(k: int) -> FiniteLattice:
     """The Boolean lattice of subsets of a k-element set (2^k elements)."""
     n = 1 << k
-    leq = np.fromfunction(lambda x, y: (x.astype(int) & ~y.astype(int)) == 0, (n, n))
-    return FiniteLattice(leq)
+    return FiniteLattice(
+        sum(1 << y for y in range(n) if y & ~x == 0) for x in range(n)
+    )
 
 
 def m3() -> FiniteLattice:
@@ -293,10 +257,14 @@ def interval(L: FiniteLattice, a: int, b: int) -> IntervalSublattice:
     """The interval [a, b] as a sublattice, with its index map back into L."""
     if not (0 <= a < L.n and 0 <= b < L.n):
         raise IndexOutOfRange(f"interval endpoints ({a}, {b}) outside 0..{L.n - 1}")
-    if not L.leq[a, b]:
+    if not L.le(a, b):
         raise NotComparable(f"{a} is not below {b}")
-    elems = [x for x in range(L.n) if L.leq[a, x] and L.leq[x, b]]
-    sub = FiniteLattice(L.leq[np.ix_(elems, elems)])
+    box = L.up_bits[a] & L.down_bits[b]
+    elems = list(_bits(box))
+    local = {x: i for i, x in enumerate(elems)}
+    sub = FiniteLattice(
+        sum(1 << local[y] for y in _bits(L.down_bits[x] & box)) for x in elems
+    )
     return IntervalSublattice(sub, tuple(elems))
 
 
@@ -305,11 +273,9 @@ def interval(L: FiniteLattice, a: int, b: int) -> IntervalSublattice:
 
 def is_modular(L: FiniteLattice) -> bool:
     """x <= z implies x v (y ^ z) = (x v y) ^ z for all y."""
-    n, jn, mt, leq = L.n, L.join_rows, L.meet_rows, L.leq
+    n, jn, mt = L.n, L.join_rows, L.meet_rows
     for x in range(n):
-        for z in range(n):
-            if not leq[x, z]:
-                continue
+        for z in _bits(L.up_bits[x]):
             jx = jn[x]
             for y in range(n):
                 if jx[mt[y][z]] != mt[jx[y]][z]:
@@ -340,33 +306,24 @@ def is_complemented(L: FiniteLattice) -> bool:
 
 def is_sectionally_complemented(L: FiniteLattice) -> bool:
     """Every interval [bottom, b] is complemented."""
-    n, jn, mt, leq = L.n, L.join_rows, L.meet_rows, L.leq
+    jn, mt = L.join_rows, L.meet_rows
     bot = L.bottom
-    for b in range(n):
-        for x in range(n):
-            if not leq[x, b]:
-                continue
-            if not any(
-                leq[y, b] and mt[x][y] == bot and jn[x][y] == b for y in range(n)
-            ):
+    for b in range(L.n):
+        below = list(_bits(L.down_bits[b]))
+        for x in below:
+            if not any(mt[x][y] == bot and jn[x][y] == b for y in below):
                 return False
     return True
 
 
 def is_relatively_complemented(L: FiniteLattice) -> bool:
     """Every interval [a, b] is complemented."""
-    n, jn, mt, leq = L.n, L.join_rows, L.meet_rows, L.leq
-    for a in range(n):
-        for b in range(n):
-            if not leq[a, b]:
-                continue
-            for x in range(n):
-                if not (leq[a, x] and leq[x, b]):
-                    continue
-                if not any(
-                    leq[a, y] and leq[y, b] and mt[x][y] == a and jn[x][y] == b
-                    for y in range(n)
-                ):
+    jn, mt, up, down = L.join_rows, L.meet_rows, L.up_bits, L.down_bits
+    for a in range(L.n):
+        for b in _bits(up[a]):
+            box = list(_bits(up[a] & down[b]))
+            for x in box:
+                if not any(mt[x][y] == a and jn[x][y] == b for y in box):
                     return False
     return True
 
@@ -374,7 +331,7 @@ def is_relatively_complemented(L: FiniteLattice) -> bool:
 def is_atomistic(L: FiniteLattice) -> bool:
     """Every element is the join of the atoms below it."""
     return all(
-        L.join_all(a for a in L.atoms if L.leq[a, x]) == x for x in range(L.n)
+        L.join_all(a for a in L.atoms if L.le(a, x)) == x for x in range(L.n)
     )
 
 
@@ -417,21 +374,17 @@ def check_hom(h: LatticeHom) -> bool:
 
 def has_convex_range(h: LatticeHom) -> bool:
     """True iff the image of h is order-convex in the target."""
-    img = set(h.map)
     L = h.target
+    img = sum(1 << v for v in set(h.map))
     return all(
-        z in img
-        for x in img
-        for y in img
-        for z in range(L.n)
-        if L.leq[x, z] and L.leq[z, y]
+        L.up_bits[x] & L.down_bits[y] & ~img == 0 for x in _bits(img) for y in _bits(img)
     )
 
 
 def enumerate_lattice_homs(K: FiniteLattice, L: FiniteLattice) -> Iterator[LatticeHom]:
     """All join- and meet-preserving maps K -> L, by backtracking."""
     n = K.n
-    leq_k, leq_l = K.leq, L.leq
+    le_k, le_l = K.le, L.le
     f = [0] * n
 
     def extend(k: int) -> Iterator[LatticeHom]:
@@ -444,10 +397,10 @@ def enumerate_lattice_homs(K: FiniteLattice, L: FiniteLattice) -> Iterator[Latti
             ok = True
             for i in range(k):
                 # monotonicity is necessary; full check happens at the leaf
-                if leq_k[i, k] and not leq_l[f[i], v]:
+                if le_k(i, k) and not le_l(f[i], v):
                     ok = False
                     break
-                if leq_k[k, i] and not leq_l[v, f[i]]:
+                if le_k(k, i) and not le_l(v, f[i]):
                     ok = False
                     break
             if ok:
@@ -541,7 +494,7 @@ def canonical_form(L: FiniteLattice) -> str:
     Cached on the lattice object."""
     code = getattr(L, "_canonical_form", None)
     if code is None:
-        code = L._canonical_form = _poset_code(L.n, L._down_bits, L._up_bits)
+        code = L._canonical_form = _poset_code(L.n, L.down_bits, L.up_bits)
     return code
 
 
@@ -549,41 +502,39 @@ def is_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:
     return L1.n == L2.n and canonical_form(L1) == canonical_form(L2)
 
 
-def _meet_semilattice_levels(max_size: int) -> list[list[tuple[int, ...]]]:
-    # levels[m] = canonical representatives of meet-semilattices on m+1
-    # elements, each a tuple of down-set bitmasks in a linear extension order
-    levels: list[list[tuple[int, ...]]] = [[(1,)]]
+def _meet_semilattice_levels(max_size: int) -> list[list[tuple[str, tuple[int, ...]]]]:
+    # levels[m] = (code, down-set bitmasks in a linear extension order) of a
+    # canonical representative of every meet-semilattice on m+1 elements,
+    # sorted by code; element 0 is the bottom
+    levels = [[(_poset_code(1, (1,), (1,)), (1,))]]
     for m in range(1, max_size):
+        bit = 1 << m
         seen: dict[str, tuple[int, ...]] = {}
-        for downs in levels[m - 1]:
+        for _, downs in levels[m - 1]:
+            ups = _ups_from_downs(downs)
             for new in _admissible_downsets(downs):
-                cand = downs + (new | (1 << m),)
-                ups = _ups_from_downs(cand)
-                code = _poset_code(m + 1, cand, ups)
+                cand = downs + (new | bit,)
+                # the new element m lies above exactly the elements of new
+                cand_ups = tuple(u | bit if new >> y & 1 else u for y, u in enumerate(ups))
+                code = _poset_code(m + 1, cand, cand_ups + (bit,))
                 if code not in seen:
                     seen[code] = cand
-        levels.append([seen[c] for c in sorted(seen)])
+        levels.append(sorted(seen.items()))
     return levels
 
 
-def _admissible_downsets(downs: tuple[int, ...]) -> Iterator[int]:
-    # down-sets D of the current structure such that adjoining a maximal
+def _admissible_downsets(downs: tuple[int, ...]) -> list[int]:
+    # down-sets D (containing the bottom 0) such that adjoining a maximal
     # element with exactly D below it keeps all binary meets: every
-    # D ^ down(x) must have a greatest element
-    m = len(downs)
-    for d in range(1, 1 << m):
-        if d & 1 == 0:
-            continue
-        if any(downs[x] & ~d for x in _bits(d)):
-            continue
-        ok = True
-        for x in range(m):
-            inter = d & downs[x]
-            if not any(inter & ~downs[b] == 0 for b in _bits(inter)):
-                ok = False
-                break
-        if ok:
-            yield d
+    # D ^ down(x) must have a greatest element, that is, be a principal
+    # down-set.  The down-sets are built element by element; those holding
+    # x follow those of elements 0..x-1, so the list stays increasing.
+    found = [1]
+    for x in range(1, len(downs)):
+        strict = downs[x] & ~(1 << x)
+        found += [d | (1 << x) for d in found if strict & ~d == 0]
+    principal = set(downs)
+    return [d for d in found if all((d & dx) in principal for dx in downs)]
 
 
 def _ups_from_downs(downs: tuple[int, ...]) -> tuple[int, ...]:
@@ -595,13 +546,31 @@ def _ups_from_downs(downs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ups)
 
 
+def _top_adjoined_code(code: str) -> str:
+    # the canonical code of a poset with a new top adjoined, from the
+    # poset's code: the top has the largest down-set, so it comes last in
+    # rank order, and it adds the same colour above every other element, so
+    # the refinement classes and their order are unchanged.  Each row gains
+    # a 0 in the top's column and the top's row is all ones.
+    size, _, digits = code.partition(":")
+    s = int(size)
+    n = s + 1
+    old, row_mask = int(digits, 16), (1 << s) - 1
+    new = 0
+    for p in range(s):
+        new = (new << n) | (old >> (s * (s - 1 - p)) & row_mask) << 1
+    new = (new << n) | ((1 << n) - 1)
+    return f"{n}:{new:x}"
+
+
 def enumerate_lattices(max_n: int, *, bound: int | None = None) -> Iterator[FiniteLattice]:
     """Yield one representative of every isomorphism class of lattices with
     at most ``max_n`` elements, smaller sizes first, deterministic order.
 
     A lattice on n >= 2 elements is a meet-semilattice on n-1 elements with
     a new top adjoined, so the generator enumerates meet-semilattices by
-    repeated augmentation with isomorph rejection.
+    repeated augmentation with isomorph rejection, and each lattice's
+    canonical code follows from its semilattice's.
     """
     if bound is None:
         bound = DEFAULT_ENUMERATION_BOUND
@@ -614,17 +583,8 @@ def enumerate_lattices(max_n: int, *, bound: int | None = None) -> Iterator[Fini
         return
     levels = _meet_semilattice_levels(max_n - 1)
     for m in range(1, max_n):
-        batch = []
-        for downs in levels[m - 1]:
-            n = m + 1
-            leq = np.zeros((n, n), dtype=bool)
-            for x in range(m):
-                for y in _bits(downs[x]):
-                    leq[y, x] = True
-            leq[:, m] = True
-            leq[m, m] = True
-            L = FiniteLattice(leq)
-            batch.append((canonical_form(L), L))
-        batch.sort(key=lambda t: t[0])
-        for _, L in batch:
+        top = (1 << (m + 1)) - 1
+        for code, downs in sorted((_top_adjoined_code(c), d) for c, d in levels[m - 1]):
+            L = FiniteLattice(downs + (top,))
+            L._canonical_form = code
             yield L

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .congruence import con_lattice, con_nid_iso, is_neutral_ideal, neutral_ideals
-from .lattice import FiniteLattice, are_perspective, is_modular, is_complemented
+from .lattice import FiniteLattice, _bits
 
 RING_SIZE_BOUND = 1 << 14
 
@@ -229,7 +229,9 @@ def _inclusion_lattice(
     """The distinct sets in (size, elements) order, their inclusion lattice
     and the set -> index dict."""
     ordered = tuple(sorted(set(sets), key=lambda s: (len(s), sorted(s))))
-    lattice = FiniteLattice([[s <= t for t in ordered] for s in ordered])
+    lattice = FiniteLattice(
+        sum(1 << j for j, s in enumerate(ordered) if s <= t) for t in ordered
+    )
     return ordered, lattice, {s: i for i, s in enumerate(ordered)}
 
 
@@ -421,7 +423,7 @@ def neutral_iff_iso_closed(R: FiniteRing) -> bool:
                 ideals_isomorphic(R, lr.generators[i], lr.generators[j]) is not None
             )
     for m in range(k):
-        nodes = frozenset(x for x in range(k) if L.leq[x, m])
+        nodes = frozenset(_bits(L.down_bits[m]))
         neutral = is_neutral_ideal(L, nodes)
         closed = all(
             j in nodes for i in nodes for j in range(k) if iso[(i, j)]
@@ -490,19 +492,19 @@ def v_monoid(R: FiniteRing) -> VMonoid:
     classes.sort(key=lambda c: c[0])
     k = len(classes)
     atom_class = {a: ci for ci, cls in enumerate(classes) for a in cls}
-    jn, mt, leq = L.join_rows, L.meet_rows, L.leq
+    jn, mt, le = L.join_rows, L.meet_rows, L.le
     bot = L.bottom
     vec: dict[int, tuple[int, ...]] = {bot: (0,) * k}
 
     def decompose(node: int) -> tuple[int, ...]:
         if node in vec:
             return vec[node]
-        atom = next(a for a in atoms if leq[a, node])
+        atom = next(a for a in atoms if le(a, node))
         comp = next(
             (
                 z
                 for z in range(L.n)
-                if leq[z, node] and mt[atom][z] == bot and jn[atom][z] == node
+                if le(z, node) and mt[atom][z] == bot and jn[atom][z] == node
             ),
             None,
         )

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .lattice import FiniteLattice, _bits
 
 
@@ -41,14 +39,13 @@ class FiniteJoinSemilattice:
     """
 
     def __init__(self, join, *, validate: bool = True):
-        join = np.array(join, dtype=np.int64)
-        if join.ndim != 2 or join.shape[0] != join.shape[1]:
+        rows = tuple(map(tuple, join))
+        n = len(rows)
+        if any(len(r) != n for r in rows):
             raise ValueError("join table must be square")
-        n = join.shape[0]
         if n == 0:
             raise ValueError("a semilattice needs at least one element")
         if validate:
-            rows = [tuple(int(v) for v in r) for r in join]
             if any(not 0 <= v < n for r in rows for v in r):
                 raise ValueError("join table entries outside 0..n-1")
             if any(rows[x][x] != x for x in range(n)):
@@ -61,16 +58,12 @@ class FiniteJoinSemilattice:
                     for z in range(n):
                         if rows[xy][z] != rows[x][rows[y][z]]:
                             raise ValueError("join is not associative")
-        join.setflags(write=False)
         self.n = n
-        self.join = join
-        self.join_rows: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(v) for v in row) for row in join
-        )
+        self.join_rows: tuple[tuple[int, ...], ...] = rows
         down = [0] * n
-        for x in range(n):
+        for x, row in enumerate(rows):
             for y in range(n):
-                if self.join_rows[x][y] == y:
+                if row[y] == y:
                     down[y] |= 1 << x
         self.down_bits: tuple[int, ...] = tuple(down)
         self.top = self.join_all(range(n))
@@ -80,14 +73,14 @@ class FiniteJoinSemilattice:
 
     @classmethod
     def from_lattice(cls, L: FiniteLattice) -> "FiniteJoinSemilattice":
-        return cls(L.join, validate=False)
+        return cls(L.join_rows, validate=False)
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteJoinSemilattice":
         return cls(obj["join"])
 
     def to_json(self) -> dict:
-        return {"n": self.n, "join": [list(map(int, row)) for row in self.join]}
+        return {"n": self.n, "join": [list(row) for row in self.join_rows]}
 
     def le(self, x: int, y: int) -> bool:
         return self.join_rows[x][y] == y
@@ -271,18 +264,33 @@ def has_refinement_property(S: FiniteJoinSemilattice) -> RefinementResult:
     """Check every equation a0 + a1 = b0 + b1; cached on the semilattice.
 
     For finite join-semilattices this property is exactly distributivity in
-    the refinement sense.
+    the refinement sense.  The equations are scanned in the order of
+    :meth:`FiniteJoinSemilattice.decompositions`, and the first one without
+    a refinement square is the counterexample.  Swapping a0 and a1, b0 and
+    b1, or the two sides permutes a square's cells, so each equation is
+    solved once, keyed on the unordered pair of unordered sides.
     """
     cached = getattr(S, "_refinement_result", None)
     if cached is not None:
         return cached
+    solvable: dict[tuple[tuple[int, int], tuple[int, int]], bool] = {}
+
+    def refines(a0: int, a1: int, b0: int, b1: int) -> bool:
+        p = (a0, a1) if a0 <= a1 else (a1, a0)
+        q = (b0, b1) if b0 <= b1 else (b1, b0)
+        key = (p, q) if p <= q else (q, p)
+        ok = solvable.get(key)
+        if ok is None:
+            ok = solvable[key] = refinement_square(S, a0, a1, b0, b1) is not None
+        return ok
+
     failing = next(
         (
             (a0, a1, b0, b1)
             for e in range(S.n)
             for a0, a1 in S.decompositions(e)
             for b0, b1 in S.decompositions(e)
-            if refinement_square(S, a0, a1, b0, b1) is None
+            if not refines(a0, a1, b0, b1)
         ),
         None,
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import Congruence, con_lattice
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, _bits
 
 
 class NoChain(ValueError):
@@ -37,7 +37,7 @@ class SplitInstance:
     alpha1: Congruence
 
     def __post_init__(self) -> None:
-        if not self.L.leq[self.a, self.b]:
+        if not self.L.le(self.a, self.b):
             raise ValueError(f"{self.a} is not below {self.b}")
         con = con_lattice(self.L)
         if not con.below_join(self.a, self.b, self.alpha0, self.alpha1):
@@ -57,18 +57,18 @@ class CChain:
         L = self.L
         if len(self.witnesses) != len(self.elements) - 1:
             return False
-        jn, mt, leq = L.join_rows, L.meet_rows, L.leq
+        jn, mt, dc = L.join_rows, L.meet_rows, L.down_bits[self.c]
         for x, y, z in zip(self.elements, self.elements[1:], self.witnesses):
-            if jn[x][z] != y or not leq[mt[x][z], self.c]:
+            if jn[x][z] != y or not dc >> mt[x][z] & 1:
                 return False
         return True
 
 
 def rel_lessdot(L: FiniteLattice, a: int, b: int, c: int) -> int | None:
     """The first z (in element order) with a v z = b and a ^ z <= c, if any."""
-    jn, mt, leq = L.join_rows, L.meet_rows, L.leq
+    ja, ma, dc = L.join_rows[a], L.meet_rows[a], L.down_bits[c]
     for z in range(L.n):
-        if jn[a][z] == b and leq[mt[a][z], c]:
+        if ja[z] == b and dc >> ma[z] & 1:
             return z
     return None
 
@@ -76,7 +76,7 @@ def rel_lessdot(L: FiniteLattice, a: int, b: int, c: int) -> int | None:
 def property_c_chain(L: FiniteLattice, a: int, b: int, c: int) -> CChain | None:
     """A shortest <~c chain from a to b (BFS layers, ties to the smallest
     element), or None when b is unreachable."""
-    if not L.leq[a, b]:
+    if not L.le(a, b):
         return None
     if a == b:
         return CChain(L, c, (a,), ())
@@ -85,8 +85,8 @@ def property_c_chain(L: FiniteLattice, a: int, b: int, c: int) -> CChain | None:
     while frontier and b not in prev:
         nxt = []
         for x in sorted(frontier):
-            for y in range(L.n):
-                if y in prev or not (L.leq[x, y] and L.leq[y, b]):
+            for y in _bits(L.up_bits[x] & L.down_bits[b]):
+                if y in prev:
                     continue
                 z = rel_lessdot(L, x, y, c)
                 if z is not None:
@@ -118,8 +118,8 @@ def has_property_C(L: FiniteLattice) -> PropertyCResult:
     """Chains required for every a <= b and every c."""
     for c in range(L.n):
         for a in range(L.n):
-            for b in range(L.n):
-                if L.leq[a, b] and property_c_chain(L, a, b, c) is None:
+            for b in _bits(L.up_bits[a]):
+                if property_c_chain(L, a, b, c) is None:
                     return PropertyCResult(False, (a, b, c))
     return PropertyCResult(True, None)
 
@@ -128,13 +128,14 @@ def splitting_witness(inst: SplitInstance) -> tuple[int, int] | None:
     """Exhaustive scan for (x0, x1) in [a, b] with x0 v x1 = b and
     Theta(a, xi) <= alphai; ascending order, so the result is deterministic."""
     L, a, b = inst.L, inst.a, inst.b
-    jn, leq = L.join_rows, L.leq
+    jn = L.join_rows
     con = con_lattice(L)
-    below, pa = con.as_lattice.leq, con.principal[a]
+    pa = con.principal[a]
     i0, i1 = con.congruence_index(inst.alpha0), con.congruence_index(inst.alpha1)
-    box = [x for x in range(L.n) if leq[a, x] and leq[x, b]]
-    ok0 = [x for x in box if below[pa[x], i0]]
-    ok1 = set(x for x in box if below[pa[x], i1])
+    d0, d1 = con.as_lattice.down_bits[i0], con.as_lattice.down_bits[i1]
+    box = list(_bits(L.up_bits[a] & L.down_bits[b]))
+    ok0 = [x for x in box if d0 >> pa[x] & 1]
+    ok1 = set(x for x in box if d1 >> pa[x] & 1)
     for x0 in ok0:
         for x1 in box:
             if x1 in ok1 and jn[x0][x1] == b:
@@ -183,8 +184,8 @@ def splitting_from_property_C(inst: SplitInstance) -> tuple[int, int]:
     while frontier and b not in prev:
         nxt = []
         for x in sorted(frontier):
-            for y in range(L.n):
-                if y in prev or not (L.leq[x, y] and L.leq[y, b]):
+            for y in _bits(L.up_bits[x] & L.down_bits[b]):
+                if y in prev:
                     continue
                 if al0.same(x, y):
                     lab = 0

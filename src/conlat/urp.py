@@ -509,7 +509,7 @@ def csurp_witness(
     con = con_lattice(L)
     jn = con.as_lattice.join_rows
     pc = con.principal
-    if not L.leq[u, v]:
+    if not L.le(u, v):
         raise ValueError(f"{u} is not below {v}")
     eps = pc[u][v]
     for ai, bi in families:

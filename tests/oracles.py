@@ -17,6 +17,13 @@ clause (iii) on all m^3 index triples, kept as the reference for the check
 over distinct rows and columns; :func:`refinement_square_sorting` is the
 former refinement-square search, which sorts its candidate lists on every
 call, kept as the reference for the lists built once per semilattice.
+:func:`lub_glb_tables` searches the bounds of every pair, the reference for
+the lattice constructor's down-set and up-set lookups;
+:func:`admissible_downsets_by_subsets` is the former augmentation step, which
+filters all 2^m subsets, kept as the reference for the down-sets built
+element by element; :func:`refinement_counterexample_literal` is the former
+refinement-property scan, which solves every ordered form of every equation,
+kept as the reference for the scan that solves each equation once.
 """
 from __future__ import annotations
 
@@ -151,6 +158,51 @@ def poset_code(n: int, down, up) -> str:
     return f"{n}:{best:x}"
 
 
+def lub_glb_tables(down) -> tuple[list[list[int]], list[list[int]], int, int]:
+    """(join, meet, bottom, top) of the lattice whose down-set masks are
+    ``down``: each join is the one common upper bound below all the others,
+    each meet the one common lower bound above all the others."""
+    n = len(down)
+    rng = range(n)
+
+    def le(x: int, y: int) -> bool:
+        return bool(down[y] >> x & 1)
+
+    join = [[0] * n for _ in rng]
+    meet = [[0] * n for _ in rng]
+    for x in rng:
+        for y in rng:
+            ub = [z for z in rng if le(x, z) and le(y, z)]
+            lb = [z for z in rng if le(z, x) and le(z, y)]
+            (join[x][y],) = [z for z in ub if all(le(z, w) for w in ub)]
+            (meet[x][y],) = [z for z in lb if all(le(w, z) for w in lb)]
+    (bottom,) = [z for z in rng if all(le(z, w) for w in rng)]
+    (top,) = [z for z in rng if all(le(w, z) for w in rng)]
+    return join, meet, bottom, top
+
+
+def admissible_downsets_by_subsets(downs) -> list[int]:
+    """The down-sets D containing element 0 of the meet-semilattice with
+    down-set masks ``downs`` such that every D ^ down(x) has a greatest
+    element, by filtering every subset in increasing order."""
+    m = len(downs)
+    out = []
+    for d in range(1, 1 << m):
+        if d & 1 == 0:
+            continue
+        if any(downs[x] & ~d for x in _bit_list(d)):
+            continue
+        ok = True
+        for x in range(m):
+            inter = d & downs[x]
+            if not any(inter & ~downs[b] == 0 for b in _bit_list(inter)):
+                ok = False
+                break
+        if ok:
+            out.append(d)
+    return out
+
+
 def count_lattices(n: int) -> int:
     """Isomorphism classes of n-element lattices, the slow way."""
     return len({_canonical(le) for le in labeled_lattice_posets(n)})
@@ -253,6 +305,21 @@ def refinement_holds(S) -> bool:
                     ):
                         return False
     return True
+
+
+def refinement_counterexample_literal(S):
+    """The first equation a0 + a1 = b0 + b1 without a refinement square,
+    calling ``refinement_square`` on every ordered pair of decompositions of
+    every element in the order of ``S.decompositions``; None if there is
+    none."""
+    from conlat.semilattice import refinement_square
+
+    for e in range(S.n):
+        for a0, a1 in S.decompositions(e):
+            for b0, b1 in S.decompositions(e):
+                if refinement_square(S, a0, a1, b0, b1) is None:
+                    return (a0, a1, b0, b1)
+    return None
 
 
 def refinement_square_sorting(S, a0, a1, b0, b1):

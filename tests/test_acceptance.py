@@ -139,7 +139,7 @@ def _exact_join_split_instances(L):
     k = len(con)
     for a in range(L.n):
         for b in range(L.n):
-            if not L.leq[a, b]:
+            if not L.le(a, b):
                 continue
             tgt = con.principal[a][b]
             for i0 in range(k):
@@ -203,7 +203,7 @@ def test_criterion_05_splitting_lattices_get_urp_witnesses(capsys):
         k = len(con)
         for u in range(L.n):
             for v in range(L.n):
-                if not L.leq[u, v]:
+                if not L.le(u, v):
                     continue
                 eps = con.principal[u][v]
                 fams = tuple(

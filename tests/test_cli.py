@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
+import conlat
 from conlat.lattice import canonical_form
 from conlat.cli import (
     DEFAULT_TRIALS,
@@ -336,3 +340,17 @@ def test_campaign_ring_pipeline_order():
 
 def test_default_trials_constant():
     assert DEFAULT_TRIALS == 10_000
+
+
+def test_import_does_not_load_numpy():
+    # the package is integer-only and declares no numpy dependency
+    src = os.path.dirname(os.path.dirname(conlat.__file__))
+    probe = "import sys, conlat.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"

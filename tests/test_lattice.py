@@ -29,8 +29,8 @@ from conlat import (
     m3,
     n5,
 )
-from conlat import lattice
-from oracles import count_lattices, poset_code
+from conlat import con_lattice, lattice
+from oracles import admissible_downsets_by_subsets, count_lattices, lub_glb_tables, poset_code
 
 # Small corpus materialized at import time for hypothesis strategies.
 SMALL = list(enumerate_lattices(5))
@@ -117,6 +117,38 @@ def test_from_covers_cycle_rejected():
 def test_from_covers_bad_index_rejected():
     with pytest.raises(IndexOutOfRange):
         FiniteLattice.from_covers(2, [(0, 5)])
+
+
+# ---------------------------------------------------------------------------
+# the down-set constructor
+
+
+@pytest.mark.parametrize(
+    "down, message",
+    [
+        ([], "a lattice needs at least one element"),
+        ([0b1, 0b110], "order bits outside 0..1"),
+        ([-1, 0b11], "order bits outside 0..1"),
+        ([0b1, 0b01], "order is not reflexive"),
+        ([0b11, 0b11], "order is not antisymmetric"),
+        # 0 <= 1 <= 2 without 0 <= 2
+        ([0b001, 0b011, 0b110], "order is not transitive"),
+    ],
+)
+def test_invalid_order_rejected(down, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteLattice(down)
+
+
+def test_tables_match_brute_force_bounds():
+    # every lattice up to size 8, its dual (whose bottom is not element 0)
+    # and its Con L
+    for L in enumerate_lattices(8):
+        for K in (L, FiniteLattice(L.up_bits), con_lattice(L).as_lattice):
+            join, meet, bottom, top = lub_glb_tables(K.down_bits)
+            assert [list(row) for row in K.join_rows] == join
+            assert [list(row) for row in K.meet_rows] == meet
+            assert (K.bottom, K.top) == (bottom, top)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +328,19 @@ def test_canonical_form_relabeling_invariant(case):
 def test_canonical_form_matches_permutation_oracle():
     for L in enumerate_lattices(8):
         assert canonical_form(L) == oracle_code(L)
+
+
+@pytest.mark.parametrize("max_n", [8, pytest.param(10, marks=pytest.mark.slow)])
+def test_derived_lattice_codes_match_search(max_n):
+    # enumerate_lattices derives each code from its semilattice's code
+    for L in enumerate_lattices(max_n, bound=max_n):
+        assert canonical_form(L) == lattice._poset_code(L.n, L.down_bits, L.up_bits)
+
+
+def test_admissible_downsets_match_subset_filter():
+    for level in lattice._meet_semilattice_levels(7):
+        for _, downs in level:
+            assert lattice._admissible_downsets(downs) == admissible_downsets_by_subsets(downs)
 
 
 def test_canonical_form_matches_oracle_on_semilattice_candidates(monkeypatch):

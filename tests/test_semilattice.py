@@ -30,7 +30,12 @@ from conlat import (
     wd_join_combine,
     weakly_distributive_points,
 )
-from oracles import all_semilattice_homs, refinement_holds, refinement_square_sorting
+from oracles import (
+    all_semilattice_homs,
+    refinement_counterexample_literal,
+    refinement_holds,
+    refinement_square_sorting,
+)
 
 SMALL = [FiniteJoinSemilattice.from_lattice(L) for L in enumerate_lattices(5)]
 
@@ -164,6 +169,19 @@ def test_refinement_agrees_with_oracle(corpus6):
     for L in corpus6:
         S = fjs(L)
         assert has_refinement_property(S).holds == refinement_holds(S)
+
+
+def test_refinement_counterexample_matches_literal_scan(corpus6):
+    # fresh semilattices, so that no cached verdict is reused
+    failing = 0
+    for L in corpus6:
+        for S in (fjs(L), fjs(con_lattice(L).as_lattice)):
+            expected = refinement_counterexample_literal(S)
+            res = has_refinement_property(S)
+            assert res.counterexample == expected
+            assert res.holds == (expected is None)
+            failing += expected is not None
+    assert failing > 0
 
 
 def test_con_semilattices_refine(corpus5):
