@@ -19,6 +19,16 @@ position, follows only the candidates with the least row, and drops a branch
 once its row exceeds the least row seen at that depth; twins (elements with
 equal strict down- and up-sets) are placed in index order only, since
 swapping them is an automorphism.  The code is computed once per lattice.
+
+Enumeration grows each meet-semilattice (the parent) by one maximal element
+above an admissible down-set D, tries the down-sets in increasing order and
+keeps the first candidate of every code.  Swapping two twins of the parent
+is an automorphism of the parent, so it maps admissible down-sets to
+admissible down-sets and candidates to isomorphic candidates.  A D that
+holds a twin but not an earlier twin of the same class is mapped to a
+smaller D' that came before it from the same parent, so D is never the
+first of its class; it is skipped before it is coded, and every kept
+representative stays the one an unpruned search keeps.
 """
 from __future__ import annotations
 
@@ -84,14 +94,22 @@ class FiniteLattice:
             raise ValueError(f"order bits outside 0..{n - 1}")
         if any(not d >> x & 1 for x, d in enumerate(down)):
             raise ValueError("order is not reflexive")
+        # one pass over the bits y of every down[x] builds the up-sets and
+        # checks transitivity: the down-set of every y <= x lies inside down[x]
         up = [0] * n
+        transitive = True
         for x, d in enumerate(down):
-            for y in _bits(d):
-                up[y] |= 1 << x
+            bit, rest = 1 << x, d
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
+                up[y] |= bit
+                if down[y] & ~d:
+                    transitive = False
+                rest ^= low
         if any(d & u != 1 << x for x, (d, u) in enumerate(zip(down, up))):
             raise ValueError("order is not antisymmetric")
-        # transitive iff the down-set of every y <= x lies inside down[x]
-        if any(down[y] & ~d for d in down for y in _bits(d)):
+        if not transitive:
             raise ValueError("order is not transitive")
 
         # x v y is the element whose up-set is up[x] & up[y], the set of
@@ -185,13 +203,15 @@ class FiniteLattice:
         out = []
         n, up, down = self.n, self.up_bits, self.down_bits
         for i in range(n):
-            strict_up = up[i] & ~(1 << i)
-            for j in _bits(strict_up):
+            strict_up = rest = up[i] & ~(1 << i)
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
                 # j covers i iff no k with i < k < j
-                between = strict_up & down[j] & ~(1 << j)
-                if between == 0:
+                if strict_up & down[j] == low:
                     out.append((i, j))
-        return sorted(out)
+                rest ^= low
+        return out
 
     @cached_property
     def atoms(self) -> tuple[int, ...]:
@@ -416,58 +436,86 @@ def enumerate_lattice_homs(K: FiniteLattice, L: FiniteLattice) -> Iterator[Latti
 def _refine_ranks(below: list[list[int]], above: list[list[int]]) -> list[int]:
     # iterated colour refinement over the element lists of the down- and
     # up-sets; colours start from (|down x|, |up x|) and are rebuilt from
-    # the sorted colour multisets of the sets below/above x
+    # the sorted colour multisets of the sets below/above x.  An element
+    # alone in its class keeps the key (rank,): the rank comes first in
+    # every key, so this changes neither the partition nor its order.
     n = len(below)
-    keys: list[tuple] = [(len(below[x]), len(above[x])) for x in range(n)]
+    keys: list[tuple] = [(len(b), len(a)) for b, a in zip(below, above)]
     while True:
         order = sorted(set(keys))
         rank = {k: i for i, k in enumerate(order)}
         ranks = [rank[k] for k in keys]
+        if len(order) == n:
+            return ranks
+        size = [0] * len(order)
+        for r in ranks:
+            size[r] += 1
         of = ranks.__getitem__
         new_keys = [
-            (ranks[x], tuple(sorted(map(of, below[x]))), tuple(sorted(map(of, above[x]))))
-            for x in range(n)
+            (r, tuple(sorted(map(of, below[x]))), tuple(sorted(map(of, above[x]))))
+            if size[r] > 1
+            else (r,)
+            for x, r in enumerate(ranks)
         ]
         if len(set(new_keys)) == len(order):
             return ranks
         keys = new_keys
 
 
-def _poset_code(n: int, down: tuple[int, ...], up: tuple[int, ...]) -> str:
+def _element_lists(masks: Iterable[int]) -> list[list[int]]:
+    return [list(_bits(m)) for m in masks]
+
+
+def _poset_code(below: list[list[int]], above: list[list[int]]) -> str:
     # lexicographically least bit-packed order matrix (bit (p, q) set iff the
     # element at position q is below the one at position p) over all
     # relabelings that list the refinement classes in rank order, found by
-    # the branch and bound described in the module docstring
-    below = [list(_bits(down[x])) for x in range(n)]
-    ranks = _refine_ranks(below, [list(_bits(up[x])) for x in range(n)])
+    # the branch and bound described in the module docstring; below[x] and
+    # above[x] list the elements y <= x and y >= x
+    n = len(below)
+    ranks = _refine_ranks(below, above)
     classes: dict[int, list[int]] = {}
     for x, r in enumerate(ranks):
         classes.setdefault(r, []).append(x)
+    col = [0] * n  # col[y]: the column bit of y once placed, else 0
+    row_of = col.__getitem__
+    if len(classes) == n:
+        # all classes are singletons: rank order is the one relabeling
+        order = sorted(range(n), key=ranks.__getitem__)
+        for p, x in enumerate(order):
+            col[x] = 1 << (n - 1 - p)
+        code = 0
+        for x in order:
+            code = (code << n) | sum(map(row_of, below[x]))
+        return f"{n}:{code:x}"
     cell = [classes[r] for r in sorted(ranks)]  # the candidates for each position
     twin_before = [-1] * n
-    last: dict[tuple[int, int], int] = {}
-    for x in range(n):
-        # twins: swapping them is an automorphism, so keep them in index order
-        key = (down[x] & ~(1 << x), up[x] & ~(1 << x))
-        twin_before[x] = last.get(key, -1)
-        last[key] = x
-    pos = [-1] * n
+    for members in classes.values():
+        if len(members) > 1:
+            # twins: swapping them is an automorphism, so keep them in index
+            # order; they have equal colours, so they share a class
+            last: dict[tuple[int, int], int] = {}
+            for x in members:
+                key = (
+                    sum(1 << y for y in below[x] if y != x),
+                    sum(1 << y for y in above[x] if y != x),
+                )
+                twin_before[x] = last.get(key, -1)
+                last[key] = x
     worst = 1 << n  # above every n-bit row
     best = [worst] * n
 
     def place(p: int) -> None:
+        bit = 1 << (n - 1 - p)
         rows = []
         for x in cell[p]:
             t = twin_before[x]
-            if pos[x] >= 0 or (t >= 0 and pos[t] < 0):
+            if col[x] or (t >= 0 and not col[t]):
                 continue
             # everything strictly below x has a lower rank, so is placed
-            pos[x] = p
-            row = 0
-            for y in below[x]:
-                row |= 1 << (n - 1 - pos[y])
-            pos[x] = -1
-            rows.append((row, x))
+            col[x] = bit
+            rows.append((sum(map(row_of, below[x])), x))
+            col[x] = 0
         low = min(rows)[0]
         if low > best[p]:
             return
@@ -478,9 +526,9 @@ def _poset_code(n: int, down: tuple[int, ...], up: tuple[int, ...]) -> str:
             return
         for row, x in rows:
             if row == low:
-                pos[x] = p
+                col[x] = bit
                 place(p + 1)
-                pos[x] = -1
+                col[x] = 0
 
     place(0)
     code = 0
@@ -494,7 +542,9 @@ def canonical_form(L: FiniteLattice) -> str:
     Cached on the lattice object."""
     code = getattr(L, "_canonical_form", None)
     if code is None:
-        code = L._canonical_form = _poset_code(L.n, L.down_bits, L.up_bits)
+        code = L._canonical_form = _poset_code(
+            _element_lists(L.down_bits), _element_lists(L.up_bits)
+        )
     return code
 
 
@@ -505,22 +555,47 @@ def is_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:
 def _meet_semilattice_levels(max_size: int) -> list[list[tuple[str, tuple[int, ...]]]]:
     # levels[m] = (code, down-set bitmasks in a linear extension order) of a
     # canonical representative of every meet-semilattice on m+1 elements,
-    # sorted by code; element 0 is the bottom
-    levels = [[(_poset_code(1, (1,), (1,)), (1,))]]
+    # sorted by code; element 0 is the bottom.  The element lists of a
+    # parent are built once and extended for each of its candidates.
+    levels = [[(_poset_code([[0]], [[0]]), (1,))]]
     for m in range(1, max_size):
         bit = 1 << m
         seen: dict[str, tuple[int, ...]] = {}
         for _, downs in levels[m - 1]:
             ups = _ups_from_downs(downs)
+            below, above = _element_lists(downs), _element_lists(ups)
+            twins = _twin_pairs(downs, ups)
             for new in _admissible_downsets(downs):
-                cand = downs + (new | bit,)
+                if any(new & later and not new & earlier for earlier, later in twins):
+                    continue  # a twin swap gives a smaller, isomorphic candidate
                 # the new element m lies above exactly the elements of new
-                cand_ups = tuple(u | bit if new >> y & 1 else u for y, u in enumerate(ups))
-                code = _poset_code(m + 1, cand, cand_ups + (bit,))
+                under = list(_bits(new))
+                cand_above = above + [[m]]
+                for y in under:
+                    cand_above[y] = above[y] + [m]
+                under.append(m)
+                code = _poset_code(below + [under], cand_above)
                 if code not in seen:
-                    seen[code] = cand
+                    seen[code] = downs + (new | bit,)
         levels.append(sorted(seen.items()))
     return levels
+
+
+def _twin_pairs(downs: tuple[int, ...], ups: tuple[int, ...]) -> list[tuple[int, int]]:
+    # (earlier, later) bits of the consecutive members of every twin class:
+    # elements with equal strict down-sets and equal strict up-sets.  A
+    # down-set D that holds a later twin but not the earlier one maps, by
+    # the swap of the pair, to a smaller admissible D' whose candidate is
+    # isomorphic to D's, so D can never be the first of its class.
+    pairs = []
+    last: dict[tuple[int, int], int] = {}
+    for x, (d, u) in enumerate(zip(downs, ups)):
+        bit = 1 << x
+        key = (d ^ bit, u ^ bit)
+        if key in last:
+            pairs.append((last[key], bit))
+        last[key] = bit
+    return pairs
 
 
 def _admissible_downsets(downs: tuple[int, ...]) -> list[int]:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .congruence import con_lattice, con_nid_iso, is_neutral_ideal, neutral_ideals
@@ -98,17 +99,42 @@ def parse_ring_spec(spec: str) -> list[tuple[int, int]]:
 
 def _matrix_tables(n: int, p: int) -> tuple[list[list[int]], list[list[int]], int]:
     """Addition and multiplication tables and the identity of M(n,p), over
-    the row-major entry tuples in ``itertools.product`` order."""
-    entries = list(itertools.product(range(p), repeat=n * n))
-    index = {e: i for i, e in enumerate(entries)}
-    cells = [(i, j) for i in range(n) for j in range(n)]
+    the row-major entry tuples in ``itertools.product`` order.  A matrix's
+    number has the numbers of its rows, in the same order over vectors, as
+    its digits in base p^n; row i of ab is (row i of a) b, so each product
+    is folded from n lookups in a row-vector-times-matrix table."""
+    q = p**n
+    vectors = list(itertools.product(range(p), repeat=n))
+    matrices = list(itertools.product(range(q), repeat=n))  # rows by number
+    cols = range(n)
 
-    def times(a, b):
-        return tuple(sum(a[i * n + t] * b[t * n + j] for t in range(n)) % p for i, j in cells)
+    def number(digits: Iterable[int]) -> int:  # in base p
+        out = 0
+        for d in digits:
+            out = out * p + d
+        return out
 
-    add = [[index[tuple((x + y) % p for x, y in zip(a, b))] for b in entries] for a in entries]
-    mul = [[index[times(a, b)] for b in entries] for a in entries]
-    return add, mul, index[tuple(int(i == j) for i, j in cells)]
+    # times[v][b]: the number of the row vector v times the matrix b
+    times = [
+        [
+            number(sum(x * vectors[r][j] for x, r in zip(v, b)) % p for j in cols)
+            for b in matrices
+        ]
+        for v in vectors
+    ]
+    elements = list(range(len(matrices)))
+    mul = []
+    for a in matrices:
+        row = [0] * len(matrices)
+        for r in a:
+            row = [elements[x * q + y] for x, y in zip(row, times[r])]
+        mul.append(row)
+    # addition is entrywise, so its table is that of Z_p folded n*n times
+    z_p = [[(x + y) % p for y in range(p)] for x in range(p)]
+    add = z_p
+    for _ in range(n * n - 1):
+        add = _fold(add, z_p)
+    return add, mul, number(int(i == j) for i in cols for j in cols)
 
 
 def _fold(outer: list[list[int]], inner: list[list[int]]) -> list[list[int]]:
@@ -572,13 +598,24 @@ class PiMap:
     vm: VMonoid
     tsl: TwoSidedIdealLattice
     elem_class: tuple[tuple[int, ...], ...]  # ring element -> class of xR
+    _by_support: dict[int, frozenset[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def _supports(self) -> tuple[int, ...]:
+        # the support of each element's class, as a bitmask
+        return tuple(sum(1 << i for i, c in enumerate(v) if c > 0) for v in self.elem_class)
 
     def __call__(self, alpha: Sequence[int]) -> frozenset[int]:
-        return frozenset(
-            x
-            for x, v in enumerate(self.elem_class)
-            if algebraic_below(v, alpha)
-        )
+        # by algebraic_below, pi(alpha) depends only on the support of alpha
+        support = sum(1 << i for i, a in enumerate(alpha) if a > 0)
+        image = self._by_support.get(support)
+        if image is None:
+            image = self._by_support[support] = frozenset(
+                x for x, s in enumerate(self._supports) if s & ~support == 0
+            )
+        return image
 
 
 def pi_map(R: FiniteRing) -> PiMap:

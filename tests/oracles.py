@@ -24,6 +24,10 @@ filters all 2^m subsets, kept as the reference for the down-sets built
 element by element; :func:`refinement_counterexample_literal` is the former
 refinement-property scan, which solves every ordered form of every equation,
 kept as the reference for the scan that solves each equation once.
+:func:`meet_semilattice_levels` is the former semilattice augmentation, which
+codes every admissible down-set of every parent with the library's
+``_poset_code``, kept as the reference for the search that skips the
+down-sets a twin swap makes smaller.
 """
 from __future__ import annotations
 
@@ -201,6 +205,31 @@ def admissible_downsets_by_subsets(downs) -> list[int]:
         if ok:
             out.append(d)
     return out
+
+
+def meet_semilattice_levels(max_size: int) -> list[list[tuple[str, tuple[int, ...]]]]:
+    """levels[m] = (code, down-set masks) of the first-seen representative
+    of every meet-semilattice on m + 1 elements, sorted by code: every
+    admissible down-set of every parent is coded, none is skipped."""
+    from conlat import lattice
+
+    def code(down, up) -> str:
+        return lattice._poset_code([_bit_list(d) for d in down], [_bit_list(u) for u in up])
+
+    levels = [[(code((1,), (1,)), (1,))]]
+    for m in range(1, max_size):
+        bit = 1 << m
+        seen: dict[str, tuple[int, ...]] = {}
+        for _, downs in levels[m - 1]:
+            ups = lattice._ups_from_downs(downs)
+            for new in lattice._admissible_downsets(downs):
+                cand = downs + (new | bit,)
+                cand_ups = tuple(u | bit if new >> y & 1 else u for y, u in enumerate(ups))
+                c = code(cand, cand_ups + (bit,))
+                if c not in seen:
+                    seen[c] = cand
+        levels.append(sorted(seen.items()))
+    return levels
 
 
 def count_lattices(n: int) -> int:

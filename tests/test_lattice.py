@@ -30,7 +30,13 @@ from conlat import (
     n5,
 )
 from conlat import con_lattice, lattice
-from oracles import admissible_downsets_by_subsets, count_lattices, lub_glb_tables, poset_code
+from oracles import (
+    admissible_downsets_by_subsets,
+    count_lattices,
+    lub_glb_tables,
+    meet_semilattice_levels,
+    poset_code,
+)
 
 # Small corpus materialized at import time for hypothesis strategies.
 SMALL = list(enumerate_lattices(5))
@@ -133,6 +139,8 @@ def test_from_covers_bad_index_rejected():
         ([0b11, 0b11], "order is not antisymmetric"),
         # 0 <= 1 <= 2 without 0 <= 2
         ([0b001, 0b011, 0b110], "order is not transitive"),
+        # also not transitive (1 <= 2 without 0 <= 2): antisymmetry is reported
+        ([0b011, 0b011, 0b110], "order is not antisymmetric"),
     ],
 )
 def test_invalid_order_rejected(down, message):
@@ -334,7 +342,9 @@ def test_canonical_form_matches_permutation_oracle():
 def test_derived_lattice_codes_match_search(max_n):
     # enumerate_lattices derives each code from its semilattice's code
     for L in enumerate_lattices(max_n, bound=max_n):
-        assert canonical_form(L) == lattice._poset_code(L.n, L.down_bits, L.up_bits)
+        assert canonical_form(L) == lattice._poset_code(
+            lattice._element_lists(L.down_bits), lattice._element_lists(L.up_bits)
+        )
 
 
 def test_admissible_downsets_match_subset_filter():
@@ -348,8 +358,11 @@ def test_canonical_form_matches_oracle_on_semilattice_candidates(monkeypatch):
     search = lattice._poset_code
     coded = []
 
-    def checked(n, down, up):
-        code = search(n, down, up)
+    def checked(below, above):
+        code = search(below, above)
+        n = len(below)
+        down = tuple(sum(1 << y for y in b) for b in below)
+        up = tuple(sum(1 << y for y in a) for a in above)
         assert code == poset_code(n, down, up)
         coded.append(n)
         return code
@@ -357,6 +370,26 @@ def test_canonical_form_matches_oracle_on_semilattice_candidates(monkeypatch):
     monkeypatch.setattr(lattice, "_poset_code", checked)
     lattice._meet_semilattice_levels(7)
     assert max(coded) == 7
+
+
+def test_meet_semilattice_levels_match_unpruned_oracle():
+    # skipping twin-swapped down-sets keeps every first-seen representative
+    assert lattice._meet_semilattice_levels(8) == meet_semilattice_levels(8)
+
+
+def test_twin_pruning_codes_fewer_candidates(monkeypatch):
+    # candidates coded per size; without the twin-swap pruning they are
+    # 1, 1, 2, 7, 27, 116, 541, 2861, 16747
+    search = lattice._poset_code
+    calls = [0] * 10
+
+    def counted(below, above):
+        calls[len(below)] += 1
+        return search(below, above)
+
+    monkeypatch.setattr(lattice, "_poset_code", counted)
+    lattice._meet_semilattice_levels(9)
+    assert calls[1:] == [1, 1, 2, 6, 21, 89, 419, 2259, 13535]
 
 
 def with_ups(down: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -385,7 +418,7 @@ def posets(draw):
 @given(posets())
 @settings(max_examples=200, deadline=None)
 def test_poset_code_matches_oracle_on_posets(case):
-    assert lattice._poset_code(*case) == poset_code(*case)
+    assert lattice._poset_code(*map(lattice._element_lists, case[1:])) == poset_code(*case)
 
 
 def test_canonical_form_matches_oracle_on_m_k():
@@ -400,6 +433,21 @@ def test_canonical_form_of_m_12():
 def test_canonical_form_is_cached():
     L = m3()
     assert canonical_form(L) is canonical_form(L)
+
+
+@given(relabelings())
+@settings(max_examples=40, deadline=None)
+def test_covers_are_exact_and_sorted(case):
+    L = permuted(*case)
+    rng = range(L.n)
+    assert L.covers() == [
+        (i, j)
+        for i in rng
+        for j in rng
+        if i != j
+        and L.le(i, j)
+        and not any(k not in (i, j) and L.le(i, k) and L.le(k, j) for k in rng)
+    ]
 
 
 @given(relabelings())

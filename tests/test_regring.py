@@ -93,7 +93,9 @@ def test_structured_sizes():
 
 
 @pytest.mark.parametrize(
-    "spec", TEST_RINGS + ("M(1,3)xM(2,3)", "M(2,2)xM(1,3)xM(1,2)")
+    "spec",
+    TEST_RINGS
+    + ("M(1,3)xM(2,3)", "M(2,2)xM(1,3)xM(1,2)", pytest.param("M(3,2)", marks=pytest.mark.slow)),
 )
 def test_matrix_spec_tables_match_matrix_tuple_oracle(spec):
     R = FiniteRing.from_matrix_spec(spec)
@@ -457,6 +459,15 @@ def test_pi_product_ring_components():
     right = pm((0, 1))
     assert len(left) == 2 and len(right) == 81
     assert left & right == {0}
+
+
+@pytest.mark.parametrize("spec", TEST_RINGS + ("M(1,3)xM(2,3)",))
+def test_pi_matches_algebraic_below_on_every_element(spec):
+    R = ring(spec)
+    vm, pm = v_monoid(R), pi_map(R)
+    classes = [vm.class_of_node[vm.lr.node_of(x)] for x in range(R.n)]
+    for alpha in itertools.product(range(3), repeat=vm.k):
+        assert pm(alpha) == {x for x, v in enumerate(classes) if algebraic_below(v, alpha)}
 
 
 def test_pi_verification_bundle():
