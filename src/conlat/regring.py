@@ -17,7 +17,10 @@ From a regular ring R the module computes:
   y in bRa such that xy = a and yx = b;
 * Id R, the lattice of two-sided ideals: the join-closure of the
   principal ideals RxR, built once per element and kept on the lattice.
-  Subgroups grow by <H, g> = H + <g>, the union of the cosets H + mg;
+  Subgroups grow by <H, g> = H + <g>, the union of the cosets H + mg.  The
+  elements of R that enlarge the subgroup scanned so far form an additive
+  generating set G (5 elements for M(1,3)xM(2,3), 9 for M(3,2)), and by
+  distributivity RxR is the span of the |G|^2 products axb with a, b in G;
 * the inverse bijections between neutral ideals of L(R) and Id R;
 * V(R), the monoid of isomorphism classes of principal right ideals, which
   for a finite (hence semisimple) regular ring is free commutative on the
@@ -166,8 +169,8 @@ class FiniteRing:
         *,
         validate: bool = True,
     ):
-        self.add = tuple(tuple(int(v) for v in row) for row in add)
-        self.mul = tuple(tuple(int(v) for v in row) for row in mul)
+        self.add = tuple(map(tuple, add))
+        self.mul = tuple(map(tuple, mul))
         self.n = n = len(self.add)
         self.one = one
         if validate:
@@ -183,8 +186,12 @@ class FiniteRing:
         for table in (self.add, self.mul):
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError("tables must both be n x n")
+            if any(type(v) is not int for row in table for v in row):
+                raise ValueError("table entries must be ints")
             if any(not 0 <= v < n for row in table for v in row):
                 raise ValueError(f"table entry outside 0..{n - 1}")
+        if type(self.one) is not int:
+            raise ValueError("one must be an int")
         if not 0 <= self.one < n:
             raise ValueError(f"one must be an element of 0..{n - 1}")
 
@@ -331,29 +338,46 @@ def ideals_isomorphic(R: FiniteRing, a: int, b: int) -> IsoCertificate | None:
     return None
 
 
-def _additive_closure(R: FiniteRing, gens: Iterable[int]) -> frozenset[int]:
-    """The additive subgroup generated by gens.  A generator g outside the
-    group H so far gives <H, g> = H + <g>: the cosets H + mg for m = 1, 2, ...
-    until mg falls back into H."""
+def _span(R: FiniteRing, gens: Iterable[int]) -> tuple[set[int], list[int]]:
+    """The additive subgroup generated by gens, and the generators that
+    enlarged it, in order.  A generator g outside the group H so far gives
+    <H, g> = H + <g>: the cosets H + mg for m = 1, 2, ... until mg falls back
+    into H."""
     add = R.add
     group = [R.zero]
     members = {R.zero}
+    kept = []
     for g in gens:
+        if g in members:
+            continue
+        kept.append(g)
         coset = group
         while add[coset[0]][g] not in members:
             coset = [add[h][g] for h in coset]
             members.update(coset)
             group.extend(coset)
-    return frozenset(members)
+    return members, kept
+
+
+def _additive_closure(R: FiniteRing, gens: Iterable[int]) -> frozenset[int]:
+    """The additive subgroup generated by gens."""
+    return frozenset(_span(R, gens)[0])
+
+
+def _additive_generators(R: FiniteRing) -> list[int]:
+    """An additive generating set of R: each element of 0..n-1 that lies
+    outside the span of the ones kept before it."""
+    return _span(R, range(R.n))[1]
 
 
 def _principal_ideals(R: FiniteRing) -> tuple[frozenset[int], ...]:
-    """RxR for every element x: the additive closure of the products ys with
-    y in Rx."""
-    mul, rng = R.mul, range(R.n)
+    """RxR for every element x.  Multiplication distributes over addition,
+    so if G generates R additively, RxR (the span of the products rxs) is the
+    span of the |G|^2 products axb with a, b in G."""
+    mul, gens = R.mul, _additive_generators(R)
     return tuple(
-        _additive_closure(R, {mul[y][s] for y in {mul[r][x] for r in rng} for s in rng})
-        for x in rng
+        _additive_closure(R, {mul[ax][b] for ax in {mul[a][x] for a in gens} for b in gens})
+        for x in range(R.n)
     )
 
 
@@ -544,11 +568,13 @@ def v_monoid(R: FiniteRing) -> VMonoid:
 
     for node in range(L.n):
         decompose(node)
-    # refinement in N^k, asserted over all equal-sum quadruples of node classes
+    # refinement in N^k, asserted over all equal-sum quadruples of node
+    # classes: a0, a1 and b0 fix b1 = a0 + a1 - b0, which must be a class
     vals = sorted(set(vec.values()))
-    for a0, a1, b0, b1 in itertools.product(vals, repeat=4):
-        s = tuple(x + y for x, y in zip(a0, a1))
-        if s != tuple(x + y for x, y in zip(b0, b1)):
+    present = set(vals)
+    for a0, a1, b0 in itertools.product(vals, repeat=3):
+        b1 = tuple(x + y - z for x, y, z in zip(a0, a1, b0))
+        if b1 not in present:
             continue
         c00, c01, c10, c11 = refine_nonneg_vectors(a0, a1, b0, b1)
         rows = tuple(x + y for x, y in zip(c00, c01)) == a0 and tuple(

@@ -483,6 +483,16 @@ def additive_closure(R, gens) -> frozenset[int]:
     return frozenset(group)
 
 
+def principal_ideals_by_products(R) -> tuple[frozenset[int], ...]:
+    """RxR for every element x: the additive closure of the products ys with
+    y in Rx and s in R."""
+    mul, rng = R.mul, range(R.n)
+    return tuple(
+        additive_closure(R, {mul[y][s] for y in {mul[r][x] for r in rng} for s in rng})
+        for x in rng
+    )
+
+
 def additive_subgroups(R) -> list[frozenset[int]]:
     """Every additive subgroup, grown one generator at a time."""
     found = {frozenset({R.zero})}

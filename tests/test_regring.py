@@ -40,9 +40,15 @@ from conlat import (
     verify_nid_id_iso,
     verify_pi_map,
 )
+from conlat import regring
 from conlat.cli import TEST_RINGS
-from conlat.regring import _additive_closure
-from oracles import additive_closure, matrix_ring_tables, two_sided_ideal_sets
+from conlat.regring import _additive_closure, _additive_generators
+from oracles import (
+    additive_closure,
+    matrix_ring_tables,
+    principal_ideals_by_products,
+    two_sided_ideal_sets,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,6 +62,15 @@ def z4() -> FiniteRing:
     return FiniteRing.from_tables(
         {"elements": list(range(4)), "add": add, "mul": mul, "one": 1}
     )
+
+
+def z4_x() -> FiniteRing:
+    """Z_4[x]/(2x, x^2): a + bx is element a + 4b, so the additive group is
+    Z_4 x Z_2, neither cyclic nor elementary abelian."""
+    elems = [(a, b) for b in range(2) for a in range(4)]
+    add = [[(a + c) % 4 + 4 * ((b + d) % 2) for c, d in elems] for a, b in elems]
+    mul = [[a * c % 4 + 4 * ((a * d + b * c) % 2) for c, d in elems] for a, b in elems]
+    return FiniteRing.from_tables({"add": add, "mul": mul, "one": 1})
 
 
 vec3 = st.tuples(
@@ -120,8 +135,21 @@ def test_additive_closure_matches_work_list_oracle(spec, data):
         {"add": [[0, 1], [1]], "mul": [[0, 0], [0, 1]], "one": 1},
         {"add": [[0, 1], [1, 0]], "mul": [[0]], "one": 1},
         {"add": [[0, 1], [1, 2]], "mul": [[0, 0], [0, 1]], "one": 1},
+        {"add": [[0, 1], [1, 0.5]], "mul": [[0, 0], [0, 1]], "one": 1},
+        {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, True]], "one": 1},
+        {"add": [[0, "1"], ["1", 0]], "mul": [[0, 0], [0, 1]], "one": 1},
+        {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "one": 1.0},
     ],
-    ids=["one-out-of-range", "ragged-add-row", "mul-wrong-size", "entry-out-of-range"],
+    ids=[
+        "one-out-of-range",
+        "ragged-add-row",
+        "mul-wrong-size",
+        "entry-out-of-range",
+        "float-entry",
+        "bool-entry",
+        "string-entry",
+        "float-one",
+    ],
 )
 def test_malformed_tables_raise_value_error(tables):
     with pytest.raises(ValueError):
@@ -312,6 +340,31 @@ def test_principal_ideal_is_least_oracle_ideal_containing_x():
             assert all(principal[x] <= I for I in containing)
 
 
+IDEAL_RINGS = {
+    **{
+        spec: functools.partial(ring, spec)
+        for spec in TEST_RINGS + ("M(1,3)xM(2,3)", "M(2,2)xM(1,3)xM(1,2)")
+    },
+    "Z_4": z4,
+    "Z_4[x]/(2x,x^2)": z4_x,
+}
+
+
+@pytest.mark.parametrize("name", IDEAL_RINGS)
+def test_principal_ideals_match_product_oracle(name):
+    R = IDEAL_RINGS[name]()
+    assert two_sided_ideals(R).principal == principal_ideals_by_products(R)
+
+
+@pytest.mark.parametrize("name", IDEAL_RINGS)
+def test_additive_generators_are_independent_and_span(name):
+    R = IDEAL_RINGS[name]()
+    gens = _additive_generators(R)
+    assert additive_closure(R, gens) == frozenset(range(R.n))
+    for i, g in enumerate(gens):
+        assert g not in additive_closure(R, gens[:i])
+
+
 def test_ideal_lookups_reject_unknown_sets():
     R = ring("M(2,2)")
     lr, tsl = principal_right_ideals(R), two_sided_ideals(R)
@@ -411,6 +464,26 @@ def test_monoid_is_conical():
     lr = principal_right_ideals(R)
     for node, vec in enumerate(vm.class_of_node):
         assert (node == lr.lattice.bottom) == (sum(vec) == 0)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda c00, c01, c10, c11: (c00, c10, c01, c11),
+        lambda c00, c01, c10, c11: (
+            tuple(v - 1 for v in c00),
+            tuple(v + 1 for v in c01),
+            tuple(v + 1 for v in c10),
+            tuple(v - 1 for v in c11),
+        ),
+    ],
+    ids=["swapped-off-diagonal", "negative-entries"],
+)
+def test_monoid_refinement_check_rejects_a_wrong_square(monkeypatch, wrong):
+    real = regring.refine_nonneg_vectors
+    monkeypatch.setattr(regring, "refine_nonneg_vectors", lambda *v: wrong(*real(*v)))
+    with pytest.raises(AssertionError):
+        v_monoid(FiniteRing.from_matrix_spec("M(1,2)xM(1,2)"))
 
 
 @given(vec3, vec3, vec3)
