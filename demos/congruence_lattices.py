@@ -61,9 +61,10 @@ for k in range(2, 6):
 # %%
 # Alternating chains
 # ------------------
-# When Theta(u, v) lies below alpha v beta, u and v are linked by a
-# monotone chain whose steps alternate between alpha and beta.  The chain
-# object carries one congruence label per step and validates itself.
+# When Theta(u, v) lies below alpha v beta, u and v are linked by a chain
+# of covers, each collapsed by alpha or by beta; trivial steps make the
+# labels alternate between alpha and beta.  The chain object carries one
+# congruence label per step and validates itself.
 from conlat import alternating_chain
 
 alpha = principal_congruence(pent, 0, 1)

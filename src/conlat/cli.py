@@ -529,7 +529,7 @@ CAMPAIGNS: tuple[Campaign, ...] = (
         premise=lambda L: is_congruence_splitting(L).holds, annotate=True,
     ),
     # prop-convhom: convex-range lattice homs induce weakly distributive maps
-    # on Con; chain monotonization stays label-faithful on every instance
+    # on Con; the alternating chain of every join instance validates
     Campaign(
         "prop-convhom", "verify-theorem", "items", _chains_label_faithful,
         draws=_convex_homs,

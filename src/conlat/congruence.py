@@ -9,10 +9,12 @@ join-prime because Con L is distributive, so a join of congruences collapses
 exactly the covers that one of them collapses.  Con L is thus built from one
 principal congruence per cover, with join OR and order mask inclusion.
 
-Also here: alternating chains between congruent elements, the monotonization
-transform, congruence maps induced by lattice homomorphisms, and the
-correspondence between congruences and neutral ideals of a sectionally
-complemented modular lattice.
+The same join-primeness builds alternating chains: every cover x < y in
+[u, v] has Theta(x, y) <= Theta(u, v), so when Theta(u, v) <= alpha v beta
+one of alpha and beta collapses each cover of a maximal chain from u to v.
+Also here: the monotonization transform, congruence maps induced by lattice
+homomorphisms, and the correspondence between congruences and neutral ideals
+of a sectionally complemented modular lattice.
 """
 from __future__ import annotations
 
@@ -80,9 +82,6 @@ class Congruence:
             raise HostMismatch("congruences on different lattices")
         orep, srep = other.rep, self.rep
         return all(orep[x] == orep[srep[x]] for x in range(len(srep)))
-
-    def to_json(self) -> list[list[int]]:
-        return [list(b) for b in self.blocks()]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -316,31 +315,15 @@ class Chain:
         if len(self.labels) != max(len(self.elements) - 1, 0):
             raise ValueError("need exactly one label per step")
 
-    def validate(self, *, monotone: bool = True) -> bool:
+    def validate(self) -> bool:
         """Steps are (weakly) increasing and lie in their labels."""
         e = self.elements
         for i, lab in enumerate(self.labels):
-            if monotone and not self.host.le(e[i], e[i + 1]):
+            if not self.host.le(e[i], e[i + 1]):
                 return False
             if lab is not None and not lab.same(e[i], e[i + 1]):
                 return False
         return True
-
-    def to_json(self) -> dict:
-        labels = []
-        seen: list[Congruence] = []
-        for lab in self.labels:
-            if lab is None:
-                labels.append(None)
-                continue
-            if lab not in seen:
-                seen.append(lab)
-            labels.append(seen.index(lab))
-        return {
-            "elements": list(self.elements),
-            "labels": labels,
-            "label_blocks": [t.to_json() for t in seen],
-        }
 
 
 def monotonize_chain(
@@ -381,9 +364,13 @@ def alternating_chain(
     """A monotone chain u = w_0 <= ... <= w_2n = v inside [u, v] whose even
     steps lie in alpha and odd steps in beta.
 
-    Exists whenever u <= v and Theta(u, v) <= alpha v beta: u and v are then
-    linked by single-congruence steps, which are monotonized and padded with
-    trivial steps (which lie in every congruence) to force strict alternation.
+    Exists whenever u <= v and Theta(u, v) <= alpha v beta.  The chain walks
+    covers from u to v, each time to the first cover of the current element
+    that lies below v.  Every cover x < y in [u, v] has
+    Theta(x, y) <= Theta(u, v) <= alpha v beta, and Theta(x, y) is join-prime
+    in the distributive Con L, so alpha or beta collapses it; the step takes
+    alpha when alpha does.  Trivial steps (which lie in every congruence) are
+    inserted to force strict alternation.
     """
     if alpha.host is not L or beta.host is not L:
         raise HostMismatch("congruences on a different lattice")
@@ -391,52 +378,23 @@ def alternating_chain(
         raise NotJoined(f"{u} is not below {v}")
     if not con_lattice(L).below_join(u, v, alpha, beta):
         raise NotJoined("Theta(u, v) is not below alpha v beta")
-    if u == v:
-        return Chain(L, (u,), ())
-    # BFS over single-congruence steps
-    prev: dict[int, tuple[int, Congruence]] = {u: (-1, alpha)}
-    frontier = [u]
-    while frontier and v not in prev:
-        nxt = []
-        for x in frontier:
-            for y in range(L.n):
-                if y == x or y in prev:
-                    continue
-                if alpha.same(x, y):
-                    prev[y] = (x, alpha)
-                elif beta.same(x, y):
-                    prev[y] = (x, beta)
-                else:
-                    continue
-                nxt.append(y)
-        frontier = nxt
-    if v not in prev:
-        raise AssertionError("alpha/beta steps do not reach v despite the precondition")
-    path = [v]
-    labs: list[Congruence] = []
-    x = v
-    while x != u:
-        p, lab = prev[x]
-        labs.append(lab)
-        path.append(p)
-        x = p
-    path.reverse()
-    labs.reverse()
-    mono = monotonize_chain(L, path, u, v, labs)
-    # pad with trivial steps so labels read alpha, beta, alpha, beta, ...
-    elems = [mono.elements[0]]
-    labels: list[Congruence] = []
-    expected = alpha
-    for e, lab in zip(mono.elements[1:], mono.labels):
-        while lab is not expected:
-            elems.append(elems[-1])
+    up, down = L.up_bits, L.down_bits
+    elems, labels = [u], []
+    x, expected = u, alpha
+    while x != v:
+        above = up[x] & down[v] & ~(1 << x)
+        # a minimal element of (x, v] covers x
+        y = next(y for y in _bits(above) if down[y] & above == 1 << y)
+        lab = alpha if alpha.same(x, y) else beta
+        if lab is not expected:
+            elems.append(x)
             labels.append(expected)
-            expected = beta if expected is alpha else alpha
-        elems.append(e)
+        elems.append(y)
         labels.append(lab)
-        expected = beta if expected is alpha else alpha
+        expected = beta if lab is alpha else alpha
+        x = y
     if len(labels) % 2 == 1:
-        elems.append(elems[-1])
+        elems.append(v)
         labels.append(beta)
     return Chain(L, tuple(elems), tuple(labels))
 

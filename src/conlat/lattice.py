@@ -401,33 +401,40 @@ def has_convex_range(h: LatticeHom) -> bool:
     )
 
 
-def enumerate_lattice_homs(K: FiniteLattice, L: FiniteLattice) -> Iterator[LatticeHom]:
-    """All join- and meet-preserving maps K -> L, by backtracking."""
-    n = K.n
-    le_k, le_l = K.le, L.le
+def _monotone_maps(P, Q) -> Iterator[tuple[int, ...]]:
+    """Every order-preserving map between finite orders P -> Q (anything
+    with ``n``, ``le`` and ``down_bits``), by backtracking over the values
+    of 0, 1, ...; the value tables come out in lexicographic order."""
+    n, m = P.n, Q.n
+    below = [[i for i in range(k) if P.le(i, k)] for k in range(n)]
+    above = [[i for i in range(k) if P.le(k, i)] for k in range(n)]
+    down = Q.down_bits
+    up = [sum(1 << y for y in range(m) if down[y] >> x & 1) for x in range(m)]
     f = [0] * n
 
-    def extend(k: int) -> Iterator[LatticeHom]:
+    def extend(k: int) -> Iterator[tuple[int, ...]]:
         if k == n:
-            h = LatticeHom(K, L, tuple(f))
-            if check_hom(h):
-                yield h
+            yield tuple(f)
             return
-        for v in range(L.n):
-            ok = True
-            for i in range(k):
-                # monotonicity is necessary; full check happens at the leaf
-                if le_k(i, k) and not le_l(f[i], v):
-                    ok = False
-                    break
-                if le_k(k, i) and not le_l(v, f[i]):
-                    ok = False
-                    break
-            if ok:
-                f[k] = v
-                yield from extend(k + 1)
+        allowed = (1 << m) - 1
+        for i in below[k]:
+            allowed &= up[f[i]]
+        for i in above[k]:
+            allowed &= down[f[i]]
+        for v in _bits(allowed):
+            f[k] = v
+            yield from extend(k + 1)
 
     yield from extend(0)
+
+
+def enumerate_lattice_homs(K: FiniteLattice, L: FiniteLattice) -> Iterator[LatticeHom]:
+    """All join- and meet-preserving maps K -> L: the monotone maps that
+    pass :func:`check_hom`."""
+    for f in _monotone_maps(K, L):
+        h = LatticeHom(K, L, f)
+        if check_hom(h):
+            yield h
 
 
 # -- canonical form and enumeration -------------------------------------------

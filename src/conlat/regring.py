@@ -268,20 +268,14 @@ def _inclusion_lattice(
     return ordered, lattice, {s: i for i, s in enumerate(ordered)}
 
 
-def _lookup(index: dict[frozenset[int], int], s: Iterable[int]) -> int:
-    try:
-        return index[frozenset(s)]
-    except KeyError:
-        raise ValueError("set is not a node of the lattice") from None
-
-
 @dataclass(frozen=True)
 class RightIdealLattice:
     """L(R): principal right ideals ordered by inclusion.
 
     ``ideals[k]`` is the element set of node k, ``generators[k]`` an
     idempotent generating it.  The lattice indexing matches both tuples,
-    and ``index`` maps each ideal back to its node.
+    ``index`` maps each ideal back to its node and ``element_nodes[x]`` is
+    the node holding xR.
     """
 
     ring: FiniteRing
@@ -289,10 +283,11 @@ class RightIdealLattice:
     ideals: tuple[frozenset[int], ...]
     generators: tuple[int, ...]
     index: dict[frozenset[int], int] = field(repr=False, compare=False)
+    element_nodes: tuple[int, ...] = field(repr=False, compare=False)
 
     def node_of(self, x: int) -> int:
         """The node holding xR."""
-        return _lookup(self.index, self.ring.mul[x])
+        return self.element_nodes[x]
 
 
 def principal_right_ideals(R: FiniteRing) -> RightIdealLattice:
@@ -309,7 +304,8 @@ def principal_right_ideals(R: FiniteRing) -> RightIdealLattice:
     xr = [frozenset(row) for row in mul]
     ideals, lattice, index = _inclusion_lattice(xr)
     gens = tuple(next(e for e in s if mul[e][e] == e and xr[e] == s) for s in ideals)
-    R._principal_right_ideals = RightIdealLattice(R, lattice, ideals, gens, index)
+    nodes = tuple(index[s] for s in xr)
+    R._principal_right_ideals = RightIdealLattice(R, lattice, ideals, gens, index, nodes)
     return R._principal_right_ideals
 
 
@@ -393,7 +389,10 @@ class TwoSidedIdealLattice:
     index: dict[frozenset[int], int] = field(repr=False, compare=False)
 
     def index_of(self, I: frozenset[int]) -> int:
-        return _lookup(self.index, I)
+        try:
+            return self.index[frozenset(I)]
+        except KeyError:
+            raise ValueError("set is not a node of the lattice") from None
 
 
 def two_sided_ideals(R: FiniteRing) -> TwoSidedIdealLattice:
@@ -426,7 +425,7 @@ def phi(lr: RightIdealLattice, node_set: Iterable[int]) -> frozenset[int]:
     nodes = frozenset(node_set)
     if not is_neutral_ideal(lr.lattice, nodes):
         raise NotNeutral("node set is not a neutral ideal of L(R)")
-    return frozenset(x for x in range(lr.ring.n) if lr.node_of(x) in nodes)
+    return frozenset(x for x, k in enumerate(lr.element_nodes) if k in nodes)
 
 
 def psi(lr: RightIdealLattice, tsl: TwoSidedIdealLattice, I: frozenset[int]) -> frozenset[int]:
@@ -514,7 +513,6 @@ class VMonoid:
 
     lr: RightIdealLattice
     k: int
-    atom_classes: tuple[tuple[int, ...], ...]  # atoms grouped by iso class
     class_of_node: tuple[tuple[int, ...], ...]  # node -> vector in N^k
 
 
@@ -585,12 +583,7 @@ def v_monoid(R: FiniteRing) -> VMonoid:
         ) == b1
         if not (rows and cols and all(v >= 0 for c in (c00, c01, c10, c11) for v in c)):
             raise AssertionError("refinement failed in N^k")
-    R._v_monoid = VMonoid(
-        lr,
-        k,
-        tuple(tuple(c) for c in classes),
-        tuple(vec[node] for node in range(L.n)),
-    )
+    R._v_monoid = VMonoid(lr, k, tuple(vec[node] for node in range(L.n)))
     return R._v_monoid
 
 
@@ -647,7 +640,7 @@ class PiMap:
 def pi_map(R: FiniteRing) -> PiMap:
     vm = v_monoid(R)
     tsl = two_sided_ideals(R)
-    elem_class = tuple(vm.class_of_node[vm.lr.node_of(x)] for x in range(R.n))
+    elem_class = tuple(vm.class_of_node[k] for k in vm.lr.element_nodes)
     return PiMap(vm, tsl, elem_class)
 
 

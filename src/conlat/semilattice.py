@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .lattice import FiniteLattice, _bits
+from .lattice import FiniteLattice, _bits, _monotone_maps
 
 
 class TargetNotDistributive(ValueError):
@@ -74,13 +74,6 @@ class FiniteJoinSemilattice:
     @classmethod
     def from_lattice(cls, L: FiniteLattice) -> "FiniteJoinSemilattice":
         return cls(L.join_rows, validate=False)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FiniteJoinSemilattice":
-        return cls(obj["join"])
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "join": [list(row) for row in self.join_rows]}
 
     def le(self, x: int, y: int) -> bool:
         return self.join_rows[x][y] == y
@@ -169,30 +162,12 @@ def check_semilattice_hom(h: SemilatticeHom) -> bool:
 def enumerate_semilattice_homs(
     S: FiniteJoinSemilattice, T: FiniteJoinSemilattice
 ) -> Iterator[SemilatticeHom]:
-    """All join-preserving maps S -> T, by backtracking on the order."""
-    n = S.n
-    f = [0] * n
-
-    def extend(k: int) -> Iterator[SemilatticeHom]:
-        if k == n:
-            h = SemilatticeHom(S, T, tuple(f))
-            if check_semilattice_hom(h):
-                yield h
-            return
-        for v in range(T.n):
-            ok = True
-            for i in range(k):
-                if S.le(i, k) and not T.le(f[i], v):
-                    ok = False
-                    break
-                if S.le(k, i) and not T.le(v, f[i]):
-                    ok = False
-                    break
-            if ok:
-                f[k] = v
-                yield from extend(k + 1)
-
-    yield from extend(0)
+    """All join-preserving maps S -> T: the monotone maps that pass
+    :func:`check_semilattice_hom`."""
+    for f in _monotone_maps(S, T):
+        h = SemilatticeHom(S, T, f)
+        if check_semilattice_hom(h):
+            yield h
 
 
 # -- refinement ---------------------------------------------------------------

@@ -12,11 +12,14 @@ and a ^ z <= c; L has property (C) if for all a <= b and every c there is a
 chain a = x0 <~c x1 <~c ... <~c xn = b.  Sectionally complemented lattices
 and atomistic lattices have property (C), and property (C) implies
 congruence splitting; :func:`splitting_from_property_C` realizes that
-implication constructively by induction on a shortest chain.
+implication constructively by folding the steps of one shortest chain.
+That chain and the chains of :func:`property_c_chain` come from the same
+shortest-chain BFS.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .congruence import Congruence, con_lattice
 from .lattice import FiniteLattice, _bits
@@ -73,14 +76,19 @@ def rel_lessdot(L: FiniteLattice, a: int, b: int, c: int) -> int | None:
     return None
 
 
-def property_c_chain(L: FiniteLattice, a: int, b: int, c: int) -> CChain | None:
-    """A shortest <~c chain from a to b (BFS layers, ties to the smallest
-    element), or None when b is unreachable."""
-    if not L.le(a, b):
-        return None
-    if a == b:
-        return CChain(L, c, (a,), ())
-    prev: dict[int, tuple[int, int]] = {a: (-1, -1)}
+def _shortest_chain(
+    L: FiniteLattice,
+    a: int,
+    b: int,
+    c: int,
+    label: Callable[[int, int], int | None] = lambda x, y: 0,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
+    """A shortest chain a <~c ... <~c b whose steps x <~c y have a label
+    ``label(x, y)`` that is not None, as its elements, the witness z of each
+    step and the label of each step; None when b is unreachable.  BFS layer
+    by layer, ties to the smallest element.  Every step goes up, so the BFS
+    tree on [a, y] does not depend on b."""
+    prev: dict[int, tuple[int, int, int] | None] = {a: None}
     frontier = [a]
     while frontier and b not in prev:
         nxt = []
@@ -88,24 +96,34 @@ def property_c_chain(L: FiniteLattice, a: int, b: int, c: int) -> CChain | None:
             for y in _bits(L.up_bits[x] & L.down_bits[b]):
                 if y in prev:
                     continue
+                lab = label(x, y)
+                if lab is None:
+                    continue
                 z = rel_lessdot(L, x, y, c)
                 if z is not None:
-                    prev[y] = (x, z)
+                    prev[y] = (x, z, lab)
                     nxt.append(y)
         frontier = nxt
     if b not in prev:
         return None
-    elems = [b]
-    wits = []
-    x = b
-    while x != a:
-        p, z = prev[x]
+    elems, wits, labs = [b], [], []
+    while b != a:
+        b, z, lab = prev[b]
+        elems.append(b)
         wits.append(z)
-        elems.append(p)
-        x = p
-    elems.reverse()
-    wits.reverse()
-    return CChain(L, c, tuple(elems), tuple(wits))
+        labs.append(lab)
+    return tuple(elems[::-1]), tuple(wits[::-1]), tuple(labs[::-1])
+
+
+def property_c_chain(L: FiniteLattice, a: int, b: int, c: int) -> CChain | None:
+    """A shortest <~c chain from a to b (BFS layers, ties to the smallest
+    element), or None when b is unreachable."""
+    if not L.le(a, b):
+        return None
+    chain = _shortest_chain(L, a, b, c)
+    if chain is None:
+        return None
+    return CChain(L, c, chain[0], chain[1])
 
 
 @dataclass(frozen=True)
@@ -164,46 +182,25 @@ def is_congruence_splitting(L: FiniteLattice) -> SplittingResult:
 
 
 def splitting_from_property_C(inst: SplitInstance) -> tuple[int, int]:
-    """Build a splitting witness from property (C) chains, by induction on a
-    shortest chain a = x0 <~a ... <~a xn = b whose steps each lie in alpha0
-    or alpha1.
+    """Build a splitting witness from one shortest chain
+    a = x0 <~a ... <~a xn = b whose steps each lie in alpha0 or alpha1.
 
-    For the last step c <~a b with witness z and step congruence alphaj:
-    recursing on (a, c) gives (y0, y1), and the witness is yj v z paired
-    with the other y.  Correctness: z ^ c <= a <= yj forces
+    Start from (y0, y1) = (a, a); a step c <~a y with witness z and step
+    congruence alphaj replaces yj by yj v z.  By induction (y0, y1) splits
+    [a, c] before the step and [a, y] after it: z ^ c <= a <= yj forces
     yj v z = yj v (z ^ c) congruent to yj modulo alphaj, since
-    Theta(z ^ c, z) <= Theta(c, c v z) = Theta(c, b) <= alphaj.
+    Theta(z ^ c, z) <= Theta(c, c v z) = Theta(c, y) <= alphaj.
     """
     L, a, b = inst.L, inst.a, inst.b
     al0, al1 = inst.alpha0, inst.alpha1
-    if a == b:
-        return (a, a)
-    # BFS over steps x <~a y that lie in alpha0 or alpha1
-    prev: dict[int, tuple[int, int, int]] = {a: (-1, -1, -1)}
-    frontier = [a]
-    while frontier and b not in prev:
-        nxt = []
-        for x in sorted(frontier):
-            for y in _bits(L.up_bits[x] & L.down_bits[b]):
-                if y in prev:
-                    continue
-                if al0.same(x, y):
-                    lab = 0
-                elif al1.same(x, y):
-                    lab = 1
-                else:
-                    continue
-                z = rel_lessdot(L, x, y, a)
-                if z is not None:
-                    prev[y] = (x, z, lab)
-                    nxt.append(y)
-        frontier = nxt
-    if b not in prev:
+    chain = _shortest_chain(
+        L, a, b, a, lambda x, y: 0 if al0.same(x, y) else 1 if al1.same(x, y) else None
+    )
+    if chain is None:
         raise NoChain(f"no labelled chain from {a} to {b} below {a}")
-    c, z, lab = prev[b]
-    sub = SplitInstance(L, a, c, al0, al1)
-    y0, y1 = splitting_from_property_C(sub)
+    _, wits, labs = chain
+    y = [a, a]
     jn = L.join_rows
-    if lab == 0:
-        return (jn[y0][z], y1)
-    return (y0, jn[y1][z])
+    for z, j in zip(wits, labs):
+        y[j] = jn[y[j]][z]
+    return (y[0], y[1])

@@ -112,22 +112,12 @@ class UrpInstance:
             if j[a][b] != self.e:
                 raise ValueError(f"pair ({a}, {b}) does not join to {self.e}")
 
-    def to_json(self) -> dict:
-        return {"e": self.e, "pairs": [list(p) for p in self.pairs]}
-
 
 @dataclass(frozen=True)
 class UrpWitness:
     astar: tuple[int, ...]
     bstar: tuple[int, ...]
     c: tuple[tuple[int, ...], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "astar": list(self.astar),
-            "bstar": list(self.bstar),
-            "c": [list(r) for r in self.c],
-        }
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,13 @@ kept as the reference for the scan that solves each equation once.
 :func:`meet_semilattice_levels` is the former semilattice augmentation, which
 codes every admissible down-set of every parent with the library's
 ``_poset_code``, kept as the reference for the search that skips the
-down-sets a twin swap makes smaller.
+down-sets a twin swap makes smaller.  :func:`alternating_chain_bfs` is the
+former alternating chain, a BFS over single-congruence steps followed by
+monotonization, kept as a second valid construction next to the cover walk;
+:func:`property_c_chain_bfs` and :func:`splitting_from_property_C_recursive`
+are the former property (C) chain and the former constructive splitting,
+which reran the BFS for every prefix of the chain, kept as the reference for
+the one shared BFS.
 """
 from __future__ import annotations
 
@@ -541,3 +547,114 @@ def all_semilattice_homs(S, T) -> list[tuple[int, ...]]:
         ):
             out.append(f)
     return out
+
+
+def alternating_chain_bfs(L, u, v, alpha, beta):
+    """The former alternating chain: a shortest fence of alpha- and beta-steps
+    from u to v found by BFS over all elements (alpha preferred), then
+    monotonized and padded with trivial steps so the labels alternate."""
+    from conlat.congruence import Chain, monotonize_chain
+
+    if u == v:
+        return Chain(L, (u,), ())
+    prev = {u: (-1, alpha)}
+    frontier = [u]
+    while frontier and v not in prev:
+        nxt = []
+        for x in frontier:
+            for y in range(L.n):
+                if y == x or y in prev:
+                    continue
+                if alpha.same(x, y):
+                    prev[y] = (x, alpha)
+                elif beta.same(x, y):
+                    prev[y] = (x, beta)
+                else:
+                    continue
+                nxt.append(y)
+        frontier = nxt
+    path, labs = [v], []
+    x = v
+    while x != u:
+        p, lab = prev[x]
+        labs.append(lab)
+        path.append(p)
+        x = p
+    mono = monotonize_chain(L, path[::-1], u, v, labs[::-1])
+    elems, labels = [mono.elements[0]], []
+    expected = alpha
+    for e, lab in zip(mono.elements[1:], mono.labels):
+        while lab is not expected:
+            elems.append(elems[-1])
+            labels.append(expected)
+            expected = beta if expected is alpha else alpha
+        elems.append(e)
+        labels.append(lab)
+        expected = beta if expected is alpha else alpha
+    if len(labels) % 2 == 1:
+        elems.append(elems[-1])
+        labels.append(beta)
+    return Chain(L, tuple(elems), tuple(labels))
+
+
+def _labelled_bfs(L, a, b, c, label):
+    # the former shortest-chain BFS: prev[y] = (x, z, label) of the step into y
+    from conlat.splitting import rel_lessdot
+
+    prev = {a: (-1, -1, -1)}
+    frontier = [a]
+    while frontier and b not in prev:
+        nxt = []
+        for x in sorted(frontier):
+            for y in range(L.n):
+                if not (L.le(x, y) and L.le(y, b)) or y in prev:
+                    continue
+                lab = label(x, y)
+                if lab is None:
+                    continue
+                z = rel_lessdot(L, x, y, c)
+                if z is not None:
+                    prev[y] = (x, z, lab)
+                    nxt.append(y)
+        frontier = nxt
+    return prev
+
+
+def property_c_chain_bfs(L, a, b, c):
+    """The former property (C) chain: its own BFS, read back from b."""
+    from conlat.splitting import CChain
+
+    if not L.le(a, b):
+        return None
+    prev = _labelled_bfs(L, a, b, c, lambda x, y: 0)
+    if b not in prev:
+        return None
+    elems, wits = [b], []
+    x = b
+    while x != a:
+        p, z, _ = prev[x]
+        wits.append(z)
+        elems.append(p)
+        x = p
+    return CChain(L, c, tuple(elems[::-1]), tuple(wits[::-1]))
+
+
+def splitting_from_property_C_recursive(inst):
+    """The former constructive splitting: a BFS to b, then a recursion on
+    (a, c) for the last step c <~a b, with a new instance and BFS per prefix."""
+    from conlat.splitting import NoChain, SplitInstance
+
+    L, a, b = inst.L, inst.a, inst.b
+    al0, al1 = inst.alpha0, inst.alpha1
+    if a == b:
+        return (a, a)
+    label = lambda x, y: 0 if al0.same(x, y) else 1 if al1.same(x, y) else None
+    prev = _labelled_bfs(L, a, b, a, label)
+    if b not in prev:
+        raise NoChain(f"no labelled chain from {a} to {b} below {a}")
+    c, z, lab = prev[b]
+    y0, y1 = splitting_from_property_C_recursive(SplitInstance(L, a, c, al0, al1))
+    jn = L.join_rows
+    if lab == 0:
+        return (jn[y0][z], y1)
+    return (y0, jn[y1][z])

@@ -33,7 +33,8 @@ from conlat import (
     neutral_ideals,
     principal_congruence,
 )
-from oracles import con_tables_by_joins, congruence_partitions
+from conlat.cli import _join_instances
+from oracles import alternating_chain_bfs, con_tables_by_joins, congruence_partitions
 
 SMALL = list(enumerate_lattices(5))
 
@@ -279,6 +280,48 @@ def test_alternating_chain_exhaustive(corpus5):
                         continue
                     ch = alternating_chain(L, u, v, alpha, beta)
                     validate_chain(L, ch, u, v)
+
+
+def assert_alternates(L, ch, u, v, alpha, beta):
+    assert ch.validate()
+    assert ch.elements[0] == u and ch.elements[-1] == v
+    assert len(ch.labels) % 2 == 0
+    for i, label in enumerate(ch.labels):
+        assert label is (alpha if i % 2 == 0 else beta)
+
+
+def test_both_alternating_chains_validate_and_alternate(corpus6):
+    # the cover walk and the former BFS-and-monotonize construction
+    for L in corpus6:
+        for u, v, alpha, beta in _join_instances(L):
+            for ch in (
+                alternating_chain(L, u, v, alpha, beta),
+                alternating_chain_bfs(L, u, v, alpha, beta),
+            ):
+                assert_alternates(L, ch, u, v, alpha, beta)
+
+
+def _is_cover(L, x, y):
+    between = L.up_bits[x] & L.down_bits[y]
+    return x != y and between == (1 << x | 1 << y)
+
+
+def test_alternating_chain_steps_are_covers(corpus7):
+    for L in corpus7:
+        for u, v, alpha, beta in _join_instances(L):
+            e = alternating_chain(L, u, v, alpha, beta).elements
+            assert all(x == y or _is_cover(L, x, y) for x, y in zip(e, e[1:]))
+
+
+def test_alternating_chain_n5_is_a_cover_chain():
+    # the BFS construction jumps from 1 to 4, which is not a cover
+    alpha = principal_congruence(N5, 0, 1)
+    beta = principal_congruence(N5, 2, 4)
+    assert alternating_chain_bfs(N5, 0, 4, alpha, beta).elements == (0, 1, 4)
+    assert not _is_cover(N5, 1, 4)
+    ch = alternating_chain(N5, 0, 4, alpha, beta)
+    assert ch.elements == (0, 1, 1, 2, 4)
+    assert_alternates(N5, ch, 0, 4, alpha, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -58,24 +58,36 @@ GOLDEN_7 = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _corpus5():
-    return default_corpus(5)
+# the campaigns built on property (C) chains, on every lattice with at most 8
+# elements, and prop-convhom, whose detail counts alternating chains, at
+# most 6 with seed 0.  Pinned from the construction that ran a BFS for every
+# prefix of a chain and built alternating chains by BFS and monotonization.
+GOLDEN_CHAINS = [
+    ("check", "property-c", 8, "ccbab2e94135e2691bdb8fd6f7805674345463b6a3ca76a9a94ab8d62249d3db"),
+    ("verify-theorem", "prop-a", 8, "837e0e96b98e01f32fd06e24397148fb40ccd482a77001a1a408047b5166dc38"),
+    ("verify-theorem", "prop-b", 8, "3b157ddd810e86dcbaff5ff8e61fd1315c126dfcc7df48541a52ef90f549e18b"),
+    ("verify-theorem", "prop-d", 8, "b4732194aaa7281b4e6730d2201f763aca61b11c603c9c55f1fb4ff5de16b9f8"),
+    pytest.param(
+        "verify-theorem", "prop-convhom", 6,
+        "cafffcadd315aadccc8d24af41dea6d3f5229566243c6c9cc1e92b84dd623ff2",
+        marks=pytest.mark.slow,
+    ),
+]
 
 
 @lru_cache(maxsize=None)
-def _corpus7():
-    return default_corpus(7)
+def _corpus(max_size):
+    return default_corpus(max_size)
 
 
 def _report(command, target):
     if command == "check":
-        return campaign_check(target, _corpus5())
+        return campaign_check(target, _corpus(5))
     if command == "ring":
         return campaign_ring(target)
     if target in RING_THEOREMS:
         return campaign_theorem(target, rings=RINGS)
-    return campaign_theorem(target, _corpus5(), seed=0, trials=500)
+    return campaign_theorem(target, _corpus(5), seed=0, trials=500)
 
 
 def test_golden_covers_every_campaign():
@@ -99,5 +111,19 @@ def test_report_bytes_are_pinned(command, target, digest):
 @pytest.mark.slow
 @pytest.mark.parametrize("prop,digest", GOLDEN_7, ids=[p for p, _ in GOLDEN_7])
 def test_size_7_report_bytes_are_pinned(prop, digest):
-    text = campaign_check(prop, _corpus7()).serialize()
+    text = campaign_check(prop, _corpus(7)).serialize()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command,target,max_size,digest",
+    GOLDEN_CHAINS,
+    ids=["check:property-c", "prop-a", "prop-b", "prop-d", "prop-convhom"],
+)
+def test_chain_campaign_bytes_are_pinned(command, target, max_size, digest):
+    corpus = _corpus(max_size)
+    if command == "check":
+        report = campaign_check(target, corpus)
+    else:
+        report = campaign_theorem(target, corpus, seed=0)
+    assert hashlib.sha256(report.serialize().encode()).hexdigest() == digest

@@ -18,6 +18,7 @@ from conlat import (
     canonical_form,
     chain,
     check_hom,
+    enumerate_lattice_homs,
     enumerate_lattices,
     has_convex_range,
     interval,
@@ -32,6 +33,7 @@ from conlat import (
 from conlat import con_lattice, lattice
 from oracles import (
     admissible_downsets_by_subsets,
+    all_lattice_homs,
     count_lattices,
     lub_glb_tables,
     meet_semilattice_levels,
@@ -264,6 +266,14 @@ def test_bottom_atom_embedding_convex():
     h = LatticeHom(chain(2), chain(3), (0, 1))
     assert check_hom(h)
     assert has_convex_range(h)
+
+
+def test_enumerated_homs_are_all_homs_in_lexicographic_order():
+    for K in SMALL:
+        for L in SMALL:
+            if K.n <= 4:
+                got = [h.map for h in enumerate_lattice_homs(K, L)]
+                assert got == all_lattice_homs(K, L)
 
 
 def test_check_hom_rejects_non_hom():

@@ -365,6 +365,15 @@ def test_additive_generators_are_independent_and_span(name):
         assert g not in additive_closure(R, gens[:i])
 
 
+@pytest.mark.parametrize("spec", TEST_RINGS)
+def test_element_nodes_hold_each_xr(spec):
+    R = ring(spec)
+    lr = principal_right_ideals(R)
+    expected = [lr.index[frozenset(R.mul[x])] for x in range(R.n)]
+    assert list(lr.element_nodes) == expected
+    assert [lr.node_of(x) for x in range(R.n)] == expected
+
+
 def test_ideal_lookups_reject_unknown_sets():
     R = ring("M(2,2)")
     lr, tsl = principal_right_ideals(R), two_sided_ideals(R)

@@ -27,6 +27,8 @@ from conlat import (
     splitting_from_property_C,
     splitting_witness,
 )
+from conlat.cli import _join_instances
+from oracles import property_c_chain_bfs, splitting_from_property_C_recursive
 
 SMALL = list(enumerate_lattices(5))
 
@@ -123,6 +125,12 @@ def test_property_c_chains_validate():
                 zip(ch.elements, ch.elements[1:]), ch.witnesses
             ):
                 assert L.join_of(x, z) == y and L.le(L.meet_of(x, z), ch.c)
+
+
+def test_property_c_chains_match_bfs_oracle(corpus7):
+    for L in corpus7:
+        for a, b, c in itertools.product(range(L.n), repeat=3):
+            assert property_c_chain(L, a, b, c) == property_c_chain_bfs(L, a, b, c)
 
 
 def test_complemented_lattices_have_property_c(corpus5):
@@ -269,6 +277,18 @@ def test_constructive_split_validates_everywhere(corpus5):
             check_split(inst, pair)
 
 
+def test_constructive_split_matches_recursive_oracle(corpus7):
+    checked = 0
+    for L in corpus7:
+        if not has_property_C(L).holds:
+            continue
+        for a, b, al0, al1 in _join_instances(L):
+            inst = SplitInstance(L, a, b, al0, al1)
+            assert splitting_from_property_C(inst) == splitting_from_property_C_recursive(inst)
+            checked += 1
+    assert checked == 374
+
+
 def test_constructive_split_no_chain():
     L = chain(3)
     res = is_congruence_splitting(L)
@@ -277,3 +297,5 @@ def test_constructive_split_no_chain():
     inst = SplitInstance(L, a, b, cl.congruences[i0], cl.congruences[i1])
     with pytest.raises(NoChain):
         splitting_from_property_C(inst)
+    with pytest.raises(NoChain):
+        splitting_from_property_C_recursive(inst)
