@@ -110,9 +110,12 @@ print("checks:", verify_pi_map(P))
 # The maximal semilattice quotient
 # --------------------------------
 # Collapsing multiplicities to supports is universal: every monoid map
-# from N^k into a join-semilattice factors uniquely through it.
+# from N^k into a join-semilattice factors uniquely through it.  The
+# supports form the free semilattice on k generators, so the check compares
+# the support map with the free semilattice hom, the one target that decides
+# every other.
 from conlat import max_semilattice_quotient
 
 sq = max_semilattice_quotient(vmp.k)
 print("support of (3,0):", set(sq.map((3, 0))))
-print("universal property on small targets:", sq.verify_universal_property())
+print("universal property (free semilattice target):", sq.verify_universal_property())

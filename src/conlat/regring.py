@@ -12,7 +12,8 @@ likewise mul) folds the product tables from the factor tables.
 From a regular ring R the module computes:
 
 * L(R), the lattice of principal right ideals (complemented and modular),
-  each node labelled by an idempotent generator;
+  each node labelled by an idempotent generator; x is regular iff xR has
+  one, so the search for generators is also the regularity scan;
 * isomorphism of principal right ideals, with certificates x in aRb,
   y in bRa such that xy = a and yx = b;
 * Id R, the lattice of two-sided ideals: the join-closure of the
@@ -25,12 +26,16 @@ From a regular ring R the module computes:
 * V(R), the monoid of isomorphism classes of principal right ideals, which
   for a finite (hence semisimple) regular ring is free commutative on the
   classes of indecomposables: elements are multiplicity vectors in N^k;
-* the map pi from V(R) onto Id R and the maximal semilattice quotient of
-  V(R), which is the Boolean semilattice of supports.
+* the map pi from V(R) onto Id R, which reads a vector only through its
+  support and so is checked on pairs of indicator vectors, and the maximal
+  semilattice quotient of V(R): the support map onto the Boolean
+  semilattice 2^k, which is the free semilattice on the k classes, so its
+  universal property is checked against that one target.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -70,15 +75,22 @@ class RingTooLarge(ValueError):
     """The structured ring would exceed the element bound."""
 
 
-def _is_prime(p: int) -> bool:
+def _check_component(n: int, p: int) -> int:
+    """The size p^(n*n) of M(n,p), once n >= 1, p is prime and the size is
+    within RING_SIZE_BOUND.  The size is bounded before the primality test,
+    by at most 15 multiplications by p >= 2, so no step grows with n or p."""
+    if n < 1:
+        raise SpecParse(f"matrix size {n} must be at least 1")
     if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+        raise SpecParse(f"{p} is not prime")
+    size = 1
+    for _ in range(n * n):
+        size *= p
+        if size > RING_SIZE_BOUND:
+            raise RingTooLarge(f"ring would have more than {RING_SIZE_BOUND} elements")
+    if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise SpecParse(f"{p} is not prime")
+    return size
 
 
 def parse_ring_spec(spec: str) -> list[tuple[int, int]]:
@@ -89,11 +101,11 @@ def parse_ring_spec(spec: str) -> list[tuple[int, int]]:
         m = re.fullmatch(r"M\((\d+),(\d+)\)", part)
         if not m:
             raise SpecParse(f"bad component {part!r}; expected M(n,p)")
-        n, p = int(m.group(1)), int(m.group(2))
-        if n < 1:
-            raise SpecParse(f"matrix size {n} must be at least 1")
-        if not _is_prime(p):
-            raise SpecParse(f"{p} is not prime")
+        try:
+            n, p = int(m.group(1)), int(m.group(2))
+        except ValueError:  # past the interpreter's limit on digits to convert
+            raise SpecParse(f"component {part[:20]!r}... has too many digits") from None
+        _check_component(n, p)
         out.append((n, p))
     if not out:
         raise SpecParse("empty spec")
@@ -229,7 +241,7 @@ class FiniteRing:
         comps = parse_ring_spec(spec) if isinstance(spec, str) else list(spec)
         size = 1
         for n, p in comps:
-            size *= p ** (n * n)
+            size *= _check_component(n, p)
             if size > RING_SIZE_BOUND:
                 raise RingTooLarge(f"ring would have more than {RING_SIZE_BOUND} elements")
         return cls(*_product_tables(comps), validate=False)
@@ -293,18 +305,20 @@ class RightIdealLattice:
 def principal_right_ideals(R: FiniteRing) -> RightIdealLattice:
     """Compute L(R), cached on the ring; requires regularity so that
     idempotent generators exist and the inclusion order is a (complemented,
-    modular) lattice."""
+    modular) lattice.  x is regular iff xR = eR for an idempotent e (xyx = x
+    gives e = xy; e = xs and x = ex give xsx = x), so the first x whose xR
+    has no idempotent generator is the first x that ``is_regular`` rejects."""
     cached = getattr(R, "_principal_right_ideals", None)
     if cached is not None:
         return cached
-    reg = is_regular(R)
-    if not reg.holds:
-        raise NotRegular(f"element {reg.failing} has no quasi-inverse")
     mul = R.mul
     xr = [frozenset(row) for row in mul]
-    ideals, lattice, index = _inclusion_lattice(xr)
-    gens = tuple(next(e for e in s if mul[e][e] == e and xr[e] == s) for s in ideals)
-    nodes = tuple(index[s] for s in xr)
+    gen = {s: next((e for e in s if mul[e][e] == e and xr[e] == s), None) for s in set(xr)}
+    for x, s in enumerate(xr):
+        if gen[s] is None:
+            raise NotRegular(f"element {x} has no quasi-inverse")
+    ideals, lattice, index = _inclusion_lattice(gen)
+    gens, nodes = tuple(gen[s] for s in ideals), tuple(index[s] for s in xr)
     R._principal_right_ideals = RightIdealLattice(R, lattice, ideals, gens, index, nodes)
     return R._principal_right_ideals
 
@@ -653,24 +667,22 @@ def verify_pi_map(R: FiniteRing) -> dict[str, bool]:
     * onto: every two-sided ideal is hit;
     * quotient: pi factors through supports as a semilattice isomorphism
       from the Boolean semilattice 2^k onto Id R.
+
+    pi and ``algebraic_below`` read a vector only through its support, and
+    supp(alpha + beta) = supp alpha | supp beta, so hom and order hold on
+    all of N^k iff they hold on the 4^k pairs of indicator vectors.
     """
     pm = pi_map(R)
-    tsl, k = pm.tsl, pm.vm.k
-    vectors = list(itertools.product(range(3), repeat=k)) if k else [()]
+    tsl = pm.tsl
+    indicators = list(itertools.product(range(2), repeat=pm.vm.k))
+    pairs = list(itertools.product(indicators, repeat=2))
     out: dict[str, bool] = {}
     out["hom"] = all(
-        pm([x + y for x, y in zip(al, be)])
-        == _additive_closure(R, pm(al) | pm(be))
-        for al in vectors
-        for be in vectors
+        pm([x + y for x, y in zip(al, be)]) == _additive_closure(R, pm(al) | pm(be))
+        for al, be in pairs
     )
     out["principal"] = all(pm(v) == rxr for v, rxr in zip(pm.elem_class, tsl.principal))
-    out["order"] = all(
-        (pm(al) <= pm(be)) == algebraic_below(al, be)
-        for al in vectors
-        for be in vectors
-    )
-    indicators = list(itertools.product(range(2), repeat=k)) if k else [()]
+    out["order"] = all((pm(al) <= pm(be)) == algebraic_below(al, be) for al, be in pairs)
     image = {pm(v) for v in indicators}
     out["onto"] = image == set(tsl.ideals)
     out["quotient"] = len(image) == len(indicators) and all(
@@ -689,51 +701,31 @@ class SupportQuotient:
     def map(self, alpha: Sequence[int]) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(alpha) if v > 0)
 
-    def verify_universal_property(self, max_target_size: int = 4) -> bool:
-        """Every monoid hom from N^k to a bounded join-semilattice factors
-        through ``map``.
+    def verify_universal_property(self) -> bool:
+        """Every monoid hom from N^k to a join-semilattice with bottom
+        factors through ``map``.
 
-        Targets range over all lattices with at most max_target_size
-        elements viewed as join-semilattices with bottom; every finite
-        join-semilattice with bottom arises this way (common lower bounds
-        form a nonempty join-closed set, so meets exist).  A hom h is
-        determined by the generator images g_i = h(e_i): h(alpha) is the
-        join of alpha_i copies of each g_i.  The factoring map
-        A |-> join_{i in A} g_i is checked to be a semilattice hom with
-        h(alpha) = hbar(map(alpha)), which holds for the support map because
-        the target is idempotent.  Uniqueness is automatic: the support map
-        is onto 2^k, so no second factoring can differ anywhere."""
-        from .lattice import enumerate_lattices
+        One target decides this.  Let s: N^k -> (2^k, |) be the monoid hom
+        onto the free semilattice on k generators with e_i |-> {i}.  A monoid
+        hom h into a join-semilattice with bottom is fixed by the images
+        h(e_i), and h = g . s for the semilattice hom g sending A to the join
+        of the h(e_i) for i in A: both sides are monoid homs that agree on
+        the generators.  So h factors through ``map`` as soon as s does, and
+        s factors through ``map`` with the identity exactly when
+        s(alpha) = map(alpha).  That is checked on {0,1,2}^k, whose vectors
+        include the idempotence 2e_i = e_i; s is computed there as a monoid
+        hom, one union per unit of each alpha_i.  Uniqueness is automatic:
+        the support map is onto 2^k, so no second factoring can differ
+        anywhere."""
 
-        k = self.k
-        test_vectors = list(itertools.product(range(3), repeat=k)) if k else [()]
-        subsets = [
-            frozenset(s) for r in range(k + 1) for s in itertools.combinations(range(k), r)
-        ]
-        for L in enumerate_lattices(max_target_size):
-            jn = L.join_rows
-            bot = L.bottom
-            for gens in itertools.product(range(L.n), repeat=k):
-                def hbar(A: frozenset[int]) -> int:
-                    acc = bot
-                    for i in A:
-                        acc = jn[acc][gens[i]]
-                    return acc
-                # h: the monoid hom N^k -> L with e_i |-> g_i
-                def h(alpha) -> int:
-                    acc = bot
-                    for g, v in zip(gens, alpha):
-                        for _ in range(v):
-                            acc = jn[acc][g]
-                    return acc
-                for al in test_vectors:
-                    if h(al) != hbar(self.map(al)):
-                        return False
-                for A in subsets:
-                    for B in subsets:
-                        if hbar(A | B) != jn[hbar(A)][hbar(B)]:
-                            return False
-        return True
+        def s(alpha: Sequence[int]) -> frozenset[int]:
+            acc: frozenset[int] = frozenset()
+            for i, v in enumerate(alpha):
+                for _ in range(v):
+                    acc |= {i}
+            return acc
+
+        return all(s(al) == self.map(al) for al in itertools.product(range(3), repeat=self.k))
 
 
 def max_semilattice_quotient(k: int) -> SupportQuotient:

@@ -33,7 +33,13 @@ monotonization, kept as a second valid construction next to the cover walk;
 :func:`property_c_chain_bfs` and :func:`splitting_from_property_C_recursive`
 are the former property (C) chain and the former constructive splitting,
 which reran the BFS for every prefix of the chain, kept as the reference for
-the one shared BFS.
+the one shared BFS.  :func:`universal_property_on_small_targets` is the former
+universal-property check, which tried every generator tuple in L^k for every
+lattice L of size at most 4, kept as the reference for the one comparison
+with the free semilattice; :func:`pi_hom_order_on_small_vectors` is the
+former pair of pi checks over {0,1,2}^k, kept as the reference for the
+checks over indicator vectors.  Both use the library's ``enumerate_lattices``
+or ``pi_map`` for the objects under test.
 """
 from __future__ import annotations
 
@@ -521,6 +527,64 @@ def two_sided_ideal_sets(R) -> list[frozenset[int]]:
         for g in additive_subgroups(R)
         if all(mul[r][x] in g and mul[x][r] in g for x in g for r in range(R.n))
     ]
+
+
+def pi_hom_order_on_small_vectors(R, pm) -> dict[str, bool]:
+    """The former ``hom`` and ``order`` checks of ``verify_pi_map``, over all
+    9^k pairs of vectors in {0,1,2}^k instead of pairs of indicator vectors,
+    with the algebraic preorder read literally: alpha <= n beta for some
+    n >= 1."""
+    vectors = list(itertools.product(range(3), repeat=pm.vm.k))
+
+    def below(al, be) -> bool:
+        return any(
+            all(a <= n * b for a, b in zip(al, be)) for n in range(1, max(al, default=0) + 2)
+        )
+
+    return {
+        "hom": all(
+            pm([x + y for x, y in zip(al, be)]) == additive_closure(R, pm(al) | pm(be))
+            for al in vectors
+            for be in vectors
+        ),
+        "order": all(
+            (pm(al) <= pm(be)) == below(al, be) for al in vectors for be in vectors
+        ),
+    }
+
+
+def universal_property_on_small_targets(sq, max_target_size: int) -> bool:
+    """The former ``SupportQuotient.verify_universal_property``: every monoid
+    hom h from N^k into a lattice with at most max_target_size elements,
+    viewed as a join-semilattice with bottom, given by its generator tuple in
+    L^k, factors as h = hbar . map with hbar(A) the join of the generators in
+    A, and hbar is a semilattice hom."""
+    from conlat.lattice import enumerate_lattices
+
+    k = sq.k
+    vectors = list(itertools.product(range(3), repeat=k))
+    subsets = [frozenset(s) for r in range(k + 1) for s in itertools.combinations(range(k), r)]
+    for L in enumerate_lattices(max_target_size):
+        jn, bot = L.join_rows, L.bottom
+        for gens in itertools.product(range(L.n), repeat=k):
+            def hbar(A) -> int:
+                acc = bot
+                for i in A:
+                    acc = jn[acc][gens[i]]
+                return acc
+
+            def h(alpha) -> int:
+                acc = bot
+                for g, v in zip(gens, alpha):
+                    for _ in range(v):
+                        acc = jn[acc][g]
+                return acc
+
+            if any(h(al) != hbar(sq.map(al)) for al in vectors):
+                return False
+            if any(hbar(A | B) != jn[hbar(A)][hbar(B)] for A in subsets for B in subsets):
+                return False
+    return True
 
 
 def all_lattice_homs(K, L) -> list[tuple[int, ...]]:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import conlat
+from conlat import regring
 from conlat.lattice import canonical_form
 from conlat.cli import (
     DEFAULT_TRIALS,
@@ -266,6 +267,37 @@ def test_ring_bad_spec(capsys):
     assert code == 3
 
 
+def _ring_subprocess(spec: str) -> subprocess.CompletedProcess:
+    # a subprocess, so that a spec that is not rejected at once times out
+    src = os.path.dirname(os.path.dirname(conlat.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "conlat.cli", "ring", spec],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+
+
+def test_ring_huge_prime_exits_three_before_the_primality_test():
+    # trial division up to the square root of 2^61 - 1 would not finish
+    out = _ring_subprocess("M(1,2305843009213693951)")
+    assert out.returncode == 3
+    assert "more than 16384 elements" in out.stderr
+
+
+def test_ring_spec_with_thousands_of_digits_exits_three(capsys):
+    code, _, _ = run(capsys, "ring", f"M(1,{'7' * 5000})")
+    assert code == 3
+
+
+def test_ring_huge_matrix_size_exits_three_before_the_power():
+    # 2^(10^10) would need about 1.25 GB as one integer
+    out = _ring_subprocess("M(100000,2)")
+    assert out.returncode == 3
+    assert "more than 16384 elements" in out.stderr
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -336,6 +368,19 @@ def test_campaign_ring_pipeline_order():
     props = [r["property"] for r in rep.rows]
     assert props[0] == "regular"
     assert "pi-map" in props and "max-semilattice-quotient" in props
+
+
+def test_campaign_ring_scans_for_regularity_once(monkeypatch):
+    calls = []
+    is_regular = regring.is_regular
+
+    def counted(R):
+        calls.append(R)
+        return is_regular(R)
+
+    monkeypatch.setattr(regring, "is_regular", counted)
+    campaign_ring("M(1,2)xM(2,2)")
+    assert len(calls) == 1
 
 
 def test_default_trials_constant():

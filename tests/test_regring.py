@@ -46,8 +46,10 @@ from conlat.regring import _additive_closure, _additive_generators
 from oracles import (
     additive_closure,
     matrix_ring_tables,
+    pi_hom_order_on_small_vectors,
     principal_ideals_by_products,
     two_sided_ideal_sets,
+    universal_property_on_small_targets,
 )
 
 
@@ -231,6 +233,15 @@ def test_derived_structures_are_built_once_per_ring():
 def test_non_regular_rejected():
     with pytest.raises(NotRegular):
         principal_right_ideals(z4())
+
+
+@pytest.mark.parametrize("make", [z4, z4_x])
+def test_non_regular_rejection_names_the_first_failing_element(make):
+    R = make()
+    failing = is_regular(R).failing
+    assert failing is not None
+    with pytest.raises(NotRegular, match=rf"^element {failing} has no quasi-inverse$"):
+        principal_right_ideals(R)
 
 
 # ---------------------------------------------------------------------------
@@ -568,19 +579,36 @@ def test_support_map_values():
     assert sq.map((0, 0, 0)) == frozenset()
 
 
+class SupportOfTwice(SupportQuotient):
+    # drops the classes of multiplicity one, so it is not the support map
+    def map(self, alpha):
+        return frozenset(i for i, v in enumerate(alpha) if v > 1)
+
+
 def test_support_universal_property():
     for k in range(4):
-        assert max_semilattice_quotient(k).verify_universal_property(4)
+        assert max_semilattice_quotient(k).verify_universal_property()
 
 
 def test_support_universal_property_rejects_a_wrong_map():
-    # dropping the classes of multiplicity one breaks h = hbar . map
-    class SupportOfTwice(SupportQuotient):
-        def map(self, alpha):
-            return frozenset(i for i, v in enumerate(alpha) if v > 1)
+    assert max_semilattice_quotient(2).verify_universal_property()
+    assert not SupportOfTwice(2).verify_universal_property()
 
-    assert max_semilattice_quotient(2).verify_universal_property(2)
-    assert not SupportOfTwice(2).verify_universal_property(2)
+
+@pytest.mark.parametrize("quotient", [SupportQuotient, SupportOfTwice])
+@pytest.mark.parametrize("k", range(4))
+def test_universal_property_matches_small_target_oracle(quotient, k):
+    sq = quotient(k)
+    assert sq.verify_universal_property() == universal_property_on_small_targets(sq, 4)
+
+
+@pytest.mark.parametrize("spec", TEST_RINGS + ("M(1,2)xM(1,2)xM(1,2)",))
+def test_pi_checks_match_small_vector_oracle(spec):
+    R = ring(spec)
+    checks = verify_pi_map(R)
+    oracle = pi_hom_order_on_small_vectors(R, pi_map(R))
+    assert {key: checks[key] for key in oracle} == oracle
+    assert all(oracle.values())
 
 
 def test_support_composite_matches_ideals():
