@@ -14,10 +14,13 @@ The same join-primeness builds alternating chains: every cover x < y in
 one of alpha and beta collapses each cover of a maximal chain from u to v.
 Also here: the monotonization transform, congruence maps induced by lattice
 homomorphisms, and the correspondence between congruences and neutral ideals
-of a sectionally complemented modular lattice.
+of a sectionally complemented modular lattice.  Neutral ideals are the
+principal ideals closed under the lattice's perspectivity rows, and the
+neutral ideal below a corresponds to Theta(0, a) in the principal table.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -26,7 +29,6 @@ from .lattice import (
     FiniteLattice,
     LatticeHom,
     _bits,
-    are_perspective,
     check_hom,
     is_modular,
     is_sectionally_complemented,
@@ -447,19 +449,19 @@ def ideals(L: FiniteLattice) -> list[frozenset[int]]:
 
 
 def is_neutral_ideal(L: FiniteLattice, subset: Iterable[int]) -> bool:
-    """An ideal is neutral iff it is closed under perspectivity."""
+    """An ideal is neutral iff it is closed under perspectivity.  A down-closed
+    I is join closed iff it is the down-set of its join, so the ideal tests and
+    the closure test on the rows of ``L.perspective_bits`` are bitmask tests."""
     I = frozenset(subset)
     if not I or any(not 0 <= x < L.n for x in I):
         raise NotAnIdeal("not a nonempty subset of the lattice")
-    for x in I:
-        if any(y not in I for y in _bits(L.down_bits[x])):
-            raise NotAnIdeal("subset is not downward closed")
-        for y in I:
-            if L.join_rows[x][y] not in I:
-                raise NotAnIdeal("subset is not join closed")
-    return all(
-        y in I for x in I for y in range(L.n) if are_perspective(L, x, y)
-    )
+    mask, down = sum(1 << x for x in I), L.down_bits
+    if any(down[x] & ~mask for x in I):
+        raise NotAnIdeal("subset is not downward closed")
+    if down[L.join_all(I)] != mask:
+        raise NotAnIdeal("subset is not join closed")
+    rows = L.perspective_bits
+    return all(rows[x] & ~mask == 0 for x in I)
 
 
 def neutral_ideals(L: FiniteLattice) -> list[frozenset[int]]:
@@ -479,31 +481,26 @@ class ConNidCorrespondence:
 def con_nid_iso(L: FiniteLattice) -> ConNidCorrespondence:
     """For a sectionally complemented modular lattice: theta maps to the
     block of bottom, a neutral ideal maps to the congruence it generates,
-    and the two maps are verified mutually inverse and order-preserving."""
+    and the two maps are verified mutually inverse and order-preserving.
+
+    A neutral ideal I is the down-set of a = join of I, and every x <= a has
+    Theta(0, x) <= Theta(0, a), so I generates Theta(0, a), read off the
+    principal table of Con L."""
     if not (is_sectionally_complemented(L) and is_modular(L)):
         raise HypothesesFail("lattice is not sectionally complemented and modular")
     con = con_lattice(L)
     bot = L.bottom
-    to_ideal = []
-    for theta in con.congruences:
-        block = frozenset(x for x in range(L.n) if theta.same(x, bot))
-        if not is_neutral_ideal(L, block):
-            raise AssertionError("zero block is not a neutral ideal")
-        to_ideal.append(block)
+    to_ideal = [
+        frozenset(x for x in range(L.n) if theta.same(x, bot))
+        for theta in con.congruences
+    ]
     nid = set(neutral_ideals(L))
     if set(to_ideal) != nid or len(set(to_ideal)) != len(to_ideal):
         raise AssertionError("zero-block map is not a bijection onto neutral ideals")
-    from_ideal = {}
-    for I in nid:
-        theta = _closure(L, [(bot, x) for x in I])
-        from_ideal[I] = con.index[theta.rep]
-    for i, I in enumerate(to_ideal):
-        if from_ideal[I] != i:
-            raise AssertionError("correspondence maps are not mutually inverse")
-    le = con.as_lattice.le
-    items = list(enumerate(to_ideal))
-    for i, I in items:
-        for j, J in items:
-            if le(i, j) != (I <= J):
-                raise AssertionError("correspondence is not an order isomorphism")
+    from_ideal = {I: con.principal[bot][L.join_all(I)] for I in nid}
+    if any(from_ideal[I] != i for i, I in enumerate(to_ideal)):
+        raise AssertionError("correspondence maps are not mutually inverse")
+    le, pairs = con.as_lattice.le, itertools.product(enumerate(to_ideal), repeat=2)
+    if any(le(i, j) != (I <= J) for (i, I), (j, J) in pairs):
+        raise AssertionError("correspondence is not an order isomorphism")
     return ConNidCorrespondence(L, tuple(to_ideal), from_ideal)

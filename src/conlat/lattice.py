@@ -7,8 +7,9 @@ immutable after construction and safe to share.
 
 The module also provides lattice homomorphisms, interval sublattices, the
 standard structural predicates (modular, complemented, atomistic, ...),
-perspectivity of elements, a canonical form for isomorphism testing, and an
-exhaustive isomorph-free enumerator of all lattices up to a size bound.
+the perspectivity relation (one bitmask row per element, built once per
+lattice with one pass per axis), a canonical form for isomorphism testing,
+and an exhaustive isomorph-free enumerator of all lattices up to a size bound.
 
 The canonical form is the lexicographically least order matrix over the
 relabelings that list the classes of an iterated colour refinement in rank
@@ -218,6 +219,22 @@ class FiniteLattice:
         return tuple(j for i, j in self.covers() if i == self.bottom)
 
     @cached_property
+    def perspective_bits(self) -> tuple[int, ...]:
+        """Bit y of row x is set iff x ~ y (:func:`are_perspective`).  For an
+        axis z, the x with x ^ z = bottom form one class per value of x v z."""
+        n, bot = self.n, self.bottom
+        rows = [0] * n
+        for jz, mz in zip(self.join_rows, self.meet_rows):
+            classes: dict[int, int] = {}
+            for x in range(n):
+                if mz[x] == bot:
+                    classes[jz[x]] = classes.get(jz[x], 0) | 1 << x
+            for c in classes.values():
+                for x in _bits(c):
+                    rows[x] |= c
+        return tuple(rows)
+
+    @cached_property
     def height(self) -> int:
         """Length (number of edges) of a longest chain."""
         n, down = self.n, self.down_bits
@@ -357,11 +374,9 @@ def is_atomistic(L: FiniteLattice) -> bool:
 
 def are_perspective(L: FiniteLattice, x: int, y: int) -> bool:
     """x ~ y iff some axis z has x ^ z = y ^ z = bottom and x v z = y v z."""
-    jn, mt, bot = L.join_rows, L.meet_rows, L.bottom
-    return any(
-        mt[x][z] == bot and mt[y][z] == bot and jn[x][z] == jn[y][z]
-        for z in range(L.n)
-    )
+    if not (0 <= x < L.n and 0 <= y < L.n):
+        raise IndexError(f"({x}, {y}) outside 0..{L.n - 1}")
+    return bool(L.perspective_bits[x] >> y & 1)
 
 
 # -- homomorphisms ------------------------------------------------------------

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .congruence import con_lattice, con_nid_iso, is_neutral_ideal, neutral_ideals
+from .congruence import NotAnIdeal, con_lattice, con_nid_iso, is_neutral_ideal, neutral_ideals
 from .lattice import FiniteLattice, _bits
 
 RING_SIZE_BOUND = 1 << 14
@@ -435,9 +435,14 @@ def two_sided_ideals(R: FiniteRing) -> TwoSidedIdealLattice:
 
 
 def phi(lr: RightIdealLattice, node_set: Iterable[int]) -> frozenset[int]:
-    """phi(a) = { x in R : xR in a }, for a neutral ideal a of L(R)."""
+    """phi(a) = { x in R : xR in a }, for a neutral ideal a of L(R); any
+    other node set raises NotNeutral."""
     nodes = frozenset(node_set)
-    if not is_neutral_ideal(lr.lattice, nodes):
+    try:
+        neutral = is_neutral_ideal(lr.lattice, nodes)
+    except NotAnIdeal:
+        neutral = False
+    if not neutral:
         raise NotNeutral("node set is not a neutral ideal of L(R)")
     return frozenset(x for x, k in enumerate(lr.element_nodes) if k in nodes)
 
@@ -454,46 +459,32 @@ def verify_nid_id_iso(R: FiniteRing) -> bool:
     neutral ideals of L(R) and the two-sided ideals of R."""
     lr = principal_right_ideals(R)
     tsl = two_sided_ideals(R)
-    nid = neutral_ideals(lr.lattice)
-    images = []
-    for a in nid:
-        I = phi(lr, a)
-        if I not in tsl.index:
-            return False
-        if psi(lr, tsl, I) != a:
-            return False
-        images.append(I)
-    if sorted(map(sorted, images)) != sorted(map(sorted, tsl.ideals)):
+    pairs = [(a, phi(lr, a)) for a in neutral_ideals(lr.lattice)]
+    if any(I not in tsl.index or psi(lr, tsl, I) != a for a, I in pairs):
+        return False
+    if sorted(sorted(I) for _, I in pairs) != sorted(map(sorted, tsl.ideals)):
         return False
     # order preservation both ways
-    for a, I in zip(nid, images):
-        for b, J in zip(nid, images):
-            if (a <= b) != (I <= J):
-                return False
-    return True
+    return all((a <= b) == (I <= J) for a, I in pairs for b, J in pairs)
 
 
 def neutral_iff_iso_closed(R: FiniteRing) -> bool:
     """For every ideal of L(R): neutral iff closed under isomorphism of
-    principal right ideals."""
+    principal right ideals.  Every ideal is principal, and both relations
+    are bitmask rows over the nodes, so each side is one closure test."""
     lr = principal_right_ideals(R)
-    L = lr.lattice
-    iso: dict[tuple[int, int], bool] = {}
-    k = L.n
-    for i in range(k):
-        for j in range(k):
-            iso[(i, j)] = (
-                ideals_isomorphic(R, lr.generators[i], lr.generators[j]) is not None
-            )
-    for m in range(k):
-        nodes = frozenset(_bits(L.down_bits[m]))
-        neutral = is_neutral_ideal(L, nodes)
-        closed = all(
-            j in nodes for i in nodes for j in range(k) if iso[(i, j)]
-        )
-        if neutral != closed:
-            return False
-    return True
+    L, gens = lr.lattice, lr.generators
+    iso = [
+        sum(1 << j for j, b in enumerate(gens) if ideals_isomorphic(R, a, b) is not None)
+        for a in gens
+    ]
+
+    def closed(rows: Sequence[int], mask: int) -> bool:
+        return all(rows[x] & ~mask == 0 for x in _bits(mask))
+
+    return all(
+        closed(L.perspective_bits, d) == closed(iso, d) for d in L.down_bits
+    )
 
 
 def conc_idc_iso(R: FiniteRing) -> bool:
@@ -503,17 +494,13 @@ def conc_idc_iso(R: FiniteRing) -> bool:
     lr = principal_right_ideals(R)
     tsl = two_sided_ideals(R)
     corr = con_nid_iso(lr.lattice)
-    con = con_lattice(lr.lattice)
     mapping = [tsl.index_of(phi(lr, a)) for a in corr.to_ideal]
     if sorted(mapping) != list(range(len(tsl.ideals))):
         return False
-    jn_c = con.as_lattice.join_rows
-    jn_i = tsl.lattice.join_rows
-    k = len(mapping)
+    jn_c, jn_i = con_lattice(lr.lattice).as_lattice.join_rows, tsl.lattice.join_rows
     return all(
         mapping[jn_c[i][j]] == jn_i[mapping[i]][mapping[j]]
-        for i in range(k)
-        for j in range(k)
+        for i, j in itertools.product(range(len(mapping)), repeat=2)
     )
 
 

@@ -39,7 +39,17 @@ lattice L of size at most 4, kept as the reference for the one comparison
 with the free semilattice; :func:`pi_hom_order_on_small_vectors` is the
 former pair of pi checks over {0,1,2}^k, kept as the reference for the
 checks over indicator vectors.  Both use the library's ``enumerate_lattices``
-or ``pi_map`` for the objects under test.
+or ``pi_map`` for the objects under test.  :func:`are_perspective_by_axes` is
+the former ``are_perspective``, which scans every axis for one pair, kept as
+the reference for the perspectivity rows built once per lattice
+(:func:`perspective_rows_by_axes`), and :func:`is_neutral_ideal_by_axes`
+closes an ideal under it.
+:func:`from_ideal_by_closure` is the former inverse map of ``con_nid_iso``,
+which closes the pairs (bottom, x) of each neutral ideal with the library's
+``_closure``, kept as the reference for the lookup of Theta(0, a) in the
+principal table; :func:`neutral_iff_iso_closed_by_pairs` is the former
+``neutral_iff_iso_closed``, which tests the isomorphism pairs of a k^2 dict
+ideal by ideal.
 """
 from __future__ import annotations
 
@@ -722,3 +732,63 @@ def splitting_from_property_C_recursive(inst):
     if lab == 0:
         return (jn[y0][z], y1)
     return (y0, jn[y1][z])
+
+
+def are_perspective_by_axes(L, x: int, y: int) -> bool:
+    """x ~ y iff some axis z has x ^ z = y ^ z = bottom and x v z = y v z,
+    tried for every z."""
+    jn, mt, bot = L.join_rows, L.meet_rows, L.bottom
+    return any(
+        mt[x][z] == bot and mt[y][z] == bot and jn[x][z] == jn[y][z]
+        for z in range(L.n)
+    )
+
+
+def perspective_rows_by_axes(L) -> tuple[int, ...]:
+    """Bit y of row x is set iff :func:`are_perspective_by_axes` holds."""
+    return tuple(
+        sum(1 << y for y in range(L.n) if are_perspective_by_axes(L, x, y))
+        for x in range(L.n)
+    )
+
+
+def is_neutral_ideal_by_axes(L, I) -> bool:
+    """The ideal I is closed under :func:`are_perspective_by_axes`."""
+    return all(y in I for x in I for y in range(L.n) if are_perspective_by_axes(L, x, y))
+
+
+def principal_ideal_sets(L) -> list[frozenset[int]]:
+    """The down-set of every element, read off the order by le."""
+    return [frozenset(x for x in range(L.n) if L.le(x, a)) for a in range(L.n)]
+
+
+def from_ideal_by_closure(L) -> dict[frozenset[int], int]:
+    """Each neutral ideal I mapped to the index in Con L of the congruence
+    generated by the pairs (bottom, x) with x in I."""
+    from conlat.congruence import _closure, con_lattice
+
+    con = con_lattice(L)
+    return {
+        I: con.index[_closure(L, [(L.bottom, x) for x in I]).rep]
+        for I in principal_ideal_sets(L)
+        if is_neutral_ideal_by_axes(L, I)
+    }
+
+
+def neutral_iff_iso_closed_by_pairs(R) -> bool:
+    """For every ideal of L(R), neutral (by the axis scan) iff closed under
+    the isomorphism pairs, stored in a dict over all k^2 pairs of nodes."""
+    from conlat.regring import ideals_isomorphic, principal_right_ideals
+
+    lr = principal_right_ideals(R)
+    L, gens, k = lr.lattice, lr.generators, lr.lattice.n
+    iso = {
+        (i, j): ideals_isomorphic(R, gens[i], gens[j]) is not None
+        for i in range(k)
+        for j in range(k)
+    }
+    for nodes in principal_ideal_sets(L):
+        closed = all(j in nodes for i in nodes for j in range(k) if iso[(i, j)])
+        if is_neutral_ideal_by_axes(L, nodes) != closed:
+            return False
+    return True

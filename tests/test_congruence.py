@@ -34,7 +34,14 @@ from conlat import (
     principal_congruence,
 )
 from conlat.cli import _join_instances
-from oracles import alternating_chain_bfs, con_tables_by_joins, congruence_partitions
+from oracles import (
+    alternating_chain_bfs,
+    con_tables_by_joins,
+    congruence_partitions,
+    from_ideal_by_closure,
+    is_neutral_ideal_by_axes,
+    principal_ideal_sets,
+)
 
 SMALL = list(enumerate_lattices(5))
 
@@ -401,6 +408,14 @@ def test_trivial_ideals_neutral(corpus5):
 def test_non_ideal_rejected():
     with pytest.raises(NotAnIdeal):
         is_neutral_ideal(N5, {1})  # not downward closed
+    with pytest.raises(NotAnIdeal):
+        is_neutral_ideal(b2(), {0, 1, 2})  # not join closed: 1 v 2 is the top
+
+
+def test_neutral_ideals_match_axis_scan(corpus7):
+    for L in corpus7:
+        expected = [I for I in principal_ideal_sets(L) if is_neutral_ideal_by_axes(L, I)]
+        assert neutral_ideals(L) == expected
 
 
 def test_neutral_ideal_counts():
@@ -433,6 +448,15 @@ def test_con_nid_iso_order_preserving():
     for i, j in itertools.product(range(len(cl.congruences)), repeat=2):
         t1, t2 = cl.congruences[i], cl.congruences[j]
         assert t1.refines(t2) == (corr.to_ideal[i] <= corr.to_ideal[j])
+
+
+def test_con_nid_iso_matches_closure_oracle():
+    scm = [
+        L for L in enumerate_lattices(8) if is_sectionally_complemented(L) and is_modular(L)
+    ]
+    assert len(scm) == 8  # 1, 2, B2, M3, M4, M5, M6, B3
+    for L in scm:
+        assert con_nid_iso(L).from_ideal == from_ideal_by_closure(L)
 
 
 def test_con_nid_iso_needs_hypotheses():

@@ -75,6 +75,19 @@ GOLDEN_CHAINS = [
 ]
 
 
+# ring reports past the pinned rings, and the two neutral-ideal theorems on
+# the 512-element M(3,2) and on M(1,2)^5.  Pinned from the perspectivity scan
+# per pair of elements and the closure per neutral ideal.
+M12_5 = "x".join(["M(1,2)"] * 5)
+GOLDEN_RINGS = [
+    ("ring", "M(1,2)xM(2,3)", "99564167649e76e7fbc08c6583417778a3d68fb15098011836cab1faff7079d9"),
+    ("ring", "M(3,2)", "3de73f5fe48c58959bbfd4969f7886f5bddd78be3008a57a343803dbcd940ad0"),
+    ("ring", M12_5, "1aea79b9872760f1e9f7efeb593b1801a2252dd1d777875f90dd01a54452b72e"),
+    ("verify-theorem", "ring-nid-id", "7cbb6805b58fce8b942f36d3b464e7add906bffaf6af09f670d952c4c2f75289"),
+    ("verify-theorem", "ring-conc-idc", "ec717ca3e43a6ef7474a32045c42724199ab81a7d025ac5469da2f34cd03f212"),
+]
+
+
 @lru_cache(maxsize=None)
 def _corpus(max_size):
     return default_corpus(max_size)
@@ -126,4 +139,17 @@ def test_chain_campaign_bytes_are_pinned(command, target, max_size, digest):
         report = campaign_check(target, corpus)
     else:
         report = campaign_theorem(target, corpus, seed=0)
+    assert hashlib.sha256(report.serialize().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command,target,digest",
+    GOLDEN_RINGS,
+    ids=["ring:M(1,2)xM(2,3)", "ring:M(3,2)", "ring:M(1,2)^5", "ring-nid-id", "ring-conc-idc"],
+)
+def test_larger_ring_report_bytes_are_pinned(command, target, digest):
+    if command == "ring":
+        report = campaign_ring(target)
+    else:
+        report = campaign_theorem(target, rings=["M(3,2)", M12_5])
     assert hashlib.sha256(report.serialize().encode()).hexdigest() == digest

@@ -37,6 +37,7 @@ from oracles import (
     count_lattices,
     lub_glb_tables,
     meet_semilattice_levels,
+    perspective_rows_by_axes,
     poset_code,
 )
 
@@ -214,6 +215,17 @@ def test_perspective_b2_atoms_fail():
     # equally, and no choice does both
     B = b2()
     assert not are_perspective(B, 1, 2)
+
+
+@pytest.mark.parametrize("x,y", [(-1, 0), (0, 5), (5, 0)])
+def test_perspective_rejects_elements_outside_the_lattice(x, y):
+    with pytest.raises(IndexError):
+        are_perspective(m3(), x, y)
+
+
+def test_perspective_rows_match_axis_scan(corpus7):
+    for L in corpus7:
+        assert L.perspective_bits == perspective_rows_by_axes(L)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from conlat import (
     canonical_form,
     chain,
     con_lattice,
+    con_nid_iso,
     conc_idc_iso,
     ideals_isomorphic,
     is_complemented,
@@ -45,7 +46,10 @@ from conlat.cli import TEST_RINGS
 from conlat.regring import _additive_closure, _additive_generators
 from oracles import (
     additive_closure,
+    from_ideal_by_closure,
     matrix_ring_tables,
+    neutral_iff_iso_closed_by_pairs,
+    perspective_rows_by_axes,
     pi_hom_order_on_small_vectors,
     principal_ideals_by_products,
     two_sided_ideal_sets,
@@ -436,12 +440,49 @@ def test_phi_rejects_non_neutral():
         phi(lr, {lr.lattice.bottom, atom})
 
 
+@pytest.mark.parametrize("case", ["atom", "empty", "not a node"])
+def test_phi_rejects_every_node_set_that_is_not_a_neutral_ideal(case):
+    lr = principal_right_ideals(FiniteRing.from_matrix_spec("M(2,2)"))
+    nodes = {"atom": {lr.lattice.atoms[0]}, "empty": set(), "not a node": {99}}[case]
+    with pytest.raises(NotNeutral):
+        phi(lr, nodes)
+
+
 def test_psi_rejects_non_ideal():
     R = FiniteRing.from_matrix_spec("M(2,2)")
     lr = principal_right_ideals(R)
     tsl = two_sided_ideals(R)
     with pytest.raises(NotTwoSided):
         psi(lr, tsl, frozenset({0, 1}))
+
+
+M12_4 = "x".join(["M(1,2)"] * 4)
+
+
+@pytest.mark.parametrize("spec", TEST_RINGS + ("M(3,2)",))
+def test_right_ideal_perspective_rows_match_axis_scan(spec):
+    L = principal_right_ideals(FiniteRing.from_matrix_spec(spec)).lattice
+    assert L.perspective_bits == perspective_rows_by_axes(L)
+
+
+@pytest.mark.parametrize("spec", ["M(3,2)", M12_4])
+def test_right_ideal_con_nid_iso_matches_closure_oracle(spec):
+    L = principal_right_ideals(FiniteRing.from_matrix_spec(spec)).lattice
+    assert con_nid_iso(L).from_ideal == from_ideal_by_closure(L)
+
+
+@pytest.mark.parametrize("spec", TEST_RINGS + ("M(3,2)", M12_4))
+def test_neutral_iff_iso_closed_matches_pair_oracle(spec):
+    R = FiniteRing.from_matrix_spec(spec)
+    assert neutral_iff_iso_closed(R) == neutral_iff_iso_closed_by_pairs(R) is True
+
+
+def test_neutral_iff_iso_closed_fails_without_isomorphisms(monkeypatch):
+    # with no pair isomorphic every ideal is iso-closed, but the ideal below
+    # an atom of L(M(2,2)) is not neutral
+    monkeypatch.setattr(regring, "ideals_isomorphic", lambda R, a, b: None)
+    R = FiniteRing.from_matrix_spec("M(2,2)")
+    assert neutral_iff_iso_closed(R) == neutral_iff_iso_closed_by_pairs(R) is False
 
 
 def test_correspondences_hold_on_small_rings():
