@@ -2,12 +2,17 @@
 
 A congruence is an equivalence relation compatible with join and meet; it is
 stored as a class-representative array (each element mapped to the least
-member of its block).  Inside Con L it is also the bitmask of the covers
-x < y that it collapses.  The mask is exact: a congruence is the join of the
-Theta(x, y) of the covers it collapses, and these join-irreducibles are
-join-prime because Con L is distributive, so a join of congruences collapses
-exactly the covers that one of them collapses.  Con L is thus built from one
-principal congruence per cover, with join OR and order mask inclusion.
+member of its block) and computed as the bitmask of the covers x < y that
+it collapses.  Its blocks are intervals, so the mask determines them, and
+the congruence generated by a set of covers collapses exactly the closure of
+that set under the prime-interval step: a collapsed cover x < y forces every
+cover inside [x ^ z, y ^ z] and [x v z, y v z] (Gratzer, The Congruences of
+a Finite Lattice, 2016).  The mask is exact in Con L too: a congruence is the
+join of the Theta(x, y) of the covers it collapses, and these
+join-irreducibles are join-prime because Con L is distributive, so a join of
+congruences collapses exactly the covers that one of them collapses.  Con L
+is thus the OR-closure of the closures of single covers, with order mask
+inclusion.
 
 The same join-primeness builds alternating chains: every cover x < y in
 [u, v] has Theta(x, y) <= Theta(u, v), so when Theta(u, v) <= alpha v beta
@@ -120,58 +125,53 @@ def congruence_from_blocks(L: FiniteLattice, blocks: Iterable[Iterable[int]]) ->
     return theta
 
 
-def _closure(L: FiniteLattice, seed_pairs: Iterable[tuple[int, int]]) -> Congruence:
-    # least congruence identifying the seed pairs: union-find, then force
-    # compatibility by re-merging joins and meets against every element
-    n = L.n
-    jn, mt = L.join_rows, L.meet_rows
-    parent = list(range(n))
+def _closure(L: FiniteLattice, mask: int) -> int:
+    # the covers collapsed by the congruence generated by the covers in mask.
+    # A collapsed cover x < y forces every cover inside [x ^ z, y ^ z] and
+    # [x v z, y v z] (its step, one table per lattice); congruence blocks are
+    # intervals, so the fixed point collapses exactly these covers
+    steps = getattr(L, "_cover_steps", None)
+    if steps is None:
+        (above, below), jn, mt = L.cover_bits, L.join_rows, L.meet_rows
+        steps = []
+        for x, y in L.covers():
+            step = 0
+            for mxz, myz, jxz, jyz in zip(mt[x], mt[y], jn[x], jn[y]):
+                step |= above[mxz] & below[myz] | above[jxz] & below[jyz]
+            steps.append(step)
+        L._cover_steps = steps
+    todo = mask
+    while todo:
+        low = todo & -todo
+        new = steps[low.bit_length() - 1] & ~mask
+        mask |= new
+        todo = (todo ^ low) | new
+    return mask
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    queue: list[tuple[int, int]] = []
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-            queue.append((x, y))
-
-    for u, v in seed_pairs:
-        union(u, v)
-    while queue:
-        x, y = queue.pop()
-        jx, jy, mx, my = jn[x], jn[y], mt[x], mt[y]
-        for z in range(n):
-            union(jx[z], jy[z])
-            union(mx[z], my[z])
-    mins: dict[int, int] = {}
-    for x in range(n):
-        r = find(x)
-        if r not in mins or x < mins[r]:
-            mins[r] = x
-    return Congruence(L, tuple(mins[find(x)] for x in range(n)))
+def _generated(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> Congruence:
+    # the least congruence identifying each pair (u, v), seeded with the
+    # covers inside [u ^ v, u v v]
+    (above, below), jn, mt = L.cover_bits, L.join_rows, L.meet_rows
+    seed = 0
+    for u, v in pairs:
+        seed |= above[mt[u][v]] & below[jn[u][v]]
+    return Congruence(L, _cover_blocks(L, _closure(L, seed)))
 
 
 def principal_congruence(L: FiniteLattice, u: int, v: int) -> Congruence:
     """Theta(u, v): the least congruence identifying u and v."""
     if not (0 <= u < L.n and 0 <= v < L.n):
         raise IndexError(f"({u}, {v}) outside 0..{L.n - 1}")
-    return _closure(L, [(u, v)])
+    return _generated(L, [(u, v)])
 
 
 def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
-    """Least congruence containing both: transitive closure of the block
-    union followed by compatibility closure."""
+    """Least congruence containing both: the congruence generated by every
+    element paired with its representative in either."""
     if t1.host is not t2.host:
         raise HostMismatch("congruences on different lattices")
-    n = t1.host.n
-    pairs = [(x, t1.rep[x]) for x in range(n)] + [(x, t2.rep[x]) for x in range(n)]
-    return _closure(t1.host, pairs)
+    return _generated(t1.host, [*enumerate(t1.rep), *enumerate(t2.rep)])
 
 
 def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
@@ -201,16 +201,13 @@ class CongruenceLattice:
         self.host = host
         n = host.n
         self.covers = covers = host.covers()
-        gens = []
-        for x, y in covers:
-            theta = principal_congruence(host, x, y)
-            gens.append(sum(1 << j for j, c in enumerate(covers) if theta.same(*c)))
+        gens = [_closure(host, 1 << j) for j in range(len(covers))]
         # every congruence is the join of the Theta(x, y) of the covers it
         # collapses, and join is OR, so Con L is the OR-closure of gens
         found = {0}
         for g in set(gens):
             found |= {m | g for m in found}
-        congs = {m: Congruence(host, _cover_blocks(n, covers, m)) for m in found}
+        congs = {m: Congruence(host, _cover_blocks(host, m)) for m in found}
         masks = sorted(
             found, key=lambda m: (congs[m].num_blocks, congs[m].rep), reverse=True
         )
@@ -223,14 +220,12 @@ class CongruenceLattice:
         # Theta(u, v) = Theta(u ^ v, u v v) is the join of the Theta(x, y) of
         # the covers x < y inside [u ^ v, u v v]
         at = {m: i for i, m in enumerate(masks)}
-        up, down = host.up_bits, host.down_bits
-        jn, mt = host.join_rows, host.meet_rows
+        (above, below), jn, mt = host.cover_bits, host.join_rows, host.meet_rows
 
         def theta_index(a: int, b: int) -> int:
             m = 0
-            for g, (x, y) in zip(gens, covers):
-                if up[a] >> x & 1 and down[b] >> y & 1:
-                    m |= g
+            for j in _bits(above[a] & below[b]):
+                m |= gens[j]
             return at[m]
 
         self.principal: tuple[tuple[int, ...], ...] = tuple(
@@ -273,23 +268,15 @@ class CongruenceLattice:
         return f"CongruenceLattice(|Con|={len(self.congruences)})"
 
 
-def _cover_blocks(n: int, covers: list[tuple[int, int]], mask: int) -> list[int]:
+def _cover_blocks(L: FiniteLattice, mask: int) -> tuple[int, ...]:
     # rep array of the congruence collapsing the covers in mask: its blocks
-    # are intervals, so exactly the components of the collapsed covers.
-    # Union-find keeps the least element of each component as its root.
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j, (x, y) in enumerate(covers):
-        if mask >> j & 1:
-            rx, ry = find(x), find(y)
-            parent[max(rx, ry)] = min(rx, ry)
-    return [find(x) for x in range(n)]
+    # are intervals, so x and y share one iff every cover inside
+    # [x ^ y, x v y] is collapsed, and the least such y is the rep of x
+    (above, below), jn, mt = L.cover_bits, L.join_rows, L.meet_rows
+    return tuple(
+        next(y for y in range(x + 1) if above[mt[x][y]] & below[jn[x][y]] & ~mask == 0)
+        for x in range(L.n)
+    )
 
 
 def con_lattice(L: FiniteLattice) -> CongruenceLattice:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .lattice import FiniteLattice, _bits, _monotone_maps
@@ -125,6 +126,8 @@ class FiniteJoinSemilattice:
             cache = {}
             self._decomp_cache = cache
         if e not in cache:
+            if not 0 <= e < self.n:
+                raise IndexError(f"element {e} outside 0..{self.n - 1}")
             row = self.join_rows
             de = self.down_bits[e]
             cache[e] = tuple(
@@ -239,33 +242,26 @@ def has_refinement_property(S: FiniteJoinSemilattice) -> RefinementResult:
     """Check every equation a0 + a1 = b0 + b1; cached on the semilattice.
 
     For finite join-semilattices this property is exactly distributivity in
-    the refinement sense.  The equations are scanned in the order of
+    the refinement sense.  The equations are scanned in the lexicographic
+    order of the tuples (a0, a1, b0, b1) given by
     :meth:`FiniteJoinSemilattice.decompositions`, and the first one without
     a refinement square is the counterexample.  Swapping a0 and a1, b0 and
-    b1, or the two sides permutes a square's cells, so each equation is
-    solved once, keyed on the unordered pair of unordered sides.
+    b1, or the two sides permutes a square's cells, and the first of these
+    forms in that order has a0 <= a1, b0 <= b1 and (a0, a1) <= (b0, b1), so
+    only that form is solved: each unordered equation once, in the order of
+    its first form, with nothing kept per equation.
     """
     cached = getattr(S, "_refinement_result", None)
     if cached is not None:
         return cached
-    solvable: dict[tuple[tuple[int, int], tuple[int, int]], bool] = {}
-
-    def refines(a0: int, a1: int, b0: int, b1: int) -> bool:
-        p = (a0, a1) if a0 <= a1 else (a1, a0)
-        q = (b0, b1) if b0 <= b1 else (b1, b0)
-        key = (p, q) if p <= q else (q, p)
-        ok = solvable.get(key)
-        if ok is None:
-            ok = solvable[key] = refinement_square(S, a0, a1, b0, b1) is not None
-        return ok
-
     failing = next(
         (
-            (a0, a1, b0, b1)
+            p + q
             for e in range(S.n)
-            for a0, a1 in S.decompositions(e)
-            for b0, b1 in S.decompositions(e)
-            if not refines(a0, a1, b0, b1)
+            for p, q in combinations_with_replacement(
+                [d for d in S.decompositions(e) if d[0] <= d[1]], 2
+            )
+            if refinement_square(S, *p, *q) is None
         ),
         None,
     )

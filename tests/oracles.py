@@ -3,10 +3,12 @@
 Everything here deliberately avoids the library's own algorithms: posets are
 enumerated by down-set DFS rather than semilattice augmentation, congruences
 by filtering all set partitions, refinement by quadruple loops, ring ideals
-by additive-subgroup scans.  Slow but obviously correct.  The one exception
-is :func:`con_tables_by_joins`, the former construction of Con L from the
-library's closure-based ``principal_congruence`` and ``congruence_join``,
-kept as the reference for the cover-bitmask construction.  :func:`poset_code`
+by additive-subgroup scans.  Slow but obviously correct.
+:func:`closure_by_union_find` is the former congruence closure, a union-find
+over element pairs, kept as the reference for the closure over cover masks;
+:func:`con_tables_by_joins` is the former construction of Con L, which
+closes the principal congruences under joins with it, kept as the reference
+for the OR-closure of cover masks.  :func:`poset_code`
 is the former canonical code, which tries every relabeling the colour
 refinement allows, kept as the reference for the branch-and-bound search.
 :func:`matrix_ring_tables` is the former construction of product ring
@@ -45,11 +47,11 @@ the reference for the perspectivity rows built once per lattice
 (:func:`perspective_rows_by_axes`), and :func:`is_neutral_ideal_by_axes`
 closes an ideal under it.
 :func:`from_ideal_by_closure` is the former inverse map of ``con_nid_iso``,
-which closes the pairs (bottom, x) of each neutral ideal with the library's
-``_closure``, kept as the reference for the lookup of Theta(0, a) in the
-principal table; :func:`neutral_iff_iso_closed_by_pairs` is the former
-``neutral_iff_iso_closed``, which tests the isomorphism pairs of a k^2 dict
-ideal by ideal.
+which closes the pairs (bottom, x) of each neutral ideal with
+:func:`closure_by_union_find`, kept as the reference for the lookup of
+Theta(0, a) in the principal table; :func:`neutral_iff_iso_closed_by_pairs`
+is the former ``neutral_iff_iso_closed``, which tests the isomorphism pairs
+of a k^2 dict ideal by ideal.
 """
 from __future__ import annotations
 
@@ -300,25 +302,73 @@ def congruence_partitions(L) -> set[frozenset[frozenset[int]]]:
     return out
 
 
+def closure_by_union_find(L, seed_pairs):
+    """The least congruence identifying the seed pairs: union-find over
+    elements, then compatibility forced by re-merging the joins and meets of
+    every merged pair with every element."""
+    from conlat import Congruence
+
+    n = L.n
+    jn, mt = L.join_rows, L.meet_rows
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    queue: list[tuple[int, int]] = []
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+            queue.append((x, y))
+
+    for u, v in seed_pairs:
+        union(u, v)
+    while queue:
+        x, y = queue.pop()
+        jx, jy, mx, my = jn[x], jn[y], mt[x], mt[y]
+        for z in range(n):
+            union(jx[z], jy[z])
+            union(mx[z], my[z])
+    mins: dict[int, int] = {}
+    for x in range(n):
+        r = find(x)
+        if r not in mins or x < mins[r]:
+            mins[r] = x
+    return Congruence(L, tuple(mins[find(x)] for x in range(n)))
+
+
+def join_by_union_find(t1, t2):
+    """The least congruence containing both partitions, by
+    :func:`closure_by_union_find` on every element paired with its
+    representative in either."""
+    return closure_by_union_find(t1.host, [*enumerate(t1.rep), *enumerate(t2.rep)])
+
+
 def con_tables_by_joins(L):
     """Con L as (congruences, leq, principal): every principal congruence,
-    closed under congruence_join, sorted by (num_blocks, rep) descending,
-    ordered by refines; principal[u][v] indexes Theta(u, v)."""
-    from conlat import Congruence, congruence_join, principal_congruence
+    closed under joins, sorted by (num_blocks, rep) descending, ordered by
+    refines; principal[u][v] indexes Theta(u, v).  Principal congruences and
+    joins come from :func:`closure_by_union_find`."""
+    from conlat import Congruence
 
     n = L.n
     found = {tuple(range(n)): Congruence(L, tuple(range(n)))}
     principals = {}
     for u in range(n):
         for v in range(u + 1, n):
-            th = principal_congruence(L, u, v)
+            th = closure_by_union_find(L, [(u, v)])
             principals[(u, v)] = th
             found.setdefault(th.rep, th)
     work = list(found.values())
     while work:
         t1 = work.pop()
         for t2 in list(found.values()):
-            j = congruence_join(t1, t2)
+            j = join_by_union_find(t1, t2)
             if j.rep not in found:
                 found[j.rep] = j
                 work.append(j)
@@ -765,11 +815,11 @@ def principal_ideal_sets(L) -> list[frozenset[int]]:
 def from_ideal_by_closure(L) -> dict[frozenset[int], int]:
     """Each neutral ideal I mapped to the index in Con L of the congruence
     generated by the pairs (bottom, x) with x in I."""
-    from conlat.congruence import _closure, con_lattice
+    from conlat.congruence import con_lattice
 
     con = con_lattice(L)
     return {
-        I: con.index[_closure(L, [(L.bottom, x) for x in I]).rep]
+        I: con.index[closure_by_union_find(L, [(L.bottom, x) for x in I]).rep]
         for I in principal_ideal_sets(L)
         if is_neutral_ideal_by_axes(L, I)
     }

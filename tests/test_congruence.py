@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conlat import (
+    Congruence,
     FiniteLattice,
     HostMismatch,
     HypothesesFail,
@@ -36,11 +37,14 @@ from conlat import (
 from conlat.cli import _join_instances
 from oracles import (
     alternating_chain_bfs,
+    closure_by_union_find,
     con_tables_by_joins,
     congruence_partitions,
     from_ideal_by_closure,
     is_neutral_ideal_by_axes,
+    join_by_union_find,
     principal_ideal_sets,
+    set_partitions,
 )
 
 SMALL = list(enumerate_lattices(5))
@@ -119,8 +123,42 @@ def test_principal_is_least_collapsing(corpus5):
             assert theta in below
 
 
+def test_principal_matches_union_find_oracle(corpus7):
+    # the closure over cover masks against the element-pair union-find
+    for L in corpus7:
+        for u, v in itertools.product(range(L.n), repeat=2):
+            assert principal_congruence(L, u, v) == closure_by_union_find(L, [(u, v)])
+
+
 # ---------------------------------------------------------------------------
 # join and meet
+
+
+def test_join_matches_union_find_oracle(corpus7):
+    for L in corpus7:
+        congs = con_lattice(L).congruences
+        for t1, t2 in itertools.product(congs, repeat=2):
+            assert congruence_join(t1, t2) == join_by_union_find(t1, t2)
+
+
+def _partition(L, blocks):
+    rep = [0] * L.n
+    for block in blocks:
+        for x in block:
+            rep[x] = min(block)
+    return Congruence(L, rep)
+
+
+def test_join_of_partitions_matches_union_find_oracle(corpus5):
+    # arbitrary partitions, non-convex and incompatible blocks included:
+    # the join is the congruence they generate
+    p = _partition(chain(3), [[0, 2], [1]])
+    assert p.rep == (0, 1, 0)
+    assert congruence_join(p, p).blocks() == ((0, 1, 2),)
+    for L in corpus5:
+        parts = [_partition(L, b) for b in set_partitions(range(L.n))]
+        for t1, t2 in itertools.product(parts, repeat=2):
+            assert congruence_join(t1, t2) == join_by_union_find(t1, t2)
 
 
 def test_join_meet_identity_laws():

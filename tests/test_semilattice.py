@@ -9,6 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conlat import semilattice
 from conlat import (
     FiniteJoinSemilattice,
     FiniteLattice,
@@ -182,6 +183,48 @@ def test_refinement_counterexample_matches_literal_scan(corpus6):
             assert res.holds == (expected is None)
             failing += expected is not None
     assert failing > 0
+
+
+def _memo_keys(S):
+    # the distinct keys the former per-equation memo stored, in the order
+    # of the literal scan, up to and including the first failing equation
+    keys = {}
+    for e in range(S.n):
+        for a0, a1 in S.decompositions(e):
+            for b0, b1 in S.decompositions(e):
+                p, q = tuple(sorted((a0, a1))), tuple(sorted((b0, b1)))
+                key = min(p, q) + max(p, q)
+                if key not in keys:
+                    keys[key] = refinement_square(S, *key) is not None
+                    if not keys[key]:
+                        return list(keys)
+    return list(keys)
+
+
+@pytest.mark.parametrize("name", ["con_chain6", "m3"])
+def test_refinement_scan_solves_each_equation_once(name, monkeypatch):
+    S = con_lattice(chain(6)).as_semilattice if name == "con_chain6" else fjs(m3())
+    expected = _memo_keys(S)
+    calls = []
+
+    def counting(T, a0, a1, b0, b1):
+        calls.append((a0, a1, b0, b1))
+        return refinement_square(T, a0, a1, b0, b1)
+
+    monkeypatch.setattr(semilattice, "refinement_square", counting)
+    res = has_refinement_property(S)
+    assert calls == expected
+    assert res.holds == (name == "con_chain6")
+    assert res.counterexample == (None if res.holds else expected[-1])
+
+
+def test_decompositions_reject_elements_outside_range():
+    S = fjs(chain(3))
+    for e in (-1, S.n, S.n + 5):
+        for _ in range(2):  # nothing is cached for a bad element
+            with pytest.raises(IndexError):
+                S.decompositions(e)
+    assert S.decompositions(S.n - 1)[0] == (0, 2)
 
 
 def test_con_semilattices_refine(corpus5):
