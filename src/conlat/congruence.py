@@ -125,21 +125,35 @@ def congruence_from_blocks(L: FiniteLattice, blocks: Iterable[Iterable[int]]) ->
     return theta
 
 
-def _closure(L: FiniteLattice, mask: int) -> int:
-    # the covers collapsed by the congruence generated by the covers in mask.
-    # A collapsed cover x < y forces every cover inside [x ^ z, y ^ z] and
-    # [x v z, y v z] (its step, one table per lattice); congruence blocks are
-    # intervals, so the fixed point collapses exactly these covers
-    steps = getattr(L, "_cover_steps", None)
-    if steps is None:
-        (above, below), jn, mt = L.cover_bits, L.join_rows, L.meet_rows
+def _cover_tables(L: FiniteLattice) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    # (above, below, steps) over the covers j = (x, y) of L.covers(), one
+    # table per lattice: bit j of above[a] is set iff a <= x, of below[b] iff
+    # y <= b, so the covers inside [a, b] are above[a] & below[b]; steps[j]
+    # holds the covers inside [x ^ z, y ^ z] and [x v z, y v z] for every z
+    tables = getattr(L, "_cover_tables", None)
+    if tables is None:
+        covers, jn, mt = L.covers(), L.join_rows, L.meet_rows
+        above, below = [0] * L.n, [0] * L.n
+        for j, (x, y) in enumerate(covers):
+            for a in _bits(L.down_bits[x]):
+                above[a] |= 1 << j
+            for b in _bits(L.up_bits[y]):
+                below[b] |= 1 << j
         steps = []
-        for x, y in L.covers():
+        for x, y in covers:
             step = 0
             for mxz, myz, jxz, jyz in zip(mt[x], mt[y], jn[x], jn[y]):
                 step |= above[mxz] & below[myz] | above[jxz] & below[jyz]
             steps.append(step)
-        L._cover_steps = steps
+        tables = L._cover_tables = (tuple(above), tuple(below), steps)
+    return tables
+
+
+def _closure(L: FiniteLattice, mask: int) -> int:
+    # the covers collapsed by the congruence generated by the covers in mask.
+    # A collapsed cover forces its step; congruence blocks are intervals, so
+    # the fixed point collapses exactly these covers
+    steps = _cover_tables(L)[2]
     todo = mask
     while todo:
         low = todo & -todo
@@ -152,7 +166,7 @@ def _closure(L: FiniteLattice, mask: int) -> int:
 def _generated(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> Congruence:
     # the least congruence identifying each pair (u, v), seeded with the
     # covers inside [u ^ v, u v v]
-    (above, below), jn, mt = L.cover_bits, L.join_rows, L.meet_rows
+    (above, below, _), jn, mt = _cover_tables(L), L.join_rows, L.meet_rows
     seed = 0
     for u, v in pairs:
         seed |= above[mt[u][v]] & below[jn[u][v]]
@@ -202,12 +216,14 @@ class CongruenceLattice:
         n = host.n
         self.covers = covers = host.covers()
         gens = [_closure(host, 1 << j) for j in range(len(covers))]
-        # every congruence is the join of the Theta(x, y) of the covers it
-        # collapses, and join is OR, so Con L is the OR-closure of gens
+        # the join-irreducibles are the Theta(x, y) of single covers; every
+        # congruence is the join of those of the covers it collapses, and
+        # join is OR, so Con L is the OR-closure of gens
+        congs = {g: principal_congruence(host, *c) for g, c in dict(zip(gens, covers)).items()}
         found = {0}
-        for g in set(gens):
+        for g in congs:
             found |= {m | g for m in found}
-        congs = {m: Congruence(host, _cover_blocks(host, m)) for m in found}
+        congs = {m: congs.get(m) or Congruence(host, _cover_blocks(host, m)) for m in found}
         masks = sorted(
             found, key=lambda m: (congs[m].num_blocks, congs[m].rep), reverse=True
         )
@@ -220,7 +236,7 @@ class CongruenceLattice:
         # Theta(u, v) = Theta(u ^ v, u v v) is the join of the Theta(x, y) of
         # the covers x < y inside [u ^ v, u v v]
         at = {m: i for i, m in enumerate(masks)}
-        (above, below), jn, mt = host.cover_bits, host.join_rows, host.meet_rows
+        (above, below, _), jn, mt = _cover_tables(host), host.join_rows, host.meet_rows
 
         def theta_index(a: int, b: int) -> int:
             m = 0
@@ -272,7 +288,7 @@ def _cover_blocks(L: FiniteLattice, mask: int) -> tuple[int, ...]:
     # rep array of the congruence collapsing the covers in mask: its blocks
     # are intervals, so x and y share one iff every cover inside
     # [x ^ y, x v y] is collapsed, and the least such y is the rep of x
-    (above, below), jn, mt = L.cover_bits, L.join_rows, L.meet_rows
+    (above, below, _), jn, mt = _cover_tables(L), L.join_rows, L.meet_rows
     return tuple(
         next(y for y in range(x + 1) if above[mt[x][y]] & below[jn[x][y]] & ~mask == 0)
         for x in range(L.n)

@@ -235,19 +235,6 @@ class FiniteLattice:
         return tuple(rows)
 
     @cached_property
-    def cover_bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(above, below)`` over the covers j = (x, y) of :meth:`covers`:
-        bit j of ``above[a]`` is set iff a <= x, of ``below[b]`` iff y <= b,
-        so the covers inside [a, b] are ``above[a] & below[b]``."""
-        above, below = [0] * self.n, [0] * self.n
-        for j, (x, y) in enumerate(self.covers()):
-            for a in _bits(self.down_bits[x]):
-                above[a] |= 1 << j
-            for b in _bits(self.up_bits[y]):
-                below[b] |= 1 << j
-        return tuple(above), tuple(below)
-
-    @cached_property
     def height(self) -> int:
         """Length (number of edges) of a longest chain."""
         n, down = self.n, self.down_bits
