@@ -39,7 +39,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TextIO
 
 from . import __version__
-from .congruence import alternating_chain, con_lattice, induced_con_map
+from .congruence import (
+    alternating_chain,
+    con_lattice,
+    induced_con_map,
+    refinement_by_certificate,
+)
 from .lattice import (
     BoundExceeded,
     FiniteLattice,
@@ -78,7 +83,7 @@ from .urp import (
     UrpInstance,
     canonical_instance,
     csurp_witness,
-    holds_urp_at,
+    first_urp_failure,
     refine_instance,
     search_urp_witness,
     urp_join_combine,
@@ -246,14 +251,20 @@ def _decided(failing: tuple | None, counterexample: Callable) -> dict:
 
 
 def _urp_everywhere(L: FiniteLattice, budget: int) -> dict:
-    S = con_lattice(L).as_semilattice
+    con = con_lattice(L)
     try:
-        for e in range(S.n):
-            if not holds_urp_at(S, e, budget):
-                return _verdict(False, counterexample={"element": e})
+        e = first_urp_failure(con.as_semilattice, con.masks, budget)
     except SearchBudgetExceeded:
         return {"verdict": "budget-exceeded"}
-    return _verdict(True)
+    return _decided(None if e is None else (e,), lambda e: {"element": e})
+
+
+def _con_distributive(L: FiniteLattice, _budget: int) -> dict:
+    con = con_lattice(L)
+    return _decided(
+        refinement_by_certificate(con.as_semilattice, con.masks).counterexample,
+        lambda *eq: dict(zip(("a0", "a1", "b0", "b1"), eq)),
+    )
 
 
 def _join_instances(L: FiniteLattice):
@@ -502,13 +513,7 @@ CAMPAIGNS: tuple[Campaign, ...] = (
         ),
     ),
     Campaign("urp", "check", "items", _urp_everywhere, annotate=True),
-    Campaign(
-        "con-distributive", "check", "items",
-        lambda L, _: _decided(
-            has_refinement_property(con_lattice(L).as_semilattice).counterexample,
-            lambda *eq: dict(zip(("a0", "a1", "b0", "b1"), eq)),
-        ),
-    ),
+    Campaign("con-distributive", "check", "items", _con_distributive),
     # verify-theorem THEOREM over a corpus
     # prop-a: sectionally or relatively complemented lattices have property (C)
     Campaign(

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import conlat
-from conlat import regring
+from conlat import chain, con_lattice, regring
 from conlat.lattice import canonical_form
 from conlat.cli import (
     DEFAULT_TRIALS,
@@ -150,6 +150,19 @@ def test_check_tiny_budget_exit_two(tmp_path, capsys):
     report = json.loads(out)
     assert report["summary"]["budget-exceeded"] > 0
     assert report["summary"]["fails"] == 0
+
+
+def test_check_urp_on_the_9_chain_spends_one_node_per_pair():
+    # the top of Con of the 9-chain, the Boolean lattice 2^8, has 3^8 pairs
+    items = [("c9", chain(9))]
+    S = con_lattice(items[0][1]).as_semilattice
+    pairs = len(S.decompositions(S.top))
+    assert pairs == 3**8
+    assert campaign_check("urp", items).rows[0]["verdict"] == "holds"
+    assert campaign_check("urp", items, pairs).rows[0]["verdict"] == "holds"
+    exceeded = campaign_check("urp", items, pairs - 1)
+    assert exceeded.rows[0]["verdict"] == "budget-exceeded"
+    assert exceeded.exit_code == 2
 
 
 def test_check_unknown_property(tmp_path, capsys):

@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from conlat import (
     Congruence,
+    FiniteJoinSemilattice,
     FiniteLattice,
     HostMismatch,
     HypothesesFail,
     LatticeHom,
     NotAnIdeal,
     NotJoined,
+    RefinementSquare,
     alternating_chain,
+    certifies_ring_of_sets,
     chain,
     con_lattice,
     con_nid_iso,
@@ -22,6 +25,7 @@ from conlat import (
     congruence_join,
     congruence_meet,
     enumerate_lattices,
+    has_refinement_property,
     induced_con_map,
     is_distributive,
     is_modular,
@@ -33,6 +37,7 @@ from conlat import (
     n5,
     neutral_ideals,
     principal_congruence,
+    refinement_by_certificate,
 )
 from conlat.cli import _join_instances
 from oracles import (
@@ -261,6 +266,65 @@ def test_con_contains_bounds_and_is_closed(corpus5):
 def test_con_as_lattice_is_distributive(corpus5):
     for L in corpus5:
         assert is_distributive(con_lattice(L).as_lattice)
+
+
+# ---------------------------------------------------------------------------
+# the ring-of-sets certificate
+
+
+def join_irreducible_masks(L: FiniteLattice) -> list[int]:
+    # each element to the set of join-irreducibles below it: injective and
+    # meet-preserving, and join-preserving iff L is distributive (Birkhoff)
+    lower = [0] * L.n
+    for _, y in L.covers():
+        lower[y] += 1
+    irreducible = sum(1 << x for x in range(L.n) if lower[x] == 1)
+    return [d & irreducible for d in L.down_bits]
+
+
+def test_certificate_matches_literal_refinement_on_lattices(corpus7):
+    verdicts = set()
+    for L in corpus7:
+        S = FiniteJoinSemilattice.from_lattice(L)
+        certified = certifies_ring_of_sets(S, join_irreducible_masks(L))
+        assert certified == has_refinement_property(S).holds == is_distributive(L)
+        verdicts.add(certified)
+    assert verdicts == {True, False}
+
+
+def test_certificate_holds_on_every_con(corpus7):
+    for L in corpus7:
+        con = con_lattice(L)
+        assert certifies_ring_of_sets(con.as_semilattice, con.masks)
+        assert refinement_by_certificate(con.as_semilattice, con.masks).holds
+
+
+def test_mask_squares_refine_every_equation_of_con(corpus6):
+    # the square of a0 + a1 = b0 + b1 is c_xy = a_x & b_y, read through the
+    # mask -> index dict
+    for L in corpus6:
+        con = con_lattice(L)
+        S, m, at = con.as_semilattice, con.masks, con.mask_index
+        for e in range(S.n):
+            decs = S.decompositions(e)
+            for (a0, a1), (b0, b1) in itertools.product(decs, repeat=2):
+                cells = (at[m[a] & m[b]] for a, b in ((a0, b0), (a0, b1), (a1, b0), (a1, b1)))
+                assert RefinementSquare(a0, a1, b0, b1, *cells).satisfied_in(S)
+
+
+def test_certificate_rejects_masks_that_are_not_a_ring_of_sets():
+    S = FiniteJoinSemilattice.from_lattice(m3())
+    # the atoms of M3 as the two-element subsets of {0, 1, 2}: joins are
+    # unions, but no element is the intersection of two atoms
+    masks = (0b000, 0b011, 0b110, 0b101, 0b111)
+    assert not certifies_ring_of_sets(S, masks)
+    literal = has_refinement_property(S)
+    assert not literal.holds
+    assert refinement_by_certificate(S, masks) == literal
+    # not injective, and not join-preserving
+    assert not certifies_ring_of_sets(S, (0, 1, 1, 1, 1))
+    assert not certifies_ring_of_sets(S, (0, 1, 2, 4, 8))
+    assert not certifies_ring_of_sets(S, masks[:4])
 
 
 # ---------------------------------------------------------------------------

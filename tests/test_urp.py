@@ -28,12 +28,14 @@ from conlat import (
     csurp_witness,
     enumerate_lattices,
     enumerate_semilattice_homs,
+    first_urp_failure,
     holds_urp_at,
     induced_con_map,
     is_congruence_splitting,
     is_distributive,
     is_weakly_distributive,
     m3,
+    meet_witness_holds,
     n5,
     principal_congruence,
     refine_instance,
@@ -415,6 +417,47 @@ def test_urp_on_chains():
 def test_urp_on_con_semilattices(corpus5):
     for L in corpus5:
         assert satisfies_urp(con_lattice(L).as_semilattice)
+
+
+# ---------------------------------------------------------------------------
+# the meet witness on a certified Con L
+
+
+def test_meet_witness_matches_literal_on_every_con_element(corpus6):
+    for L in corpus6:
+        con = con_lattice(L)
+        S = con.as_semilattice
+        for e in range(S.n):
+            assert meet_witness_holds(S, con.masks, e) == holds_urp_at(S, e)
+        assert first_urp_failure(S, con.masks) is None
+
+
+def test_meet_witness_spends_one_node_per_pair():
+    con = con_lattice(chain(5))
+    S = con.as_semilattice
+    pairs = len(S.decompositions(S.top))
+    assert pairs == 3**4
+    assert meet_witness_holds(S, con.masks, S.top, budget=pairs)
+    with pytest.raises(SearchBudgetExceeded):
+        meet_witness_holds(S, con.masks, S.top, budget=pairs - 1)
+
+
+def test_meet_witness_fails_a_bit_of_a_non_join_map():
+    # chain 0 < 1 sent to disjoint sets: a_i + b_i = 1 for every pair, but
+    # the pair (1, 0) misses bit 0, which a_0 = 0 holds
+    S = fjs(chain(2))
+    assert not meet_witness_holds(S, (0b01, 0b10), 1)
+
+
+def test_uncertified_masks_fall_back_to_the_literal_search():
+    # M3's atoms as the two-element subsets of {0, 1, 2}: every bit passes,
+    # but a_i & b_k is no element, so only the certificate can vouch for
+    # the meet witness; the fallback finds M3's literal failure at the top
+    S = fjs(m3())
+    masks = (0b000, 0b011, 0b110, 0b101, 0b111)
+    assert meet_witness_holds(S, masks, S.top)
+    literal = next(e for e in range(S.n) if not holds_urp_at(S, e))
+    assert first_urp_failure(S, masks) == literal == S.top
 
 
 def test_canonical_instance_lists_each_pair_once():
