@@ -213,7 +213,8 @@ def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
 
 
 class CongruenceLattice:
-    """Con L with precomputed order, operation tables and principal table.
+    """Con L with precomputed congruences, masks and order; the principal
+    table is built on first use.
 
     Congruences are indexed 0..k-1 by (number of blocks, rep) descending: the
     identity congruence first and the all-collapsing congruence last.
@@ -226,7 +227,6 @@ class CongruenceLattice:
 
     def __init__(self, host: FiniteLattice):
         self.host = host
-        n = host.n
         self.covers = covers = host.covers()
         gens = [_closure(host, 1 << j) for j in range(len(covers))]
         # the join-irreducibles are the Theta(x, y) of single covers; every
@@ -246,9 +246,16 @@ class CongruenceLattice:
         self.as_lattice = FiniteLattice(
             sum(1 << j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks
         )
+        self.mask_index = {m: i for i, m in enumerate(masks)}
+        self._gens = gens
+        self.delta_index = self.as_lattice.bottom
+        self.nabla_index = self.as_lattice.top
+
+    @cached_property
+    def principal(self) -> tuple[tuple[int, ...], ...]:
         # Theta(u, v) = Theta(u ^ v, u v v) is the join of the Theta(x, y) of
         # the covers x < y inside [u ^ v, u v v]
-        self.mask_index = at = {m: i for i, m in enumerate(masks)}
+        host, gens, at = self.host, self._gens, self.mask_index
         (above, below, _), jn, mt = _cover_tables(host), host.join_rows, host.meet_rows
 
         def theta_index(a: int, b: int) -> int:
@@ -257,11 +264,8 @@ class CongruenceLattice:
                 m |= gens[j]
             return at[m]
 
-        self.principal: tuple[tuple[int, ...], ...] = tuple(
-            tuple(theta_index(mt[u][v], jn[u][v]) for v in range(n)) for u in range(n)
-        )
-        self.delta_index = self.as_lattice.bottom
-        self.nabla_index = self.as_lattice.top
+        rng = range(host.n)
+        return tuple(tuple(theta_index(mt[u][v], jn[u][v]) for v in rng) for u in rng)
 
     def __len__(self) -> int:
         return len(self.congruences)

@@ -1,9 +1,12 @@
 """Finite bounded lattices with explicit order and operation tables.
 
 Elements are the integers 0..n-1.  The order is stored as the down-set and
-up-set bitmask of every element and join/meet as full n x n element tables,
-so every lattice operation is a bit test or a table lookup.  Instances are
-immutable after construction and safe to share.
+up-set bitmask of every element, and join/meet as full n x n element tables
+built on first use, so every lattice operation is a bit test or a table
+lookup.  Construction needs no table: a finite poset with a top in which
+every pair has a meet is a lattice, and the meet of x and y is the element
+whose down-set is down(x) & down(y).  Instances are immutable after
+construction and safe to share.
 
 The module also provides lattice homomorphisms, interval sublattices, the
 standard structural predicates (modular, complemented, atomistic, ...),
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Iterator
 
 DEFAULT_ENUMERATION_BOUND = 8
@@ -68,6 +72,27 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _bound_rows(sets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # row x, column y: the element whose set (up-set or down-set) is
+    # sets[x] & sets[y]
+    bound = {m: z for z, m in enumerate(sets)}.__getitem__
+    return tuple(tuple(map(bound, map(m.__and__, sets))) for m in sets)
+
+
+def _raise_first_unbounded_pair(down: tuple[int, ...], up: list[int]) -> None:
+    # NotALattice for the lexicographically first pair (x, y), x <= y as
+    # indices, that has no least upper bound or no greatest lower bound
+    lub, glb = set(up), set(down)
+    n = len(down)
+    for x in range(n):
+        for y in range(x, n):
+            if up[x] & up[y] not in lub:
+                raise NotALattice(f"elements {x} and {y} have no least upper bound")
+            if down[x] & down[y] not in glb:
+                raise NotALattice(f"elements {x} and {y} have no greatest lower bound")
+    raise AssertionError("every pair has both bounds")
+
+
 class FiniteLattice:
     """A finite lattice on elements 0..n-1.
 
@@ -82,7 +107,8 @@ class FiniteLattice:
         n: number of elements.
         down_bits, up_bits: ``down_bits[x]`` has bit y set iff y <= x,
             ``up_bits[x]`` bit y iff x <= y.
-        join_rows, meet_rows: n x n element tables as tuples of rows.
+        join_rows, meet_rows: n x n element tables as tuples of rows,
+            built on first use.
         bottom, top: least and greatest element.
     """
 
@@ -113,28 +139,31 @@ class FiniteLattice:
         if not transitive:
             raise ValueError("order is not transitive")
 
-        # x v y is the element whose up-set is up[x] & up[y], the set of
-        # upper bounds; dually for x ^ y.  Up-sets are distinct by antisymmetry.
-        lub = {m: z for z, m in enumerate(up)}
-        glb = {m: z for z, m in enumerate(down)}
-        jn = [[lub.get(ux & uy) for uy in up] for ux in up]
-        mt = [[glb.get(dx & dy) for dy in down] for dx in down]
-        if any(None in row for row in jn) or any(None in row for row in mt):
-            for x in range(n):
-                for y in range(x, n):
-                    if jn[x][y] is None:
-                        raise NotALattice(f"elements {x} and {y} have no least upper bound")
-                    if mt[x][y] is None:
-                        raise NotALattice(f"elements {x} and {y} have no greatest lower bound")
+        # a finite poset with a top in which every pair has a meet is a
+        # lattice: x v y is the meet of the non-empty set of upper bounds.
+        # x ^ y is the element whose down-set is down[x] & down[y], the set
+        # of lower bounds; down-sets are distinct by antisymmetry
+        full = (1 << n) - 1
+        principal = set(down)
+        meets = {dx & dy for dx, dy in combinations(down, 2)}
+        if full not in principal or not meets <= principal:
+            _raise_first_unbounded_pair(down, up)
 
         self.n = n
         self.down_bits: tuple[int, ...] = down
         self.up_bits: tuple[int, ...] = tuple(up)
-        self.join_rows: tuple[tuple[int, ...], ...] = tuple(map(tuple, jn))
-        self.meet_rows: tuple[tuple[int, ...], ...] = tuple(map(tuple, mt))
-        full = (1 << n) - 1
-        self.bottom: int = lub[full]
-        self.top: int = glb[full]
+        self.bottom: int = up.index(full)
+        self.top: int = down.index(full)
+
+    @cached_property
+    def join_rows(self) -> tuple[tuple[int, ...], ...]:
+        # x v y is the element whose up-set is up[x] & up[y], the set of
+        # upper bounds; up-sets are distinct by antisymmetry
+        return _bound_rows(self.up_bits)
+
+    @cached_property
+    def meet_rows(self) -> tuple[tuple[int, ...], ...]:
+        return _bound_rows(self.down_bits)
 
     # -- constructors ------------------------------------------------------
 

@@ -21,6 +21,10 @@ former refinement-square search, which sorts its candidate lists on every
 call, kept as the reference for the lists built once per semilattice.
 :func:`lub_glb_tables` searches the bounds of every pair, the reference for
 the lattice constructor's down-set and up-set lookups;
+:func:`eager_lattice_tables` is the former lattice constructor, which built
+both tables at once and scanned them for a missing bound, kept as the
+reference for the meet test per pair and the tables built on first use;
+:func:`eager_principal_table` is the former eager principal table of Con L;
 :func:`admissible_downsets_by_subsets` is the former augmentation step, which
 filters all 2^m subsets, kept as the reference for the down-sets built
 element by element; :func:`refinement_counterexample_literal` is the former
@@ -207,6 +211,63 @@ def lub_glb_tables(down) -> tuple[list[list[int]], list[list[int]], int, int]:
     (bottom,) = [z for z in rng if all(le(z, w) for w in rng)]
     (top,) = [z for z in rng if all(le(w, z) for w in rng)]
     return join, meet, bottom, top
+
+
+def eager_lattice_tables(down) -> tuple:
+    """(join, meet, bottom, top) of ``FiniteLattice(down)`` as the former
+    constructor built them: the order checks, then both full tables by
+    up-set and down-set lookups, and on a missing bound the lexicographic
+    pair scan.  Raises the exception the constructor raises, with the same
+    message."""
+    from conlat import NotALattice
+
+    down = tuple(down)
+    n = len(down)
+    if n == 0:
+        raise ValueError("a lattice needs at least one element")
+    if any(d >> n for d in down):
+        raise ValueError(f"order bits outside 0..{n - 1}")
+    if any(not d >> x & 1 for x, d in enumerate(down)):
+        raise ValueError("order is not reflexive")
+    up = [sum(1 << x for x in range(n) if down[x] >> y & 1) for y in range(n)]
+    if any(d & u != 1 << x for x, (d, u) in enumerate(zip(down, up))):
+        raise ValueError("order is not antisymmetric")
+    if any(down[y] & ~d for d in down for y in _bit_list(d)):
+        raise ValueError("order is not transitive")
+    lub = {m: z for z, m in enumerate(up)}
+    glb = {m: z for z, m in enumerate(down)}
+    jn = [[lub.get(ux & uy) for uy in up] for ux in up]
+    mt = [[glb.get(dx & dy) for dy in down] for dx in down]
+    for x in range(n):
+        for y in range(x, n):
+            if jn[x][y] is None:
+                raise NotALattice(f"elements {x} and {y} have no least upper bound")
+            if mt[x][y] is None:
+                raise NotALattice(f"elements {x} and {y} have no greatest lower bound")
+    full = (1 << n) - 1
+    return tuple(map(tuple, jn)), tuple(map(tuple, mt)), lub[full], glb[full]
+
+
+def eager_principal_table(con) -> tuple[tuple[int, ...], ...]:
+    """The principal table of ``con`` as the former constructor built it:
+    Theta(u, v) is the join of the closures of the covers inside
+    [u ^ v, u v v], looked up by mask for every pair."""
+    from conlat.congruence import _closure, _cover_tables
+
+    L = con.host
+    gens = [_closure(L, 1 << j) for j in range(len(con.covers))]
+    at = {m: i for i, m in enumerate(con.masks)}
+    (above, below, _), jn, mt = _cover_tables(L), L.join_rows, L.meet_rows
+
+    def theta_index(a: int, b: int) -> int:
+        m = 0
+        for j in _bit_list(above[a] & below[b]):
+            m |= gens[j]
+        return at[m]
+
+    return tuple(
+        tuple(theta_index(mt[u][v], jn[u][v]) for v in range(L.n)) for u in range(L.n)
+    )
 
 
 def admissible_downsets_by_subsets(downs) -> list[int]:

@@ -1,6 +1,7 @@
 """Command-line front end: corpora, campaigns, reports, exit codes."""
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 
 import conlat
 from conlat import chain, con_lattice, regring
-from conlat.lattice import canonical_form
+from conlat.lattice import canonical_form, enumerate_lattices
 from conlat.cli import (
     DEFAULT_TRIALS,
     NO_FINITE_COUNTEREXAMPLE,
@@ -18,6 +19,7 @@ from conlat.cli import (
     default_corpus,
     main,
     read_corpus,
+    write_corpus,
 )
 
 
@@ -33,6 +35,19 @@ def run(capsys, *argv):
 
 # ---------------------------------------------------------------------------
 # gen-corpus
+
+
+def test_write_corpus_builds_no_lattice_tables():
+    # a corpus row needs the covers and the canonical code only
+    seen = []
+
+    def kept():
+        for L in enumerate_lattices(8, bound=8):
+            seen.append(L)
+            yield L
+
+    assert write_corpus(kept(), io.StringIO()) == len(seen) == 300
+    assert not any("join_rows" in L.__dict__ or "meet_rows" in L.__dict__ for L in seen)
 
 
 def test_gen_corpus_counts(tmp_path, capsys):

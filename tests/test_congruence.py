@@ -45,6 +45,7 @@ from oracles import (
     closure_by_union_find,
     con_tables_by_joins,
     congruence_partitions,
+    eager_principal_table,
     from_ideal_by_closure,
     is_neutral_ideal_by_axes,
     join_by_union_find,
@@ -240,6 +241,18 @@ def test_con_tables_match_join_closure_oracle(corpus7):
         assert [t.rep for t in cl.congruences] == [t.rep for t in congs]
         assert [[cl.as_lattice.le(i, j) for j in range(len(cl))] for i in range(len(cl))] == leq
         assert [list(row) for row in cl.principal] == principal
+
+
+def test_principal_table_matches_eager_oracle(corpus7):
+    for L in corpus7:
+        con = con_lattice(L)
+        assert con.principal == eager_principal_table(con)
+
+
+def test_certificate_check_builds_no_principal_table():
+    con = con_lattice(chain(6))
+    assert refinement_by_certificate(con.as_semilattice, con.masks).holds
+    assert "principal" not in con.__dict__
 
 
 def test_con_join_table_matches_congruence_join(corpus6):

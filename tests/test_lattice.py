@@ -35,6 +35,7 @@ from oracles import (
     admissible_downsets_by_subsets,
     all_lattice_homs,
     count_lattices,
+    eager_lattice_tables,
     lub_glb_tables,
     meet_semilattice_levels,
     perspective_rows_by_axes,
@@ -441,6 +442,32 @@ def posets(draw):
 @settings(max_examples=200, deadline=None)
 def test_poset_code_matches_oracle_on_posets(case):
     assert lattice._poset_code(*map(lattice._element_lists, case[1:])) == poset_code(*case)
+
+
+def assert_constructor_matches_eager(down) -> None:
+    # the meet test per pair accepts and rejects exactly as the former
+    # eager construction, and the tables built on first use are its tables
+    try:
+        expected = eager_lattice_tables(down)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            FiniteLattice(down)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    L = FiniteLattice(down)
+    assert (L.join_rows, L.meet_rows, L.bottom, L.top) == expected
+
+
+def test_constructor_matches_eager_oracle_on_corpus(corpus7):
+    for L in corpus7:
+        assert_constructor_matches_eager(L.down_bits)
+        assert_constructor_matches_eager(L.up_bits)  # the dual
+
+
+@given(posets())
+@settings(max_examples=300, deadline=None)
+def test_constructor_matches_eager_oracle_on_posets(case):
+    assert_constructor_matches_eager(case[1])
 
 
 def test_canonical_form_matches_oracle_on_m_k():
