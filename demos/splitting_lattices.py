@@ -53,7 +53,9 @@ for name, L in [("2^3", boolean(3)), ("M3", m3())]:
 # --------------------
 # An instance is a <= b together with congruences alpha0, alpha1 whose
 # join covers Theta(a, b); a solution is x0, x1 in [a, b] with
-# x0 v x1 = b and Theta(a, xi) below alphai.
+# x0 v x1 = b and Theta(a, xi) below alphai.  splitting_witness returns the
+# greatest solution, xi = b ^ (top of the alphai-block of a); every other
+# solution lies below it componentwise.
 from conlat import SplitInstance, con_lattice, is_congruence_splitting, splitting_witness
 
 con = con_lattice(pent)

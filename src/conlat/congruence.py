@@ -42,6 +42,7 @@ from .lattice import (
     FiniteLattice,
     LatticeHom,
     _bits,
+    _check_elements,
     check_hom,
     is_modular,
     is_sectionally_complemented,
@@ -188,8 +189,7 @@ def _generated(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> Congruence
 
 def principal_congruence(L: FiniteLattice, u: int, v: int) -> Congruence:
     """Theta(u, v): the least congruence identifying u and v."""
-    if not (0 <= u < L.n and 0 <= v < L.n):
-        raise IndexError(f"({u}, {v}) outside 0..{L.n - 1}")
+    _check_elements(L, u, v)
     return _generated(L, [(u, v)])
 
 
@@ -220,7 +220,8 @@ class CongruenceLattice:
     identity congruence first and the all-collapsing congruence last.
     ``masks[i]`` is the set of covers (bit j for ``covers[j]``) that
     congruence i collapses, so ``masks`` ordered by inclusion is Con L and
-    join is OR.  ``principal[u][v]`` is the index of Theta(u, v).
+    join is OR.  ``principal[u][v]`` is the index of Theta(u, v), and
+    ``tops[i][x]`` is the top of x's block in congruence i.
     ``as_lattice`` is the containment order as a FiniteLattice (same
     indexing), ``as_semilattice`` the corresponding join-semilattice.
     """
@@ -266,6 +267,17 @@ class CongruenceLattice:
 
         rng = range(host.n)
         return tuple(tuple(theta_index(mt[u][v], jn[u][v]) for v in rng) for u in rng)
+
+    @cached_property
+    def tops(self) -> tuple[tuple[int, ...], ...]:
+        # the top of a block is the join of its members, folded along rep
+        jn, out = self.host.join_rows, []
+        for t in self.congruences:
+            top: dict[int, int] = {}
+            for x, r in enumerate(t.rep):
+                top[r] = jn[top.get(r, x)][x]
+            out.append(tuple(map(top.__getitem__, t.rep)))
+        return tuple(out)
 
     def __len__(self) -> int:
         return len(self.congruences)
@@ -424,6 +436,7 @@ def alternating_chain(
     """
     if alpha.host is not L or beta.host is not L:
         raise HostMismatch("congruences on a different lattice")
+    _check_elements(L, u, v)
     if not L.le(u, v):
         raise NotJoined(f"{u} is not below {v}")
     if not con_lattice(L).below_join(u, v, alpha, beta):

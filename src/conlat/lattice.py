@@ -72,6 +72,12 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_elements(L: FiniteLattice, *xs: int) -> None:
+    # element ids index tables, where a negative id would wrap silently
+    if not all(0 <= x < L.n for x in xs):
+        raise IndexOutOfRange(f"{xs} outside 0..{L.n - 1}")
+
+
 def _bound_rows(sets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     # row x, column y: the element whose set (up-set or down-set) is
     # sets[x] & sets[y]
@@ -403,8 +409,7 @@ def is_atomistic(L: FiniteLattice) -> bool:
 
 def are_perspective(L: FiniteLattice, x: int, y: int) -> bool:
     """x ~ y iff some axis z has x ^ z = y ^ z = bottom and x v z = y v z."""
-    if not (0 <= x < L.n and 0 <= y < L.n):
-        raise IndexError(f"({x}, {y}) outside 0..{L.n - 1}")
+    _check_elements(L, x, y)
     return bool(L.perspective_bits[x] >> y & 1)
 
 

@@ -5,7 +5,10 @@ Theta(a, b) <= alpha0 v alpha1, there are x0, x1 in [a, b] with x0 v x1 = b
 and Theta(a, xi) <= alphai.  In the finite case it suffices to check pairs
 with alpha0 v alpha1 = Theta(a, b) exactly (any witness for the restriction
 to Theta(a, b) works for the original pair, since Theta(a, xi) <= alphai ^
-Theta(a, b)).
+Theta(a, b)).  Blocks are intervals, so the x in [a, b] with
+Theta(a, x) <= alpha form [a, b ^ t], t the top of a's alpha-block
+(``CongruenceLattice.tops``), a join-closed set: an instance splits iff the
+greatest pair (b ^ t0, b ^ t1) joins to b, and every split lies below it.
 
 Property (C) is a chain condition: write a <~c b when some z has a v z = b
 and a ^ z <= c; L has property (C) if for all a <= b and every c there is a
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .congruence import Congruence, con_lattice
-from .lattice import FiniteLattice, _bits
+from .lattice import FiniteLattice, _bits, _check_elements
 
 
 class NoChain(ValueError):
@@ -40,6 +43,7 @@ class SplitInstance:
     alpha1: Congruence
 
     def __post_init__(self) -> None:
+        _check_elements(self.L, self.a, self.b)
         if not self.L.le(self.a, self.b):
             raise ValueError(f"{self.a} is not below {self.b}")
         con = con_lattice(self.L)
@@ -118,6 +122,7 @@ def _shortest_chain(
 def property_c_chain(L: FiniteLattice, a: int, b: int, c: int) -> CChain | None:
     """A shortest <~c chain from a to b (BFS layers, ties to the smallest
     element), or None when b is unreachable."""
+    _check_elements(L, a, b, c)
     if not L.le(a, b):
         return None
     chain = _shortest_chain(L, a, b, c)
@@ -142,23 +147,23 @@ def has_property_C(L: FiniteLattice) -> PropertyCResult:
     return PropertyCResult(True, None)
 
 
+def _greatest_split(
+    L: FiniteLattice, a: int, b: int, i0: int, i1: int
+) -> tuple[int, int] | None:
+    # the greatest (x0, x1) in [a, b] with Theta(a, x0) <= alpha_i0 and
+    # Theta(a, x1) <= alpha_i1, if it joins to b; requires a <= b
+    tops, mb = con_lattice(L).tops, L.meet_rows[b]
+    x0, x1 = mb[tops[i0][a]], mb[tops[i1][a]]
+    return (x0, x1) if L.join_rows[x0][x1] == b else None
+
+
 def splitting_witness(inst: SplitInstance) -> tuple[int, int] | None:
-    """Exhaustive scan for (x0, x1) in [a, b] with x0 v x1 = b and
-    Theta(a, xi) <= alphai; ascending order, so the result is deterministic."""
-    L, a, b = inst.L, inst.a, inst.b
-    jn = L.join_rows
-    con = con_lattice(L)
-    pa = con.principal[a]
+    """The greatest (x0, x1) in [a, b] with x0 v x1 = b and
+    Theta(a, xi) <= alphai, xi = b ^ (top of the alphai-block of a); None
+    when no pair splits [a, b]."""
+    con = con_lattice(inst.L)
     i0, i1 = con.congruence_index(inst.alpha0), con.congruence_index(inst.alpha1)
-    d0, d1 = con.as_lattice.down_bits[i0], con.as_lattice.down_bits[i1]
-    box = list(_bits(L.up_bits[a] & L.down_bits[b]))
-    ok0 = [x for x in box if d0 >> pa[x] & 1]
-    ok1 = set(x for x in box if d1 >> pa[x] & 1)
-    for x0 in ok0:
-        for x1 in box:
-            if x1 in ok1 and jn[x0][x1] == b:
-                return (x0, x1)
-    return None
+    return _greatest_split(inst.L, inst.a, inst.b, i0, i1)
 
 
 @dataclass(frozen=True)
@@ -170,13 +175,10 @@ class SplittingResult:
 def is_congruence_splitting(L: FiniteLattice) -> SplittingResult:
     """Check every instance with alpha0 v alpha1 = Theta(a, b) exactly;
     in a finite lattice every congruence is compact, so this is the full
-    splitting property."""
-    con = con_lattice(L)
-    congs = con.congruences
-    for a, b, _, fams in con.join_decompositions():
+    splitting property.  Each instance is one block-top test."""
+    for a, b, _, fams in con_lattice(L).join_decompositions():
         for i0, i1 in fams:
-            inst = SplitInstance(L, a, b, congs[i0], congs[i1])
-            if splitting_witness(inst) is None:
+            if _greatest_split(L, a, b, i0, i1) is None:
                 return SplittingResult(False, (a, b, i0, i1))
     return SplittingResult(True, None)
 

@@ -57,7 +57,7 @@ from operator import and_
 from typing import Sequence
 
 from .congruence import certifies_ring_of_sets, con_lattice
-from .lattice import FiniteLattice, _bits
+from .lattice import FiniteLattice, _bits, _check_elements
 from .semilattice import (
     FiniteJoinSemilattice,
     InvalidInputWitness,
@@ -67,6 +67,7 @@ from .semilattice import (
     is_weakly_distributive_at,
     refinement_square,
 )
+from .splitting import _greatest_split
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -101,10 +102,6 @@ class NoSourceWitness(ValueError):
 
 class NotSplitting(ValueError):
     """A congruence-splitting instance has no splitting witness."""
-
-
-class PreconditionFail(ValueError):
-    """The supplied square does not satisfy its defining equations."""
 
 
 @dataclass(frozen=True)
@@ -545,46 +542,30 @@ def csurp_witness(
     Splitting (alpha_i, beta_i) yields s_i, t_i in [u, v] with s_i v t_i = v,
     Theta(u, s_i) <= alpha_i, Theta(u, t_i) <= beta_i; the witness is
     a*_i = Theta(u, s_i), b*_i = Theta(u, t_i), c_ij = Theta(s_j, s_i v s_j).
-    Indices refer to con_lattice(L) order."""
-    from .splitting import SplitInstance, splitting_witness
-
+    s_i and t_i are the greatest such pair, read off the block tops of
+    alpha_i and beta_i.  Indices refer to con_lattice(L) order.  The witness
+    is not verified here: the caller checks it with
+    :func:`verify_urp_witness`."""
     con = con_lattice(L)
     jn = con.as_lattice.join_rows
     pc = con.principal
+    _check_elements(L, u, v)
     if not L.le(u, v):
         raise ValueError(f"{u} is not below {v}")
+    if not all(0 <= i < len(con) for pair in families for i in pair):
+        raise ElementOutOfRange(f"family indices outside 0..{len(con) - 1}")
     eps = pc[u][v]
     for ai, bi in families:
         if jn[ai][bi] != eps:
             raise ValueError("family pair does not join to Theta(u, v)")
-    s, t = [], []
-    for ai, bi in families:
-        w = splitting_witness(
-            SplitInstance(L, u, v, con.congruences[ai], con.congruences[bi])
-        )
-        if w is None:
-            raise NotSplitting(f"no splitting witness for family pair ({ai}, {bi})")
-        s.append(w[0])
-        t.append(w[1])
+    split = [_greatest_split(L, u, v, ai, bi) for ai, bi in families]
+    if None in split:
+        ai, bi = families[split.index(None)]
+        raise NotSplitting(f"no splitting witness for family pair ({ai}, {bi})")
+    s = [si for si, _ in split]
     jn_l = L.join_rows
-    m = len(families)
-    out = UrpWitness(
+    return UrpWitness(
         tuple(pc[u][si] for si in s),
-        tuple(pc[u][ti] for ti in t),
-        tuple(
-            tuple(pc[s[k]][jn_l[s[i]][s[k]]] for k in range(m)) for i in range(m)
-        ),
+        tuple(pc[u][ti] for _, ti in split),
+        tuple(tuple(pc[sk][jn_l[si][sk]] for sk in s) for si in s),
     )
-    inst = UrpInstance(con.as_semilattice, eps, tuple(families))
-    check = verify_urp_witness(inst, out)
-    if not check.ok:
-        raise AssertionError(f"congruence-splitting URP witness is invalid: {check}")
-    return out
-
-
-def check_refinement_square_consequence(sq, S: FiniteJoinSemilattice) -> bool:
-    """For a valid refinement square, a0 <= b0 + c01 (and this always holds:
-    a0 = c00 + c01 <= (c00 + c10) + c01 = b0 + c01)."""
-    if not sq.satisfied_in(S):
-        raise PreconditionFail("square does not satisfy its defining equations")
-    return S.le(sq.a0, S.join_rows[sq.b0][sq.c01])

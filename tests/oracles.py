@@ -39,7 +39,10 @@ monotonization, kept as a second valid construction next to the cover walk;
 :func:`property_c_chain_bfs` and :func:`splitting_from_property_C_recursive`
 are the former property (C) chain and the former constructive splitting,
 which reran the BFS for every prefix of the chain, kept as the reference for
-the one shared BFS.  :func:`universal_property_on_small_targets` is the former
+the one shared BFS.  :func:`splitting_witness_by_box_scan` is the former
+splitting witness, which scans [a, b] x [a, b] for the first splitting
+pair, kept as the reference for the block-top test.
+:func:`universal_property_on_small_targets` is the former
 universal-property check, which tried every generator tuple in L^k for every
 lattice L of size at most 4, kept as the reference for the one comparison
 with the free semilattice; :func:`pi_hom_order_on_small_vectors` is the
@@ -843,6 +846,27 @@ def splitting_from_property_C_recursive(inst):
     if lab == 0:
         return (jn[y0][z], y1)
     return (y0, jn[y1][z])
+
+
+def splitting_witness_by_box_scan(L, a, b, i0, i1):
+    """The former splitting witness: the first (x0, x1) in [a, b] x [a, b],
+    in ascending order, with x0 v x1 = b, Theta(a, x0) <= alpha_i0 and
+    Theta(a, x1) <= alpha_i1."""
+    from conlat import con_lattice
+    from conlat.lattice import _bits
+
+    jn = L.join_rows
+    con = con_lattice(L)
+    pa = con.principal[a]
+    d0, d1 = con.as_lattice.down_bits[i0], con.as_lattice.down_bits[i1]
+    box = list(_bits(L.up_bits[a] & L.down_bits[b]))
+    ok0 = [x for x in box if d0 >> pa[x] & 1]
+    ok1 = set(x for x in box if d1 >> pa[x] & 1)
+    for x0 in ok0:
+        for x1 in box:
+            if x1 in ok1 and jn[x0][x1] == b:
+                return (x0, x1)
+    return None
 
 
 def are_perspective_by_axes(L, x: int, y: int) -> bool:

@@ -249,6 +249,21 @@ def test_principal_table_matches_eager_oracle(corpus7):
         assert con.principal == eager_principal_table(con)
 
 
+def test_tops_are_the_largest_block_elements(corpus6):
+    # the reversed copies put each top at the least index of its block
+    reversed_ids = [
+        FiniteLattice.from_covers(L.n, [(L.n - 1 - x, L.n - 1 - y) for x, y in L.covers()])
+        for L in corpus6
+    ]
+    for L in [*corpus6, *reversed_ids, chain(10)]:
+        con = con_lattice(L)
+        for theta, tops in zip(con.congruences, con.tops):
+            for block in theta.blocks():
+                top = [y for y in block if all(L.le(x, y) for x in block)]
+                assert len(top) == 1
+                assert all(tops[x] == top[0] for x in block)
+
+
 def test_certificate_check_builds_no_principal_table():
     con = con_lattice(chain(6))
     assert refinement_by_certificate(con.as_semilattice, con.masks).holds

@@ -10,9 +10,11 @@ from conlat import (
     FiniteLattice,
     NoChain,
     SplitInstance,
+    alternating_chain,
     chain,
     con_lattice,
     congruence_join,
+    csurp_witness,
     enumerate_lattices,
     has_property_C,
     is_atomistic,
@@ -28,7 +30,12 @@ from conlat import (
     splitting_witness,
 )
 from conlat.cli import _join_instances
-from oracles import property_c_chain_bfs, splitting_from_property_C_recursive
+from conlat.splitting import _greatest_split
+from oracles import (
+    property_c_chain_bfs,
+    splitting_from_property_C_recursive,
+    splitting_witness_by_box_scan,
+)
 
 SMALL = list(enumerate_lattices(5))
 
@@ -210,6 +217,60 @@ def test_split_instance_rejects_a_partition_outside_con():
     nabla = con_lattice(L).congruences[-1]
     with pytest.raises(ValueError, match="not a congruence"):
         SplitInstance(L, 0, 2, bad, nabla)
+
+
+def test_greatest_split_matches_box_scan_oracle(corpus7):
+    # the same decision on every instance; the oracle's first pair lies
+    # below the greatest pair, which itself splits
+    checked = 0
+    for L in corpus7:
+        congs = con_lattice(L).congruences
+        for a, b, _, fams in con_lattice(L).join_decompositions():
+            for i0, i1 in fams:
+                scan = splitting_witness_by_box_scan(L, a, b, i0, i1)
+                top = _greatest_split(L, a, b, i0, i1)
+                assert (scan is None) == (top is None)
+                checked += 1
+                if top is None:
+                    continue
+                assert L.le(scan[0], top[0]) and L.le(scan[1], top[1])
+                check_split(SplitInstance(L, a, b, congs[i0], congs[i1]), top)
+    assert checked > 10_000
+
+
+def test_splitting_failure_is_the_oracles_first(corpus7):
+    for L in corpus7:
+        first = next(
+            (
+                (a, b, i0, i1)
+                for a, b, _, fams in con_lattice(L).join_decompositions()
+                for i0, i1 in fams
+                if splitting_witness_by_box_scan(L, a, b, i0, i1) is None
+            ),
+            None,
+        )
+        assert is_congruence_splitting(L).failing == first
+
+
+def _nabla(L):
+    return con_lattice(L).congruences[-1]
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda L, v: SplitInstance(L, 0, v, _nabla(L), _nabla(L)),
+        lambda L, v: csurp_witness(L, 0, v, [(len(con_lattice(L)) - 1,) * 2]),
+        lambda L, v: alternating_chain(L, 0, v, _nabla(L), _nabla(L)),
+        lambda L, v: property_c_chain(L, 0, v, 0),
+    ],
+    ids=["SplitInstance", "csurp_witness", "alternating_chain", "property_c_chain"],
+)
+def test_element_ids_outside_the_lattice_are_rejected(call, bad):
+    # a negative id would read the last row of a table, the top of chain(3)
+    with pytest.raises(IndexError):
+        call(chain(3), bad)
 
 
 # ---------------------------------------------------------------------------

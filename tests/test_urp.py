@@ -15,14 +15,12 @@ from conlat import (
     NoSourceWitness,
     NotSplitting,
     NotWeaklyDistributive,
-    PreconditionFail,
     SearchBudgetExceeded,
     SemilatticeHom,
     UrpInstance,
     UrpWitness,
     canonical_instance,
     chain,
-    check_refinement_square_consequence,
     con_lattice,
     congruence_join,
     csurp_witness,
@@ -39,7 +37,6 @@ from conlat import (
     n5,
     principal_congruence,
     refine_instance,
-    refinement_square,
     satisfies_urp,
     search_urp_witness,
     urp_join_combine,
@@ -51,8 +48,6 @@ from oracles import verify_urp_witness_literal
 
 SMALL = list(enumerate_lattices(5))
 DISTRIBUTIVE = [L for L in SMALL if is_distributive(L)]
-
-dist_lattices = st.sampled_from(DISTRIBUTIVE)
 
 
 def fjs(L) -> FiniteJoinSemilattice:
@@ -68,22 +63,6 @@ def meet_formula_witness(L, inst: UrpInstance) -> UrpWitness:
         for i in range(len(a))
     )
     return UrpWitness(astar=tuple(a), bstar=tuple(b), c=c)
-
-
-@st.composite
-def distributive_squares(draw):
-    L = draw(dist_lattices)
-    a0 = draw(st.integers(min_value=0, max_value=L.n - 1))
-    a1 = draw(st.integers(min_value=0, max_value=L.n - 1))
-    e = L.join_of(a0, a1)
-    candidates = [
-        (b0, b1)
-        for b0 in range(L.n)
-        for b1 in range(L.n)
-        if L.join_of(b0, b1) == e
-    ]
-    b0, b1 = draw(st.sampled_from(candidates))
-    return L, a0, a1, b0, b1
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +641,15 @@ def test_csurp_exhaustive_over_splitting_corpus():
                 assert verify_urp_witness(inst, w).ok
 
 
+@pytest.mark.parametrize("index", [-1, 4])
+def test_csurp_rejects_family_indices_outside_con(index):
+    # Con of chain(3) has 4 congruences; -1 would wrap to nabla
+    L = chain(3)
+    assert len(con_lattice(L)) == 4
+    with pytest.raises(ElementOutOfRange):
+        csurp_witness(L, 0, 2, [(index, index)])
+
+
 def test_csurp_not_splitting():
     L = chain(3)
     cl = con_lattice(L)
@@ -669,46 +657,3 @@ def test_csurp_not_splitting():
     a1 = cl.congruence_index(principal_congruence(L, 1, 2))
     with pytest.raises(NotSplitting):
         csurp_witness(L, 0, 2, [(a0, a1)])
-
-
-# ---------------------------------------------------------------------------
-# the refinement-square consequence
-
-
-def test_square_consequence_trivial():
-    S = fjs(chain(2))
-    sq = refinement_square(S, 1, 1, 1, 1)
-    assert check_refinement_square_consequence(sq, S)
-
-
-def test_square_consequence_meet_squares():
-    for L in DISTRIBUTIVE:
-        S = fjs(L)
-        for a0, a1 in itertools.product(range(L.n), repeat=2):
-            e = L.join_of(a0, a1)
-            for b0 in range(L.n):
-                for b1 in range(L.n):
-                    if L.join_of(b0, b1) != e:
-                        continue
-                    sq = refinement_square(S, a0, a1, b0, b1)
-                    assert sq is not None
-                    assert check_refinement_square_consequence(sq, S)
-
-
-@given(distributive_squares())
-@settings(max_examples=150, deadline=None)
-def test_square_consequence_randomized(case):
-    L, a0, a1, b0, b1 = case
-    S = fjs(L)
-    sq = refinement_square(S, a0, a1, b0, b1)
-    assert sq is not None
-    assert check_refinement_square_consequence(sq, S)
-
-
-def test_square_consequence_precondition():
-    from conlat import RefinementSquare
-
-    S = fjs(chain(3))
-    bad = RefinementSquare(a0=1, a1=1, b0=1, b1=1, c00=2, c01=2, c10=2, c11=2)
-    with pytest.raises(PreconditionFail):
-        check_refinement_square_consequence(bad, S)
