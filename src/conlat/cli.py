@@ -185,13 +185,15 @@ def write_corpus(lattices: Iterable[FiniteLattice], out: TextIO) -> int:
 
 def read_corpus(path: str) -> list[tuple[str, FiniteLattice]]:
     items = []
-    with open(path) as fh:
+    # lines are decoded one by one, so text that is not UTF-8 is a ParseError
+    # naming its line
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
                 L = FiniteLattice.from_json(obj)
                 item_id = obj["id"] if "id" in obj else canonical_form(L)
                 items.append((item_id, L))

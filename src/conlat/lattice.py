@@ -33,15 +33,36 @@ holds a twin but not an earlier twin of the same class is mapped to a
 smaller D' that came before it from the same parent, so D is never the
 first of its class; it is skipped before it is coded, and every kept
 representative stays the one an unpruned search keeps.
+
+The parents of a level are independent: each is grown on its own, and only
+the choice of the first candidate of every code ties them together.  So a
+level is cut into contiguous slices of its parents, each slice returns the
+first candidate of every code it meets in encounter order (as the code, the
+parent and the new element's down-set), and the slices are merged in parent
+order, keeping the first candidate of each code.  That is the candidate the
+sequential scan keeps, so the levels, codes and corpus bytes do not depend
+on how the level was cut.  A level with at least
+``_POOL_MIN_PARENTS`` parents is cut into a few slices per usable CPU and
+grown in a pool of forked worker processes when more than one CPU is
+usable and no other thread runs; smaller levels, and every level on one
+CPU, are grown as a single slice in-process.  The pool lives only inside one call and is stopped
+before the enumerator yields its second lattice.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
 DEFAULT_ENUMERATION_BOUND = 8
+
+# A level of the enumeration with at least this many parents is grown in a
+# worker pool when more than one CPU is usable; each worker takes about
+# _SLICES_PER_WORKER contiguous slices of the parents.
+_POOL_MIN_PARENTS = 500
+_SLICES_PER_WORKER = 4
 
 
 class NotALattice(ValueError):
@@ -70,6 +91,11 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _is_int(x: object) -> bool:
+    # bool is a subclass of int, but true and false are not element ids
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_elements(L: FiniteLattice, *xs: int) -> None:
@@ -211,7 +237,16 @@ class FiniteLattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteLattice":
-        return cls.from_covers(obj["n"], [tuple(c) for c in obj["covers"]])
+        """Read ``{"n": ..., "covers": [[i, j], ...]}``.  The size and every
+        endpoint must be integers; JSON booleans and numbers with a fraction
+        or exponent raise TypeError."""
+        n, covers = obj["n"], [tuple(c) for c in obj["covers"]]
+        if not _is_int(n):
+            raise TypeError(f"size {n!r} is not an integer")
+        for c in covers:
+            if not all(map(_is_int, c)):
+                raise TypeError(f"cover {list(c)!r} has an endpoint that is not an integer")
+        return cls.from_covers(n, covers)
 
     def to_json(self) -> dict:
         return {"n": self.n, "covers": [list(c) for c in self.covers()]}
@@ -611,30 +646,89 @@ def is_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:
 def _meet_semilattice_levels(max_size: int) -> list[list[tuple[str, tuple[int, ...]]]]:
     # levels[m] = (code, down-set bitmasks in a linear extension order) of a
     # canonical representative of every meet-semilattice on m+1 elements,
-    # sorted by code; element 0 is the bottom.  The element lists of a
-    # parent are built once and extended for each of its candidates.
+    # sorted by code; element 0 is the bottom.  A level is grown from its
+    # parents in slices (in a worker pool when it is large and more than one
+    # CPU is usable) and the slices are merged in parent order, so each code
+    # keeps the first representative of a sequential scan.
     levels = [[(_poset_code([[0]], [[0]]), (1,))]]
-    for m in range(1, max_size):
-        bit = 1 << m
-        seen: dict[str, tuple[int, ...]] = {}
-        for _, downs in levels[m - 1]:
-            ups = _ups_from_downs(downs)
-            below, above = _element_lists(downs), _element_lists(ups)
-            twins = _twin_pairs(downs, ups)
-            for new in _admissible_downsets(downs):
-                if any(new & later and not new & earlier for earlier, later in twins):
-                    continue  # a twin swap gives a smaller, isomorphic candidate
-                # the new element m lies above exactly the elements of new
-                under = list(_bits(new))
-                cand_above = above + [[m]]
-                for y in under:
-                    cand_above[y] = above[y] + [m]
-                under.append(m)
-                code = _poset_code(below + [under], cand_above)
-                if code not in seen:
-                    seen[code] = downs + (new | bit,)
-        levels.append(sorted(seen.items()))
+    pool = None
+    try:
+        for m in range(1, max_size):
+            parents = [downs for _, downs in levels[m - 1]]
+            if pool is None and len(parents) >= _POOL_MIN_PARENTS:
+                # at most one worker per parent; later levels are larger,
+                # so no level is cut into fewer slices than there are workers
+                workers = min(_usable_cpus(), len(parents))
+                if workers > 1 and _can_fork():
+                    import multiprocessing
+
+                    pool = multiprocessing.get_context("fork").Pool(workers)
+            if pool is None:
+                tasks = [(parents, m)]
+                grown = map(_grow_slice, tasks)
+            else:
+                step = -(-len(parents) // (_SLICES_PER_WORKER * workers))
+                tasks = [(parents[i : i + step], m) for i in range(0, len(parents), step)]
+                grown = pool.imap(_grow_slice, tasks)
+            seen: dict[str, tuple[int, ...]] = {}
+            for (part, _), firsts in zip(tasks, grown):
+                for code, (p, new) in firsts:
+                    if code not in seen:
+                        # extends the parent's own tuple, so the level shares
+                        # its parents' ints as a sequential scan's does
+                        seen[code] = part[p] + (new,)
+            levels.append(sorted(seen.items()))
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
     return levels
+
+
+def _grow_slice(task: tuple[list[tuple[int, ...]], int]) -> list[tuple[str, tuple[int, int]]]:
+    # task = (parents, m): grow each parent on m elements (down-set
+    # bitmasks, element 0 the bottom) by a maximal element m above every
+    # admissible down-set, in parent order and increasing down-set order.
+    # For the first candidate of every code, in encounter order, return
+    # (code, (position of its parent in the slice, down-set of m)); the
+    # candidate is parents[position] + (down-set,).  The element lists of a
+    # parent are built once and extended for each candidate.
+    parents, m = task
+    bit = 1 << m
+    seen: dict[str, tuple[int, int]] = {}
+    for p, downs in enumerate(parents):
+        ups = _ups_from_downs(downs)
+        below, above = _element_lists(downs), _element_lists(ups)
+        twins = _twin_pairs(downs, ups)
+        for new in _admissible_downsets(downs):
+            if any(new & later and not new & earlier for earlier, later in twins):
+                continue  # a twin swap gives a smaller, isomorphic candidate
+            # the new element m lies above exactly the elements of new
+            under = list(_bits(new))
+            cand_above = above + [[m]]
+            for y in under:
+                cand_above[y] = above[y] + [m]
+            under.append(m)
+            code = _poset_code(below + [under], cand_above)
+            if code not in seen:
+                seen[code] = (p, new | bit)
+    return list(seen.items())
+
+
+def _usable_cpus() -> int:
+    # CPUs this process may run on; affinity masks count where the OS has them
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    # fork copies only the calling thread, and every lock in whatever state
+    # the other threads left it, so only a single-threaded process forks
+    import threading
+
+    return hasattr(os, "fork") and threading.active_count() == 1
 
 
 def _twin_pairs(downs: tuple[int, ...], ups: tuple[int, ...]) -> list[tuple[int, int]]:

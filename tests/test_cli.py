@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import conlat
 from conlat import chain, con_lattice, regring
 from conlat.lattice import canonical_form, enumerate_lattices
@@ -214,6 +216,36 @@ def test_check_oversized_row_exits_three(tmp_path, capsys):
     assert "big.jsonl:1" in err
 
 
+def test_check_corpus_that_is_not_utf8_exits_three(tmp_path, capsys):
+    corpus = tmp_path / "bad.jsonl"
+    row = json.dumps({"n": 1, "covers": []}).encode()
+    corpus.write_bytes(row + b"\n" + b"\xff\xfe\n")
+    code, out, err = run(capsys, "check", "urp", "--in", str(corpus))
+    assert code == 3
+    assert out == ""
+    assert "bad.jsonl:2" in err
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"n": True, "covers": []},
+        {"n": 2, "covers": [[0, True]]},
+        {"n": 2.5, "covers": [[0, 1]]},
+        {"n": 2, "covers": [[0, 1.0]]},
+    ],
+    ids=["bool-size", "bool-endpoint", "fractional-size", "float-endpoint"],
+)
+def test_check_non_integer_size_or_endpoint_exits_three(tmp_path, capsys, row):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text(json.dumps(row) + "\n")
+    code, out, err = run(capsys, "check", "urp", "--in", str(corpus))
+    assert code == 3
+    assert out == ""
+    assert "bad.jsonl:1" in err
+    assert "not an integer" in err
+
+
 def test_negative_budget_is_a_usage_error(capsys):
     for command in (("check", "urp"), ("verify-theorem", "prop-urpadd")):
         code, out, err = run(capsys, *command, "--max-size", "3", "--budget", "-5")
@@ -419,6 +451,28 @@ def test_import_does_not_load_numpy():
     # the package is integer-only and declares no numpy dependency
     src = os.path.dirname(os.path.dirname(conlat.__file__))
     probe = "import sys, conlat.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"
+
+
+def test_small_commands_do_not_load_multiprocessing():
+    # only enumerations with a level of _POOL_MIN_PARENTS parents start a
+    # worker pool; the largest level up to size 8 has 53
+    src = os.path.dirname(os.path.dirname(conlat.__file__))
+    probe = (
+        "import os, sys\n"
+        "from conlat.cli import main\n"
+        "assert main(['gen-corpus', '--max-size', '8', '--out', os.devnull]) == 0\n"
+        "assert main(['check', 'urp', '--max-size', '6', '--out', os.devnull]) == 0\n"
+        "assert main(['ring', 'M(1,2)', '--out', os.devnull]) == 0\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},

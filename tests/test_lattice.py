@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -402,7 +404,9 @@ def test_meet_semilattice_levels_match_unpruned_oracle():
 
 def test_twin_pruning_codes_fewer_candidates(monkeypatch):
     # candidates coded per size; without the twin-swap pruning they are
-    # 1, 1, 2, 7, 27, 116, 541, 2861, 16747
+    # 1, 1, 2, 7, 27, 116, 541, 2861, 16747.  The count is kept in this
+    # process, so every level is grown in-process.
+    monkeypatch.setattr(lattice, "_usable_cpus", lambda: 1)
     search = lattice._poset_code
     calls = [0] * 10
 
@@ -413,6 +417,78 @@ def test_twin_pruning_codes_fewer_candidates(monkeypatch):
     monkeypatch.setattr(lattice, "_poset_code", counted)
     lattice._meet_semilattice_levels(9)
     assert calls[1:] == [1, 1, 2, 6, 21, 89, 419, 2259, 13535]
+
+
+def test_merged_slices_match_levels():
+    # growing a level in k contiguous slices and keeping the first
+    # representative of each code, slice by slice, gives the level
+    levels = lattice._meet_semilattice_levels(7)
+    for m in range(1, 7):
+        parents = [downs for _, downs in levels[m - 1]]
+        for k in range(1, len(parents) + 1):
+            step = -(-len(parents) // k)
+            seen: dict[str, tuple[int, ...]] = {}
+            for i in range(0, len(parents), step):
+                part = parents[i : i + step]
+                for code, (p, new) in lattice._grow_slice((part, m)):
+                    seen.setdefault(code, part[p] + (new,))
+            assert sorted(seen.items()) == levels[m]
+
+
+def test_pooled_levels_match_in_process_levels(monkeypatch):
+    # every level from two parents on is grown in a pool of two workers,
+    # whatever the machine has
+    in_process = lattice._meet_semilattice_levels(8)
+    monkeypatch.setattr(lattice, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(lattice, "_POOL_MIN_PARENTS", 2)
+    assert lattice._meet_semilattice_levels(8) == in_process
+    assert multiprocessing.active_children() == []
+
+
+def test_levels_grow_in_process_while_another_thread_runs(monkeypatch):
+    # forking a process with other threads would copy their locks
+    in_process = lattice._meet_semilattice_levels(8)
+    monkeypatch.setattr(lattice, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(lattice, "_POOL_MIN_PARENTS", 2)
+
+    def no_pool(method):
+        raise AssertionError(f"a {method} pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        assert lattice._meet_semilattice_levels(8) == in_process
+    finally:
+        stop.set()
+        waiter.join()
+
+
+def test_enumeration_leaves_no_worker_process(monkeypatch):
+    # all levels are grown, and the pool is stopped, before the second yield
+    monkeypatch.setattr(lattice, "_usable_cpus", lambda: 2)
+    lattices = enumerate_lattices(10, bound=10)
+    head = list(itertools.islice(lattices, 3))
+    assert multiprocessing.active_children() == []
+    assert len(head) + len(list(lattices)) == 7372
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    # the size-9 candidates are coded in the workers
+    monkeypatch.setattr(lattice, "_usable_cpus", lambda: 2)
+    search = lattice._poset_code
+
+    def failing(below, above):
+        if len(below) == 9:
+            raise RuntimeError("size-9 candidate")
+        return search(below, above)
+
+    monkeypatch.setattr(lattice, "_poset_code", failing)
+    with pytest.raises(RuntimeError, match="size-9 candidate"):
+        lattice._meet_semilattice_levels(9)
+    assert multiprocessing.active_children() == []
 
 
 def with_ups(down: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
