@@ -25,18 +25,18 @@ Reports are JSON on stdout (or ``--out``), deterministic for a fixed
 (corpus, seed, budget): rerunning a command yields byte-identical output.
 Wall-clock time goes to stderr only.  Exit codes: 0 every row holds, 1 some
 row fails, 2 budget exhausted somewhere with no failure, 3 operational error
-(bad arguments such as a negative ``--budget``, an unreadable corpus or a
-malformed corpus row, an oversized ring).
+(bad arguments such as a negative ``--budget`` or a ``--max-size`` below 1,
+an unreadable corpus or a malformed corpus row, an oversized ring).
 """
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from . import __version__
 from .congruence import (
@@ -90,8 +90,30 @@ from .urp import (
     urp_transfer,
     verify_urp_witness,
 )
-from . import regring
-from .regring import FiniteRing
+
+if TYPE_CHECKING:
+    from .regring import FiniteRing
+
+
+def _lazy_import(name: str):
+    """Module ``name``, run on the first read of one of its attributes.
+
+    An entry already in ``sys.modules`` is reused.  Otherwise a module whose
+    loader is wrapped in ``importlib.util.LazyLoader`` is registered under
+    ``name`` and bound on its parent package, as an import would bind it."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        parent, _, child = name.rpartition(".")
+        setattr(sys.modules[parent], child, module)
+    return module
+
+
+# only the ring campaigns read this module, so the lattice commands never run it
+regring = _lazy_import(f"{__package__}.regring")
 
 DEFAULT_TRIALS = 10_000
 
@@ -126,7 +148,6 @@ class ParseError(ValueError):
     """Malformed corpus line."""
 
 
-@dataclass
 class CampaignReport:
     """Machine-readable outcome of one CLI command.
 
@@ -134,10 +155,28 @@ class CampaignReport:
     verdicts are "holds", "fails", or "budget-exceeded".
     """
 
-    command: str
-    params: dict
-    rows: list[dict] = field(default_factory=list)
-    annotations: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        command: str,
+        params: dict,
+        rows: list[dict] | None = None,
+        annotations: list[str] | None = None,
+    ) -> None:
+        self.command = command
+        self.params = params
+        self.rows = [] if rows is None else rows
+        self.annotations = [] if annotations is None else annotations
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return (
+            f"CampaignReport(command={self.command!r}, params={self.params!r}, "
+            f"rows={self.rows!r}, annotations={self.annotations!r})"
+        )
 
     @property
     def summary(self) -> dict[str, int]:
@@ -184,7 +223,11 @@ def write_corpus(lattices: Iterable[FiniteLattice], out: TextIO) -> int:
 
 
 def read_corpus(path: str) -> list[tuple[str, FiniteLattice]]:
+    """The (id, lattice) rows of a corpus.  A row without ``id`` gets its
+    canonical code; ids must be strings, and unique because reports tally
+    per id."""
     items = []
+    first_line: dict[str, int] = {}
     # lines are decoded one by one, so text that is not UTF-8 is a ParseError
     # naming its line
     with open(path, "rb") as fh:
@@ -196,9 +239,14 @@ def read_corpus(path: str) -> list[tuple[str, FiniteLattice]]:
                 obj = json.loads(line.decode("utf-8"))
                 L = FiniteLattice.from_json(obj)
                 item_id = obj["id"] if "id" in obj else canonical_form(L)
-                items.append((item_id, L))
+                if not isinstance(item_id, str):
+                    raise ValueError(f"id must be a string, got {item_id!r}")
+                if item_id in first_line:
+                    raise ValueError(f"id {item_id!r} repeats line {first_line[item_id]}")
             except (ValueError, KeyError, TypeError, IndexError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            first_line[item_id] = lineno
+            items.append((item_id, L))
     return items
 
 
@@ -209,8 +257,7 @@ def default_corpus(max_size: int) -> list[tuple[str, FiniteLattice]]:
 # -- the campaign table ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Campaign:
+class Campaign(NamedTuple):
     """One campaign, as data.
 
     ``command`` is the CLI command the entry belongs to: every "check" and
@@ -226,7 +273,8 @@ class Campaign:
     to (or None).  ``trials`` draws are tallied per item under ``tallies``,
     whose first entry counts the draws; here ``check`` is optional and
     returns further exhaustive per-item tallies.  ``annotate`` attaches
-    :data:`NO_FINITE_COUNTEREXAMPLE` to a report with no failing row.
+    :data:`NO_FINITE_COUNTEREXAMPLE` to a report with no failing row and
+    some row that holds by its check.
     """
 
     id: str
@@ -605,13 +653,16 @@ RING_THEOREMS = tuple(t for t, c in _THEOREMS.items() if c.population == "rings"
 # -- walking the table --------------------------------------------------------------
 
 
+_VACUOUS = "premise does not apply"
+
+
 def _rows(c: Campaign, population, budget: int, seed: int = 0, trials: int = 0) -> list[dict]:
     if c.draws is not None:
         return _sampled_rows(c, population, budget, seed, trials)
     rows = []
     for item_id, x in population:
         if c.premise is not None and not c.premise(x):
-            fragment = {"verdict": "holds", "detail": "premise does not apply"}
+            fragment = {"verdict": "holds", "detail": _VACUOUS}
         else:
             fragment = c.check(x, budget)
         rows.append({"item": item_id, "property": c.id, **fragment})
@@ -620,7 +671,10 @@ def _rows(c: Campaign, population, budget: int, seed: int = 0, trials: int = 0) 
 
 def _report(c: Campaign, params: dict, rows: list[dict]) -> CampaignReport:
     report = CampaignReport(c.command, params, rows)
-    if c.annotate and not report.summary["fails"]:
+    # the note speaks of the lattices examined: an empty corpus, vacuous rows
+    # and budget-exceeded rows examine none
+    examined = any(r["verdict"] == "holds" and r.get("detail") != _VACUOUS for r in rows)
+    if c.annotate and examined and not report.summary["fails"]:
         report.annotations.append(NO_FINITE_COUNTEREXAMPLE)
     return report
 
@@ -652,7 +706,7 @@ def campaign_theorem(
     if c.population == "rings":
         specs = tuple(rings) if rings else TEST_RINGS
         params["rings"] = list(specs)
-        population = ((spec, FiniteRing.from_matrix_spec(spec)) for spec in specs)
+        population = ((spec, regring.FiniteRing.from_matrix_spec(spec)) for spec in specs)
     else:
         population = items if items is not None else default_corpus(5)
         params["items"] = len(population)
@@ -661,7 +715,7 @@ def campaign_theorem(
 
 
 def campaign_ring(spec: str) -> CampaignReport:
-    R = FiniteRing.from_matrix_spec(spec)
+    R = regring.FiniteRing.from_matrix_spec(spec)
     report = CampaignReport("ring", {"spec": spec, "size": R.n})
     for stage in _STAGES:
         report.rows.extend(_rows(stage, [(spec, R)], DEFAULT_SEARCH_BUDGET))
@@ -686,11 +740,19 @@ class _Parser(argparse.ArgumentParser):
         return 3
 
 
+def _at_least(text: str, low: int, what: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
 def _budget(text: str) -> int:
-    budget = int(text)
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"budget must be at least 0, got {budget}")
-    return budget
+    return _at_least(text, 0, "budget")
+
+
+def _max_size(text: str) -> int:
+    return _at_least(text, 1, "max-size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -699,20 +761,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen-corpus", help="enumerate lattices to a JSONL corpus")
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_max_size, required=True)
     p.add_argument("--out", default="-", help="output path (default stdout)")
 
     p = sub.add_parser("check", help="run a per-lattice property check")
     p.add_argument("property", choices=PROPERTY_IDS)
     p.add_argument("--in", dest="in_path", help="JSONL corpus path")
-    p.add_argument("--max-size", type=int, help="generate the corpus in memory")
+    p.add_argument("--max-size", type=_max_size, help="generate the corpus in memory")
     p.add_argument("--budget", type=_budget, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("verify-theorem", help="run a verification campaign")
     p.add_argument("theorem", choices=THEOREM_IDS)
     p.add_argument("--in", dest="in_path")
-    p.add_argument("--max-size", type=int)
+    p.add_argument("--max-size", type=_max_size)
     p.add_argument("--ring", action="append", help="ring spec (repeatable)")
     p.add_argument("--budget", type=_budget, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--seed", type=int, default=0)

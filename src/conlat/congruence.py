@@ -34,9 +34,8 @@ neutral ideal below a corresponds to Theta(0, a) in the principal table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .lattice import (
     FiniteLattice,
@@ -364,18 +363,27 @@ def con_lattice(L: FiniteLattice) -> CongruenceLattice:
 # -- chains -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A fence of elements with one congruence label per step (None allowed:
-    an unlabeled step)."""
-
+class _ChainFields(NamedTuple):
     host: FiniteLattice
     elements: tuple[int, ...]
     labels: tuple[Congruence | None, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != max(len(self.elements) - 1, 0):
+
+class Chain(_ChainFields):
+    """A fence of elements with one congruence label per step (None allowed:
+    an unlabeled step)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        host: FiniteLattice,
+        elements: tuple[int, ...],
+        labels: tuple[Congruence | None, ...],
+    ) -> Chain:
+        if len(labels) != max(len(elements) - 1, 0):
             raise ValueError("need exactly one label per step")
+        return super().__new__(cls, host, elements, labels)
 
     def validate(self) -> bool:
         """Steps are (weakly) increasing and lie in their labels."""
@@ -530,8 +538,7 @@ def neutral_ideals(L: FiniteLattice) -> list[frozenset[int]]:
     return [I for I in ideals(L) if is_neutral_ideal(L, I)]
 
 
-@dataclass(frozen=True)
-class ConNidCorrespondence:
+class ConNidCorrespondence(NamedTuple):
     """The inverse bijections between Con L and the neutral ideals of L."""
 
     host: FiniteLattice

@@ -51,10 +51,9 @@ before the enumerator yields its second lattice.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 DEFAULT_ENUMERATION_BOUND = 8
 
@@ -348,8 +347,7 @@ def n5() -> FiniteLattice:
 # -- intervals ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntervalSublattice:
+class IntervalSublattice(NamedTuple):
     """An interval [a, b] viewed as a lattice of its own.
 
     ``to_host[k]`` is the element of the host lattice that local element k
@@ -451,14 +449,38 @@ def are_perspective(L: FiniteLattice, x: int, y: int) -> bool:
 # -- homomorphisms ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeHom:
+class _Frozen:
+    """Base of the records that cannot be tuples, because they are weakly
+    referenced, cache what they derive in their ``__dict__`` or have a field
+    named ``index``.  ``__init__`` sets the fields once; instances of one
+    class compare and hash by ``_key()``, the fields their repr shows."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class LatticeHom(_Frozen):
     """A map between lattices given by its value table; not assumed valid
     until checked with :func:`check_hom`."""
 
-    source: FiniteLattice
-    target: FiniteLattice
-    map: tuple[int, ...]
+    def __init__(
+        self, source: FiniteLattice, target: FiniteLattice, map: tuple[int, ...]
+    ) -> None:
+        vars(self).update(source=source, target=target, map=map)
+
+    def _key(self) -> tuple:
+        return self.source, self.target, self.map
+
+    def __repr__(self) -> str:
+        return f"LatticeHom(source={self.source!r}, target={self.target!r}, map={self.map!r})"
 
 
 def check_hom(h: LatticeHom) -> bool:

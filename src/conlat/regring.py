@@ -37,12 +37,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .congruence import NotAnIdeal, con_lattice, con_nid_iso, is_neutral_ideal, neutral_ideals
-from .lattice import FiniteLattice, _bits
+from .lattice import FiniteLattice, _bits, _Frozen
 
 RING_SIZE_BOUND = 1 << 14
 
@@ -253,8 +252,7 @@ class FiniteRing:
         return f"FiniteRing(n={self.n})"
 
 
-@dataclass(frozen=True)
-class RegularityResult:
+class RegularityResult(NamedTuple):
     holds: bool
     failing: int | None
 
@@ -280,8 +278,7 @@ def _inclusion_lattice(
     return ordered, lattice, {s: i for i, s in enumerate(ordered)}
 
 
-@dataclass(frozen=True)
-class RightIdealLattice:
+class RightIdealLattice(_Frozen):
     """L(R): principal right ideals ordered by inclusion.
 
     ``ideals[k]`` is the element set of node k, ``generators[k]`` an
@@ -290,12 +287,32 @@ class RightIdealLattice:
     the node holding xR.
     """
 
-    ring: FiniteRing
-    lattice: FiniteLattice
-    ideals: tuple[frozenset[int], ...]
-    generators: tuple[int, ...]
-    index: dict[frozenset[int], int] = field(repr=False, compare=False)
-    element_nodes: tuple[int, ...] = field(repr=False, compare=False)
+    def __init__(
+        self,
+        ring: FiniteRing,
+        lattice: FiniteLattice,
+        ideals: tuple[frozenset[int], ...],
+        generators: tuple[int, ...],
+        index: dict[frozenset[int], int],
+        element_nodes: tuple[int, ...],
+    ) -> None:
+        vars(self).update(
+            ring=ring,
+            lattice=lattice,
+            ideals=ideals,
+            generators=generators,
+            index=index,
+            element_nodes=element_nodes,
+        )
+
+    def _key(self) -> tuple:
+        return self.ring, self.lattice, self.ideals, self.generators
+
+    def __repr__(self) -> str:
+        return (
+            f"RightIdealLattice(ring={self.ring!r}, lattice={self.lattice!r}, "
+            f"ideals={self.ideals!r}, generators={self.generators!r})"
+        )
 
     def node_of(self, x: int) -> int:
         """The node holding xR."""
@@ -323,8 +340,7 @@ def principal_right_ideals(R: FiniteRing) -> RightIdealLattice:
     return R._principal_right_ideals
 
 
-@dataclass(frozen=True)
-class IsoCertificate:
+class IsoCertificate(NamedTuple):
     x: int
     y: int
 
@@ -391,16 +407,30 @@ def _principal_ideals(R: FiniteRing) -> tuple[frozenset[int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class TwoSidedIdealLattice:
+class TwoSidedIdealLattice(_Frozen):
     """Id R: ``ideals[k]`` is the element set of node k, ``index`` maps it
     back to k, and ``principal[x]`` is RxR."""
 
-    ring: FiniteRing
-    lattice: FiniteLattice
-    ideals: tuple[frozenset[int], ...]
-    principal: tuple[frozenset[int], ...]
-    index: dict[frozenset[int], int] = field(repr=False, compare=False)
+    def __init__(
+        self,
+        ring: FiniteRing,
+        lattice: FiniteLattice,
+        ideals: tuple[frozenset[int], ...],
+        principal: tuple[frozenset[int], ...],
+        index: dict[frozenset[int], int],
+    ) -> None:
+        vars(self).update(
+            ring=ring, lattice=lattice, ideals=ideals, principal=principal, index=index
+        )
+
+    def _key(self) -> tuple:
+        return self.ring, self.lattice, self.ideals, self.principal
+
+    def __repr__(self) -> str:
+        return (
+            f"TwoSidedIdealLattice(ring={self.ring!r}, lattice={self.lattice!r}, "
+            f"ideals={self.ideals!r}, principal={self.principal!r})"
+        )
 
     def index_of(self, I: frozenset[int]) -> int:
         try:
@@ -507,8 +537,7 @@ def conc_idc_iso(R: FiniteRing) -> bool:
 # -- V(R) and the maximal semilattice quotient ------------------------------------
 
 
-@dataclass(frozen=True)
-class VMonoid:
+class VMonoid(NamedTuple):
     """V(R) = N^k: multiplicity vectors over the isomorphism classes of
     indecomposable principal right ideals (atoms of L(R))."""
 
@@ -610,17 +639,21 @@ def algebraic_below(v: Sequence[int], alpha: Sequence[int]) -> bool:
     return all(a > 0 for x, a in zip(v, alpha) if x > 0)
 
 
-@dataclass(frozen=True)
-class PiMap:
+class PiMap(_Frozen):
     """pi: V(R) -> Id R, pi(alpha) = { x in R : [xR] <= n alpha, some n >= 1 }
-    with the algebraic preorder of N^k on the right."""
+    with the algebraic preorder of N^k on the right.  ``elem_class[x]`` is
+    the class of xR; images are memoized per support in ``_by_support``."""
 
-    vm: VMonoid
-    tsl: TwoSidedIdealLattice
-    elem_class: tuple[tuple[int, ...], ...]  # ring element -> class of xR
-    _by_support: dict[int, frozenset[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self, vm: VMonoid, tsl: TwoSidedIdealLattice, elem_class: tuple[tuple[int, ...], ...]
+    ) -> None:
+        vars(self).update(vm=vm, tsl=tsl, elem_class=elem_class, _by_support={})
+
+    def _key(self) -> tuple:
+        return self.vm, self.tsl, self.elem_class
+
+    def __repr__(self) -> str:
+        return f"PiMap(vm={self.vm!r}, tsl={self.tsl!r}, elem_class={self.elem_class!r})"
 
     @cached_property
     def _supports(self) -> tuple[int, ...]:
@@ -678,8 +711,7 @@ def verify_pi_map(R: FiniteRing) -> dict[str, bool]:
     return out
 
 
-@dataclass(frozen=True)
-class SupportQuotient:
+class SupportQuotient(NamedTuple):
     """The maximal semilattice quotient of N^k: the support map onto the
     Boolean semilattice of subsets of the k classes."""
 

@@ -16,12 +16,11 @@ joins; :func:`wd_join_combine` realizes that closure constructively.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .lattice import FiniteLattice, _bits, _monotone_maps
+from .lattice import FiniteLattice, _bits, _Frozen, _monotone_maps
 
 
 class TargetNotDistributive(ValueError):
@@ -142,13 +141,21 @@ class FiniteJoinSemilattice:
         return f"FiniteJoinSemilattice(n={self.n})"
 
 
-@dataclass(frozen=True)
-class SemilatticeHom:
+class SemilatticeHom(_Frozen):
     """A map between join-semilattices; check with :func:`check_semilattice_hom`."""
 
-    source: FiniteJoinSemilattice
-    target: FiniteJoinSemilattice
-    map: tuple[int, ...]
+    def __init__(
+        self, source: FiniteJoinSemilattice, target: FiniteJoinSemilattice, map: tuple[int, ...]
+    ) -> None:
+        vars(self).update(source=source, target=target, map=map)
+
+    def _key(self) -> tuple:
+        return self.source, self.target, self.map
+
+    def __repr__(self) -> str:
+        return (
+            f"SemilatticeHom(source={self.source!r}, target={self.target!r}, map={self.map!r})"
+        )
 
 
 def check_semilattice_hom(h: SemilatticeHom) -> bool:
@@ -176,8 +183,7 @@ def enumerate_semilattice_homs(
 # -- refinement ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefinementSquare:
+class RefinementSquare(NamedTuple):
     """A 2x2 refinement of a0 + a1 = b0 + b1:
     ai = ci0 + ci1 and bi = c0i + c1i."""
 
@@ -229,8 +235,7 @@ def refinement_square(
     return None
 
 
-@dataclass(frozen=True)
-class RefinementResult:
+class RefinementResult(NamedTuple):
     """Outcome of the refinement-property scan: the first failing equation,
     if any."""
 
@@ -272,8 +277,7 @@ def has_refinement_property(S: FiniteJoinSemilattice) -> RefinementResult:
 # -- weak distributivity --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WdWitness:
+class WdWitness(NamedTuple):
     """A weak-distributivity witness at u: for every decomposition
     f(u) = y0 + y1 a pullback (x0, x1) with x0 + x1 = u and f(xi) <= yi."""
 
@@ -295,8 +299,7 @@ def verify_wd_witness(w: WdWitness) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class WdAtResult:
+class WdAtResult(NamedTuple):
     holds: bool
     witness: WdWitness | None
     failure: tuple[int, int] | None

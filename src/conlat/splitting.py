@@ -21,8 +21,7 @@ shortest-chain BFS.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .congruence import Congruence, con_lattice
 from .lattice import FiniteLattice, _bits, _check_elements
@@ -32,27 +31,31 @@ class NoChain(ValueError):
     """No labelled <~a chain from a to b exists."""
 
 
-@dataclass(frozen=True)
-class SplitInstance:
-    """A congruence-splitting instance: a <= b and Theta(a, b) <= alpha0 v alpha1."""
-
+class _SplitInstanceFields(NamedTuple):
     L: FiniteLattice
     a: int
     b: int
     alpha0: Congruence
     alpha1: Congruence
 
-    def __post_init__(self) -> None:
-        _check_elements(self.L, self.a, self.b)
-        if not self.L.le(self.a, self.b):
-            raise ValueError(f"{self.a} is not below {self.b}")
-        con = con_lattice(self.L)
-        if not con.below_join(self.a, self.b, self.alpha0, self.alpha1):
+
+class SplitInstance(_SplitInstanceFields):
+    """A congruence-splitting instance: a <= b and Theta(a, b) <= alpha0 v alpha1."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, L: FiniteLattice, a: int, b: int, alpha0: Congruence, alpha1: Congruence
+    ) -> SplitInstance:
+        _check_elements(L, a, b)
+        if not L.le(a, b):
+            raise ValueError(f"{a} is not below {b}")
+        if not con_lattice(L).below_join(a, b, alpha0, alpha1):
             raise ValueError("Theta(a, b) is not below alpha0 v alpha1")
+        return super().__new__(cls, L, a, b, alpha0, alpha1)
 
 
-@dataclass(frozen=True)
-class CChain:
+class CChain(NamedTuple):
     """A chain a = x0 <~c x1 <~c ... <~c xn = b with one witness z per step."""
 
     L: FiniteLattice
@@ -131,8 +134,7 @@ def property_c_chain(L: FiniteLattice, a: int, b: int, c: int) -> CChain | None:
     return CChain(L, c, chain[0], chain[1])
 
 
-@dataclass(frozen=True)
-class PropertyCResult:
+class PropertyCResult(NamedTuple):
     holds: bool
     failing: tuple[int, int, int] | None  # (a, b, c)
 
@@ -166,8 +168,7 @@ def splitting_witness(inst: SplitInstance) -> tuple[int, int] | None:
     return _greatest_split(inst.L, inst.a, inst.b, i0, i1)
 
 
-@dataclass(frozen=True)
-class SplittingResult:
+class SplittingResult(NamedTuple):
     holds: bool
     failing: tuple[int, int, int, int] | None  # (a, b, alpha0 index, alpha1 index)
 

@@ -51,10 +51,9 @@ congruence-splitting lattice L.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .congruence import certifies_ring_of_sets, con_lattice
 from .lattice import FiniteLattice, _bits, _check_elements
@@ -104,34 +103,38 @@ class NotSplitting(ValueError):
     """A congruence-splitting instance has no splitting witness."""
 
 
-@dataclass(frozen=True)
-class UrpInstance:
-    """A URP instance: pairs (a_i, b_i) joining to e."""
-
+class _UrpInstanceFields(NamedTuple):
     S: FiniteJoinSemilattice
     e: int
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        n, j = self.S.n, self.S.join_rows
-        if not 0 <= self.e < n:
-            raise ElementOutOfRange(f"target {self.e} outside 0..{n - 1}")
-        for a, b in self.pairs:
+
+class UrpInstance(_UrpInstanceFields):
+    """A URP instance: pairs (a_i, b_i) joining to e."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, S: FiniteJoinSemilattice, e: int, pairs: tuple[tuple[int, int], ...]
+    ) -> UrpInstance:
+        n, j = S.n, S.join_rows
+        if not 0 <= e < n:
+            raise ElementOutOfRange(f"target {e} outside 0..{n - 1}")
+        for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise ElementOutOfRange(f"pair ({a}, {b}) outside 0..{n - 1}")
-            if j[a][b] != self.e:
-                raise ValueError(f"pair ({a}, {b}) does not join to {self.e}")
+            if j[a][b] != e:
+                raise ValueError(f"pair ({a}, {b}) does not join to {e}")
+        return super().__new__(cls, S, e, pairs)
 
 
-@dataclass(frozen=True)
-class UrpWitness:
+class UrpWitness(NamedTuple):
     astar: tuple[int, ...]
     bstar: tuple[int, ...]
     c: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class UrpVerification:
+class UrpVerification(NamedTuple):
     ok: bool
     clause: str | None = None
     indices: tuple[int, ...] | None = None

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import conlat
-from conlat import chain, con_lattice, regring
+from conlat import chain, con_lattice, is_congruence_splitting, regring
 from conlat.lattice import canonical_form, enumerate_lattices
 from conlat.cli import (
     DEFAULT_TRIALS,
@@ -258,6 +258,65 @@ def test_negative_budget_is_a_usage_error(capsys):
     assert json.loads(out)["params"]["budget"] == 0
 
 
+@pytest.mark.parametrize(
+    "command", [("gen-corpus",), ("check", "urp"), ("verify-theorem", "prop-d")]
+)
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_max_size_below_one_is_a_usage_error(capsys, command, size):
+    code, out, err = run(capsys, *command, "--max-size", size)
+    assert code == 3
+    assert out == ""
+    assert "max-size must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "item_id", [5, None, True, {"a": 1}, [1, 2]], ids=["int", "null", "bool", "object", "list"]
+)
+def test_non_string_id_exits_three(tmp_path, capsys, item_id):
+    # a list id used to reach the hom tallies of prop-convhom and die there
+    # with TypeError (exit 1); the others were copied into the report
+    corpus = tmp_path / "bad.jsonl"
+    rows = [{"id": "ok", "n": 1, "covers": []}, {"id": item_id, "n": 2, "covers": [[0, 1]]}]
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    for command in (("check", "urp"), ("verify-theorem", "prop-convhom")):
+        code, out, err = run(capsys, *command, "--in", str(corpus))
+        assert code == 3
+        assert out == ""
+        assert "bad.jsonl:2" in err
+        assert "id must be a string" in err
+
+
+def test_repeated_id_exits_three(tmp_path, capsys):
+    # two rows under one id used to share one tally: the rows of the 2-chain
+    # and the 3-chain both reported the 3-chain's 18 chains and all 10,000 homs
+    corpus = tmp_path / "twice.jsonl"
+    corpus.write_text(
+        json.dumps({"id": "a", "n": 2, "covers": [[0, 1]]})
+        + "\n\n"
+        + json.dumps({"id": "a", "n": 3, "covers": [[0, 1], [1, 2]]})
+        + "\n"
+    )
+    code, out, err = run(capsys, "verify-theorem", "prop-convhom", "--in", str(corpus))
+    assert code == 3
+    assert out == ""
+    assert "twice.jsonl:3" in err
+    assert "repeats line 1" in err
+
+
+def test_distinct_ids_keep_their_own_tallies(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(
+        json.dumps({"id": "a", "n": 2, "covers": [[0, 1]]})
+        + "\n"
+        + json.dumps({"id": "b", "n": 3, "covers": [[0, 1], [1, 2]]})
+        + "\n"
+    )
+    code, out, _ = run(capsys, "verify-theorem", "prop-convhom", "--in", str(corpus))
+    assert code == 0
+    chains = [row["detail"]["chains_checked"] for row in json.loads(out)["rows"]]
+    assert chains == [5, 18]
+
+
 # ---------------------------------------------------------------------------
 # verify-theorem
 
@@ -279,6 +338,31 @@ def test_verify_csurp_includes_annotation(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert NO_FINITE_COUNTEREXAMPLE in report["annotations"]
+
+
+def test_empty_corpus_gets_no_counterexample_note(tmp_path, capsys):
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("")
+    code, out, _ = run(capsys, "check", "urp", "--in", str(corpus))
+    assert code == 0
+    report = json.loads(out)
+    assert report["rows"] == []
+    assert report["annotations"] == []
+
+
+def test_vacuous_csurp_report_gets_no_counterexample_note(tmp_path, capsys):
+    # every lattice up to size 6 that is not congruence-splitting: thm-csurp's
+    # premise fails on each row, so no congruence lattice is examined
+    lattices = [L for L in enumerate_lattices(6) if not is_congruence_splitting(L).holds]
+    assert len(lattices) == 15
+    corpus = tmp_path / "vacuous.jsonl"
+    with open(corpus, "w") as fh:
+        write_corpus(lattices, fh)
+    code, out, _ = run(capsys, "verify-theorem", "thm-csurp", "--in", str(corpus))
+    assert code == 0
+    report = json.loads(out)
+    assert {row["detail"] for row in report["rows"]} == {"premise does not apply"}
+    assert report["annotations"] == []
 
 
 def test_verify_ring_theorem(capsys):
