@@ -229,7 +229,7 @@ def read_corpus(path: str) -> list[tuple[str, FiniteLattice]]:
     items = []
     first_line: dict[str, int] = {}
     # lines are decoded one by one, so text that is not UTF-8 is a ParseError
-    # naming its line
+    # naming its line; so is JSON nested past the recursion limit
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -243,7 +243,7 @@ def read_corpus(path: str) -> list[tuple[str, FiniteLattice]]:
                     raise ValueError(f"id must be a string, got {item_id!r}")
                 if item_id in first_line:
                     raise ValueError(f"id {item_id!r} repeats line {first_line[item_id]}")
-            except (ValueError, KeyError, TypeError, IndexError) as exc:
+            except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             first_line[item_id] = lineno
             items.append((item_id, L))

@@ -25,7 +25,9 @@ From a regular ring R the module computes:
 * the inverse bijections between neutral ideals of L(R) and Id R;
 * V(R), the monoid of isomorphism classes of principal right ideals, which
   for a finite (hence semisimple) regular ring is free commutative on the
-  classes of indecomposables: elements are multiplicity vectors in N^k;
+  classes of indecomposables: elements are multiplicity vectors in N^k,
+  checked for additivity over independent joins and for naming exactly the
+  isomorphism classes of L(R), read from one table per L(R);
 * the map pi from V(R) onto Id R, which reads a vector only through its
   support and so is checked on pairs of indicator vectors, and the maximal
   semilattice quotient of V(R): the support map onto the Boolean
@@ -318,6 +320,16 @@ class RightIdealLattice(_Frozen):
         """The node holding xR."""
         return self.element_nodes[x]
 
+    @cached_property
+    def iso_bits(self) -> tuple[int, ...]:
+        """Bit j of row i is set iff nodes i and j hold isomorphic ideals
+        (:func:`ideals_isomorphic`)."""
+        R, gens = self.ring, self.generators
+        return tuple(
+            sum(1 << j for j, b in enumerate(gens) if ideals_isomorphic(R, a, b) is not None)
+            for a in gens
+        )
+
 
 def principal_right_ideals(R: FiniteRing) -> RightIdealLattice:
     """Compute L(R), cached on the ring; requires regularity so that
@@ -503,18 +515,12 @@ def neutral_iff_iso_closed(R: FiniteRing) -> bool:
     principal right ideals.  Every ideal is principal, and both relations
     are bitmask rows over the nodes, so each side is one closure test."""
     lr = principal_right_ideals(R)
-    L, gens = lr.lattice, lr.generators
-    iso = [
-        sum(1 << j for j, b in enumerate(gens) if ideals_isomorphic(R, a, b) is not None)
-        for a in gens
-    ]
+    L = lr.lattice
 
     def closed(rows: Sequence[int], mask: int) -> bool:
         return all(rows[x] & ~mask == 0 for x in _bits(mask))
 
-    return all(
-        closed(L.perspective_bits, d) == closed(iso, d) for d in L.down_bits
-    )
+    return all(closed(L.perspective_bits, d) == closed(lr.iso_bits, d) for d in L.down_bits)
 
 
 def conc_idc_iso(R: FiniteRing) -> bool:
@@ -546,74 +552,63 @@ class VMonoid(NamedTuple):
     class_of_node: tuple[tuple[int, ...], ...]  # node -> vector in N^k
 
 
-def v_monoid(R: FiniteRing) -> VMonoid:
-    """Decompose every principal right ideal into indecomposables.
-
-    Repeatedly split off an atom A <= J with a complement C of A in [0, J]
-    (exists: L(R) is complemented and modular, hence relatively
-    complemented); the multiplicity vector is independent of choices, which
-    the caller can confirm via iso-invariance checks.  Cached on the ring."""
-    cached = getattr(R, "_v_monoid", None)
-    if cached is not None:
-        return cached
-    lr = principal_right_ideals(R)
-    L = lr.lattice
-    atoms = list(L.atoms)
-    classes: list[list[int]] = []
-    for a in atoms:
-        for cls in classes:
-            if ideals_isomorphic(R, lr.generators[cls[0]], lr.generators[a]):
-                cls.append(a)
-                break
-        else:
-            classes.append([a])
-    classes.sort(key=lambda c: c[0])
-    k = len(classes)
-    atom_class = {a: ci for ci, cls in enumerate(classes) for a in cls}
-    jn, mt, le = L.join_rows, L.meet_rows, L.le
-    bot = L.bottom
+def _node_vectors(L: FiniteLattice, atom_class: dict[int, int], k: int) -> list[tuple[int, ...]]:
+    """The multiplicity vector in N^k of every node of L(R), counting atoms
+    by their class.  Repeatedly split off an atom A <= J with a complement C
+    of A in [0, J] (exists: L(R) is complemented and modular, hence
+    relatively complemented)."""
+    jn, mt, down, bot = L.join_rows, L.meet_rows, L.down_bits, L.bottom
     vec: dict[int, tuple[int, ...]] = {bot: (0,) * k}
 
     def decompose(node: int) -> tuple[int, ...]:
         if node in vec:
             return vec[node]
-        atom = next(a for a in atoms if le(a, node))
-        comp = next(
-            (
-                z
-                for z in range(L.n)
-                if le(z, node) and mt[atom][z] == bot and jn[atom][z] == node
-            ),
-            None,
-        )
+        atom = next(a for a in atom_class if down[node] >> a & 1)
+        below = _bits(down[node])
+        comp = next((z for z in below if mt[atom][z] == bot and jn[atom][z] == node), None)
         if comp is None:
             raise DecompositionFail(f"atom {atom} has no complement under node {node}")
-        rest = decompose(comp)
-        v = list(rest)
+        v = list(decompose(comp))
         v[atom_class[atom]] += 1
         vec[node] = tuple(v)
         return vec[node]
 
-    for node in range(L.n):
-        decompose(node)
-    # refinement in N^k, asserted over all equal-sum quadruples of node
-    # classes: a0, a1 and b0 fix b1 = a0 + a1 - b0, which must be a class
-    vals = sorted(set(vec.values()))
-    present = set(vals)
-    for a0, a1, b0 in itertools.product(vals, repeat=3):
-        b1 = tuple(x + y - z for x, y, z in zip(a0, a1, b0))
-        if b1 not in present:
-            continue
-        c00, c01, c10, c11 = refine_nonneg_vectors(a0, a1, b0, b1)
-        rows = tuple(x + y for x, y in zip(c00, c01)) == a0 and tuple(
-            x + y for x, y in zip(c10, c11)
-        ) == a1
-        cols = tuple(x + y for x, y in zip(c00, c10)) == b0 and tuple(
-            x + y for x, y in zip(c01, c11)
-        ) == b1
-        if not (rows and cols and all(v >= 0 for c in (c00, c01, c10, c11) for v in c)):
-            raise AssertionError("refinement failed in N^k")
-    R._v_monoid = VMonoid(lr, k, tuple(vec[node] for node in range(L.n)))
+    return [decompose(node) for node in range(L.n)]
+
+
+def v_monoid(R: FiniteRing) -> VMonoid:
+    """Decompose every principal right ideal into indecomposables, and
+    confirm that the multiplicity vectors do not depend on the choices made:
+
+    * additivity: x ^ y = 0 implies vec(x v y) = vec(x) + vec(y);
+    * isomorphism-faithfulness: vec(x) = vec(y) iff the ideals at x and y
+      are isomorphic (``iso_bits``).
+
+    Either failure raises AssertionError naming the nodes.  The classes are
+    those of the atoms under ``iso_bits``.  Cached on the ring."""
+    cached = getattr(R, "_v_monoid", None)
+    if cached is not None:
+        return cached
+    lr = principal_right_ideals(R)
+    L, iso = lr.lattice, lr.iso_bits
+    atom_mask = sum(1 << a for a in L.atoms)
+    # the atoms ascend, so the classes come in order of their lowest atom
+    classes = list(dict.fromkeys(iso[a] & atom_mask for a in L.atoms))
+    atom_class = {a: classes.index(iso[a] & atom_mask) for a in L.atoms}
+    vecs = _node_vectors(L, atom_class, len(classes))
+    jn, mt, bot = L.join_rows, L.meet_rows, L.bottom
+    for x, y in itertools.product(range(L.n), repeat=2):
+        if mt[x][y] == bot and vecs[jn[x][y]] != tuple(map(sum, zip(vecs[x], vecs[y]))):
+            raise AssertionError(f"nodes {x} and {y} meet in 0 but their vectors do not add")
+    same: dict[tuple[int, ...], int] = {}
+    for x, v in enumerate(vecs):
+        same[v] = same.get(v, 0) | 1 << x
+    for x, v in enumerate(vecs):
+        if diff := same[v] ^ iso[x]:
+            y = (diff & -diff).bit_length() - 1
+            how = "share a vector but are not" if same[v] >> y & 1 else "differ in vector but are"
+            raise AssertionError(f"nodes {x} and {y} {how} isomorphic")
+    R._v_monoid = VMonoid(lr, len(classes), tuple(vecs))
     return R._v_monoid
 
 

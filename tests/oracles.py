@@ -58,7 +58,10 @@ which closes the pairs (bottom, x) of each neutral ideal with
 :func:`closure_by_union_find`, kept as the reference for the lookup of
 Theta(0, a) in the principal table; :func:`neutral_iff_iso_closed_by_pairs`
 is the former ``neutral_iff_iso_closed``, which tests the isomorphism pairs
-of a k^2 dict ideal by ideal.
+of a k^2 dict ideal by ideal.  :func:`refinement_by_triples` is the former
+check at the end of ``v_monoid``, which refines every equal-sum quadruple of
+class vectors with ``refine_nonneg_vectors``; it holds for any vectors in
+N^k, so it tests that formula rather than the ring.
 """
 from __future__ import annotations
 
@@ -925,5 +928,29 @@ def neutral_iff_iso_closed_by_pairs(R) -> bool:
     for nodes in principal_ideal_sets(L):
         closed = all(j in nodes for i in nodes for j in range(k) if iso[(i, j)])
         if is_neutral_ideal_by_axes(L, nodes) != closed:
+            return False
+    return True
+
+
+def refinement_by_triples(vectors) -> bool:
+    """Refinement in N^k over all equal-sum quadruples of the given vectors:
+    a0, a1 and b0 fix b1 = a0 + a1 - b0, which must be among them, and
+    ``refine_nonneg_vectors`` must return a nonnegative square with those
+    row and column sums."""
+    from conlat.regring import refine_nonneg_vectors
+
+    def add(u, v):
+        return tuple(x + y for x, y in zip(u, v))
+
+    vals = sorted(set(vectors))
+    present = set(vals)
+    for a0, a1, b0 in itertools.product(vals, repeat=3):
+        b1 = tuple(x + y - z for x, y, z in zip(a0, a1, b0))
+        if b1 not in present:
+            continue
+        c00, c01, c10, c11 = refine_nonneg_vectors(a0, a1, b0, b1)
+        rows = add(c00, c01) == a0 and add(c10, c11) == a1
+        cols = add(c00, c10) == b0 and add(c01, c11) == b1
+        if not (rows and cols and all(v >= 0 for c in (c00, c01, c10, c11) for v in c)):
             return False
     return True

@@ -303,6 +303,20 @@ def test_repeated_id_exits_three(tmp_path, capsys):
     assert "repeats line 1" in err
 
 
+@pytest.mark.parametrize(
+    "command", [("check", "urp"), ("verify-theorem", "prop-a")], ids=["check", "verify-theorem"]
+)
+def test_deeply_nested_row_exits_three(tmp_path, capsys, command):
+    # json.loads used to raise RecursionError, which escaped as a traceback
+    # and exit 1, the code of a failing row
+    corpus = tmp_path / "deep.jsonl"
+    corpus.write_text(json.dumps({"n": 1, "covers": []}) + "\n" + "[" * 3000 + "\n")
+    code, out, err = run(capsys, *command, "--in", str(corpus))
+    assert code == 3
+    assert out == ""
+    assert "deep.jsonl:2" in err
+
+
 def test_distinct_ids_keep_their_own_tallies(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
     corpus.write_text(

@@ -52,6 +52,7 @@ from oracles import (
     perspective_rows_by_axes,
     pi_hom_order_on_small_vectors,
     principal_ideals_by_products,
+    refinement_by_triples,
     two_sided_ideal_sets,
     universal_property_on_small_targets,
 )
@@ -77,13 +78,6 @@ def z4_x() -> FiniteRing:
     add = [[(a + c) % 4 + 4 * ((b + d) % 2) for c, d in elems] for a, b in elems]
     mul = [[a * c % 4 + 4 * ((a * d + b * c) % 2) for c, d in elems] for a, b in elems]
     return FiniteRing.from_tables({"add": add, "mul": mul, "one": 1})
-
-
-vec3 = st.tuples(
-    st.integers(min_value=0, max_value=5),
-    st.integers(min_value=0, max_value=5),
-    st.integers(min_value=0, max_value=5),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -527,40 +521,92 @@ def test_monoid_is_conical():
         assert (node == lr.lattice.bottom) == (sum(vec) == 0)
 
 
+def _corrupt_iso_pair(monkeypatch, pick) -> None:
+    # iso_bits without the isomorphism between the two nodes pick(lattice)
+    table = regring.RightIdealLattice.__dict__["iso_bits"].func
+
+    def corrupt(lr):
+        rows = list(table(lr))
+        x, y = pick(lr.lattice)
+        rows[x] &= ~(1 << y)
+        rows[y] &= ~(1 << x)
+        return tuple(rows)
+
+    monkeypatch.setattr(regring.RightIdealLattice, "iso_bits", property(corrupt))
+
+
+def test_monoid_rejects_a_missing_atom_isomorphism(monkeypatch):
+    # the three atoms of L(M(2,2)) are isomorphic; without one pair they fall
+    # into three classes, and the top is the join of two atoms in two ways
+    _corrupt_iso_pair(monkeypatch, lambda L: L.atoms[:2])
+    with pytest.raises(AssertionError, match="meet in 0 but their vectors do not add"):
+        v_monoid(FiniteRing.from_matrix_spec("M(2,2)"))
+
+
+def test_monoid_rejects_a_missing_isomorphism_above_the_atoms(monkeypatch):
+    # two planes of L(M(3,2)) keep the vector (2,) without being isomorphic
+    _corrupt_iso_pair(monkeypatch, lambda L: [x for x, y in L.covers() if y == L.top][:2])
+    with pytest.raises(AssertionError, match="share a vector but are not isomorphic"):
+        v_monoid(FiniteRing.from_matrix_spec("M(3,2)"))
+
+
 @pytest.mark.parametrize(
-    "wrong",
-    [
-        lambda c00, c01, c10, c11: (c00, c10, c01, c11),
-        lambda c00, c01, c10, c11: (
-            tuple(v - 1 for v in c00),
-            tuple(v + 1 for v in c01),
-            tuple(v + 1 for v in c10),
-            tuple(v - 1 for v in c11),
-        ),
-    ],
-    ids=["swapped-off-diagonal", "negative-entries"],
+    "node, vector",
+    [(1, (0, 1)), (3, (2, 0)), (0, (1, 0))],
+    ids=["atom-as-the-other-atom", "top-doubled", "bottom-nonzero"],
 )
-def test_monoid_refinement_check_rejects_a_wrong_square(monkeypatch, wrong):
-    real = regring.refine_nonneg_vectors
-    monkeypatch.setattr(regring, "refine_nonneg_vectors", lambda *v: wrong(*real(*v)))
-    with pytest.raises(AssertionError):
+def test_monoid_rejects_a_corrupted_vector(monkeypatch, node, vector):
+    real = regring._node_vectors
+
+    def corrupt(*args):
+        vecs = real(*args)
+        vecs[node] = vector
+        return vecs
+
+    monkeypatch.setattr(regring, "_node_vectors", corrupt)
+    with pytest.raises(AssertionError, match=r"^nodes \d+ and \d+ "):
         v_monoid(FiniteRing.from_matrix_spec("M(1,2)xM(1,2)"))
 
 
-@given(vec3, vec3, vec3)
-@settings(max_examples=80, deadline=None)
-def test_vector_refinement(a0, a1, b0):
-    s = tuple(x + y for x, y in zip(a0, a1))
-    b1 = tuple(x - y for x, y in zip(s, b0))
-    if any(v < 0 for v in b1):
-        return
-    c00, c01, c10, c11 = refine_nonneg_vectors(a0, a1, b0, b1)
-    for c in (c00, c01, c10, c11):
-        assert all(v >= 0 for v in c)
-    assert tuple(x + y for x, y in zip(c00, c01)) == tuple(a0)
-    assert tuple(x + y for x, y in zip(c10, c11)) == tuple(a1)
-    assert tuple(x + y for x, y in zip(c00, c10)) == tuple(b0)
-    assert tuple(x + y for x, y in zip(c01, c11)) == tuple(b1)
+@pytest.mark.parametrize("spec", TEST_RINGS + tuple("x".join(["M(1,2)"] * k) for k in range(3, 6)))
+def test_monoid_vectors_pass_the_former_triple_check(spec):
+    assert refinement_by_triples(v_monoid(ring(spec)).class_of_node)
+
+
+@pytest.mark.parametrize("spec", TEST_RINGS)
+def test_iso_bits_match_pairwise_isomorphism(spec):
+    lr = principal_right_ideals(ring(spec))
+    gens = lr.generators
+    for i, j in itertools.product(range(len(gens)), repeat=2):
+        iso = ideals_isomorphic(lr.ring, gens[i], gens[j]) is not None
+        assert bool(lr.iso_bits[i] >> j & 1) == iso
+
+
+def test_iso_table_is_built_once_per_ring(monkeypatch):
+    calls = []
+    real = regring.ideals_isomorphic
+    monkeypatch.setattr(regring, "ideals_isomorphic", lambda *a: calls.append(a) or real(*a))
+    R = FiniteRing.from_matrix_spec("M(1,2)xM(2,2)")
+    assert neutral_iff_iso_closed(R)
+    v_monoid(R)
+    assert len(calls) == principal_right_ideals(R).lattice.n ** 2
+
+
+def test_vector_refinement():
+    # every (a0, a1, b0) in {0,1,2}^k with b1 = a0 + a1 - b0 nonnegative
+    for k in range(1, 4):
+        cube = list(itertools.product(range(3), repeat=k))
+        for a0, a1, b0 in itertools.product(cube, repeat=3):
+            b1 = tuple(x + y - z for x, y, z in zip(a0, a1, b0))
+            if any(v < 0 for v in b1):
+                continue
+            c00, c01, c10, c11 = refine_nonneg_vectors(a0, a1, b0, b1)
+            for c in (c00, c01, c10, c11):
+                assert all(v >= 0 for v in c)
+            assert tuple(x + y for x, y in zip(c00, c01)) == a0
+            assert tuple(x + y for x, y in zip(c10, c11)) == a1
+            assert tuple(x + y for x, y in zip(c00, c10)) == b0
+            assert tuple(x + y for x, y in zip(c01, c11)) == b1
 
 
 def test_algebraic_preorder():
