@@ -22,7 +22,10 @@ it.  A depth-first branch and bound therefore places one element per
 position, follows only the candidates with the least row, and drops a branch
 once its row exceeds the least row seen at that depth; twins (elements with
 equal strict down- and up-sets) are placed in index order only, since
-swapping them is an automorphism.  The code is computed once per lattice.
+swapping them is an automorphism.  When every class of two or more elements
+is one class of mutual twins, as in M_k, all relabelings differ by twin
+swaps and give one matrix, so the rank order is the code and nothing is
+searched.  The code is computed once per lattice.
 
 Enumeration grows each meet-semilattice (the parent) by one maximal element
 above an admissible down-set D, tries the down-sets in increasing order and
@@ -32,7 +35,21 @@ admissible down-sets and candidates to isomorphic candidates.  A D that
 holds a twin but not an earlier twin of the same class is mapped to a
 smaller D' that came before it from the same parent, so D is never the
 first of its class; it is skipped before it is coded, and every kept
-representative stays the one an unpruned search keeps.
+representative stays the one an unpruned search keeps.  Two more candidates
+of a parent P need no search:
+
+* the top candidate, D = all of P: its code is P's with a top adjoined, and
+  no other candidate of the level is isomorphic to it, since one that has a
+  top has its new element as the top, so its parent is isomorphic to P;
+* the atom candidate, D = {bottom}, when P has a maximal element x' that is
+  not an atom: removing x' leaves a parent with one more atom than P, and of
+  two codes of one size the one with more atoms is smaller (the rows of the
+  bottom and the atoms agree, and the next row is an atom row against a row
+  with an atom bit), so an earlier parent grew the class and the candidate
+  is skipped uncoded.
+
+Neither shortcut drops the first candidate of a class, so the levels are
+those of the unpruned search.
 
 The parents of a level are independent: each is grown on its own, and only
 the choice of the first candidate of every code ties them together.  So a
@@ -132,7 +149,13 @@ class FiniteLattice:
     (:meth:`from_covers`).  Construction validates that the input is a
     partial order in which every pair of elements has a least upper bound
     and a greatest lower bound; finiteness then gives a least element
-    ``bottom`` and a greatest element ``top``.
+    ``bottom`` and a greatest element ``top``.  The checks run in this
+    order, and the first that fails raises: size at least 1, no bit past
+    n - 1, reflexive, antisymmetric, then a top and a meet (a principal
+    down-set) for every pair.  That test implies transitivity, so only when
+    it fails is the order scanned for transitivity ("order is not
+    transitive") before the first pair without a bound is named
+    (:class:`NotALattice`).
 
     Attributes:
         n: number of elements.
@@ -152,32 +175,29 @@ class FiniteLattice:
             raise ValueError(f"order bits outside 0..{n - 1}")
         if any(not d >> x & 1 for x, d in enumerate(down)):
             raise ValueError("order is not reflexive")
-        # one pass over the bits y of every down[x] builds the up-sets and
-        # checks transitivity: the down-set of every y <= x lies inside down[x]
         up = [0] * n
-        transitive = True
         for x, d in enumerate(down):
-            bit, rest = 1 << x, d
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                up[y] |= bit
-                if down[y] & ~d:
-                    transitive = False
-                rest ^= low
+            bit = 1 << x
+            while d:
+                low = d & -d
+                up[low.bit_length() - 1] |= bit
+                d ^= low
         if any(d & u != 1 << x for x, (d, u) in enumerate(zip(down, up))):
             raise ValueError("order is not antisymmetric")
-        if not transitive:
-            raise ValueError("order is not transitive")
 
         # a finite poset with a top in which every pair has a meet is a
         # lattice: x v y is the meet of the non-empty set of upper bounds.
         # x ^ y is the element whose down-set is down[x] & down[y], the set
-        # of lower bounds; down-sets are distinct by antisymmetry
+        # of lower bounds; down-sets are distinct by antisymmetry.  The meet
+        # test also implies transitivity: for y <= x, down[x] & down[y] =
+        # down[z] holds y, so y <= z <= y and z = y.  So transitivity is
+        # scanned only when the test fails, to name what is wrong
         full = (1 << n) - 1
         principal = set(down)
         meets = {dx & dy for dx, dy in combinations(down, 2)}
         if full not in principal or not meets <= principal:
+            if any(down[y] & ~d for d in down for y in _bits(d)):
+                raise ValueError("order is not transitive")
             _raise_first_unbounded_pair(down, up)
 
         self.n = n
@@ -277,10 +297,12 @@ class FiniteLattice:
             while rest:
                 low = rest & -rest
                 j = low.bit_length() - 1
-                # j covers i iff no k with i < k < j
+                rest ^= low
+                # j covers i iff no k with i < k < j; nothing above a
+                # cover is one, so the cover's up-set leaves the walk
                 if strict_up & down[j] == low:
                     out.append((i, j))
-                rest ^= low
+                    rest &= ~up[j]
         return out
 
     @cached_property
@@ -592,17 +614,8 @@ def _poset_code(below: list[list[int]], above: list[list[int]]) -> str:
         classes.setdefault(r, []).append(x)
     col = [0] * n  # col[y]: the column bit of y once placed, else 0
     row_of = col.__getitem__
-    if len(classes) == n:
-        # all classes are singletons: rank order is the one relabeling
-        order = sorted(range(n), key=ranks.__getitem__)
-        for p, x in enumerate(order):
-            col[x] = 1 << (n - 1 - p)
-        code = 0
-        for x in order:
-            code = (code << n) | sum(map(row_of, below[x]))
-        return f"{n}:{code:x}"
-    cell = [classes[r] for r in sorted(ranks)]  # the candidates for each position
     twin_before = [-1] * n
+    twins_only = True
     for members in classes.values():
         if len(members) > 1:
             # twins: swapping them is an automorphism, so keep them in index
@@ -615,6 +628,18 @@ def _poset_code(below: list[list[int]], above: list[list[int]]) -> str:
                 )
                 twin_before[x] = last.get(key, -1)
                 last[key] = x
+            twins_only = twins_only and len(last) == 1
+    if twins_only:
+        # every class is a singleton or one class of mutual twins, so all
+        # relabelings differ by twin swaps and give one matrix: rank order
+        order = sorted(range(n), key=ranks.__getitem__)
+        for p, x in enumerate(order):
+            col[x] = 1 << (n - 1 - p)
+        code = 0
+        for x in order:
+            code = (code << n) | sum(map(row_of, below[x]))
+        return f"{n}:{code:x}"
+    cell = [classes[r] for r in sorted(ranks)]  # the candidates for each position
     worst = 1 << n  # above every n-bit row
     best = [worst] * n
 
@@ -676,7 +701,7 @@ def _meet_semilattice_levels(max_size: int) -> list[list[tuple[str, tuple[int, .
     pool = None
     try:
         for m in range(1, max_size):
-            parents = [downs for _, downs in levels[m - 1]]
+            parents = levels[m - 1]
             if pool is None and len(parents) >= _POOL_MIN_PARENTS:
                 # at most one worker per parent; later levels are larger,
                 # so no level is cut into fewer slices than there are workers
@@ -698,7 +723,7 @@ def _meet_semilattice_levels(max_size: int) -> list[list[tuple[str, tuple[int, .
                     if code not in seen:
                         # extends the parent's own tuple, so the level shares
                         # its parents' ints as a sequential scan's does
-                        seen[code] = part[p] + (new,)
+                        seen[code] = part[p][1] + (new,)
             levels.append(sorted(seen.items()))
     finally:
         if pool is not None:
@@ -707,22 +732,37 @@ def _meet_semilattice_levels(max_size: int) -> list[list[tuple[str, tuple[int, .
     return levels
 
 
-def _grow_slice(task: tuple[list[tuple[int, ...]], int]) -> list[tuple[str, tuple[int, int]]]:
-    # task = (parents, m): grow each parent on m elements (down-set
-    # bitmasks, element 0 the bottom) by a maximal element m above every
-    # admissible down-set, in parent order and increasing down-set order.
-    # For the first candidate of every code, in encounter order, return
-    # (code, (position of its parent in the slice, down-set of m)); the
-    # candidate is parents[position] + (down-set,).  The element lists of a
-    # parent are built once and extended for each candidate.
+def _grow_slice(
+    task: tuple[list[tuple[str, tuple[int, ...]]], int],
+) -> list[tuple[str, tuple[int, int]]]:
+    # task = (parents, m): grow each parent (its code and the down-set
+    # bitmasks of its m elements, element 0 the bottom) by a maximal element
+    # m above every admissible down-set, in parent order and increasing
+    # down-set order.  For the first candidate of every code, in encounter
+    # order, return (code, (position of its parent in the slice, down-set of
+    # m)); the candidate is the parent's down-sets + (down-set,).  The
+    # element lists of a parent are built once and extended for each
+    # candidate.  Two kinds of candidate need no search (module docstring):
+    # the top candidate, whose code is the parent's with a top adjoined, and
+    # the atom candidate of a parent with a maximal non-atom, never the first
+    # of its class.
     parents, m = task
-    bit = 1 << m
+    bit, full = 1 << m, (1 << m) - 1
     seen: dict[str, tuple[int, int]] = {}
-    for p, downs in enumerate(parents):
+    for p, (parent_code, downs) in enumerate(parents):
         ups = _ups_from_downs(downs)
         below, above = _element_lists(downs), _element_lists(ups)
         twins = _twin_pairs(downs, ups)
+        # a maximal element x (up-set {x}) that is not an atom (down-set of
+        # three or more elements); for m = 1, D = {bottom} is all of P and
+        # so the top candidate
+        skip_atom = any(u == 1 << x and len(below[x]) > 2 for x, u in enumerate(ups))
         for new in _admissible_downsets(downs):
+            if new == full:
+                seen[_top_adjoined_code(parent_code)] = (p, new | bit)
+                continue
+            if new == 1 and skip_atom:
+                continue  # an earlier parent, with one more atom, grew it
             if any(new & later and not new & earlier for earlier, later in twins):
                 continue  # a twin swap gives a smaller, isomorphic candidate
             # the new element m lies above exactly the elements of new
@@ -831,7 +871,8 @@ def enumerate_lattices(max_n: int, *, bound: int | None = None) -> Iterator[Fini
     levels = _meet_semilattice_levels(max_n - 1)
     for m in range(1, max_n):
         top = (1 << (m + 1)) - 1
-        for code, downs in sorted((_top_adjoined_code(c), d) for c, d in levels[m - 1]):
+        # adjoining a top keeps the code order, so each level stays sorted
+        for code, downs in levels[m - 1]:
             L = FiniteLattice(downs + (top,))
-            L._canonical_form = code
+            L._canonical_form = _top_adjoined_code(code)
             yield L

@@ -30,6 +30,9 @@ filters all 2^m subsets, kept as the reference for the down-sets built
 element by element; :func:`refinement_counterexample_literal` is the former
 refinement-property scan, which solves every ordered form of every equation,
 kept as the reference for the scan that solves each equation once.
+:func:`covers_by_pair_scan` is the former ``covers()``, which tests each
+element above i for an element strictly between, kept as the reference for
+the walk that drops the up-set of each cover it finds.
 :func:`meet_semilattice_levels` is the former semilattice augmentation, which
 codes every admissible down-set of every parent with the library's
 ``_poset_code``, kept as the reference for the search that skips the
@@ -274,6 +277,19 @@ def eager_principal_table(con) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(theta_index(mt[u][v], jn[u][v]) for v in range(L.n)) for u in range(L.n)
     )
+
+
+def covers_by_pair_scan(L) -> list[tuple[int, int]]:
+    """The cover pairs (i, j) of L in index order: j > i covers i iff no
+    element strictly above i lies below j, other than j itself."""
+    out = []
+    up, down = L.up_bits, L.down_bits
+    for i in range(L.n):
+        strict_up = up[i] & ~(1 << i)
+        for j in _bit_list(strict_up):
+            if strict_up & down[j] == 1 << j:
+                out.append((i, j))
+    return out
 
 
 def admissible_downsets_by_subsets(downs) -> list[int]:

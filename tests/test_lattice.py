@@ -37,6 +37,7 @@ from oracles import (
     admissible_downsets_by_subsets,
     all_lattice_homs,
     count_lattices,
+    covers_by_pair_scan,
     eager_lattice_tables,
     lub_glb_tables,
     meet_semilattice_levels,
@@ -404,8 +405,10 @@ def test_meet_semilattice_levels_match_unpruned_oracle():
 
 def test_twin_pruning_codes_fewer_candidates(monkeypatch):
     # candidates coded per size; without the twin-swap pruning they are
-    # 1, 1, 2, 7, 27, 116, 541, 2861, 16747.  The count is kept in this
-    # process, so every level is grown in-process.
+    # 1, 1, 2, 7, 27, 116, 541, 2861, 16747, and with it alone 1, 1, 2, 6,
+    # 21, 89, 419, 2259, 13535.  The top candidates and the atom candidates
+    # of parents with a maximal non-atom are not coded either.  The count is
+    # kept in this process, so every level is grown in-process.
     monkeypatch.setattr(lattice, "_usable_cpus", lambda: 1)
     search = lattice._poset_code
     calls = [0] * 10
@@ -416,7 +419,7 @@ def test_twin_pruning_codes_fewer_candidates(monkeypatch):
 
     monkeypatch.setattr(lattice, "_poset_code", counted)
     lattice._meet_semilattice_levels(9)
-    assert calls[1:] == [1, 1, 2, 6, 21, 89, 419, 2259, 13535]
+    assert calls[1:] == [1, 0, 1, 3, 12, 60, 314, 1816, 11380]
 
 
 def test_merged_slices_match_levels():
@@ -424,15 +427,23 @@ def test_merged_slices_match_levels():
     # representative of each code, slice by slice, gives the level
     levels = lattice._meet_semilattice_levels(7)
     for m in range(1, 7):
-        parents = [downs for _, downs in levels[m - 1]]
+        parents = levels[m - 1]
         for k in range(1, len(parents) + 1):
             step = -(-len(parents) // k)
             seen: dict[str, tuple[int, ...]] = {}
             for i in range(0, len(parents), step):
                 part = parents[i : i + step]
                 for code, (p, new) in lattice._grow_slice((part, m)):
-                    seen.setdefault(code, part[p] + (new,))
+                    seen.setdefault(code, part[p][1] + (new,))
             assert sorted(seen.items()) == levels[m]
+
+
+def test_top_adjoined_codes_keep_level_order():
+    # enumerate_lattices maps each level through _top_adjoined_code and
+    # does not sort it again
+    for level in lattice._meet_semilattice_levels(9):
+        codes = [lattice._top_adjoined_code(code) for code, _ in level]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 def test_pooled_levels_match_in_process_levels(monkeypatch):
@@ -520,18 +531,20 @@ def test_poset_code_matches_oracle_on_posets(case):
     assert lattice._poset_code(*map(lattice._element_lists, case[1:])) == poset_code(*case)
 
 
-def assert_constructor_matches_eager(down) -> None:
+def assert_constructor_matches_eager(down) -> str:
     # the meet test per pair accepts and rejects exactly as the former
-    # eager construction, and the tables built on first use are its tables
+    # eager construction, and the tables built on first use are its tables;
+    # returns the message of the rejection, or "" for a lattice
     try:
         expected = eager_lattice_tables(down)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
             FiniteLattice(down)
         assert (type(got.value), str(got.value)) == (type(exc), str(exc))
-        return
+        return str(exc)
     L = FiniteLattice(down)
     assert (L.join_rows, L.meet_rows, L.bottom, L.top) == expected
+    return ""
 
 
 def test_constructor_matches_eager_oracle_on_corpus(corpus7):
@@ -546,9 +559,61 @@ def test_constructor_matches_eager_oracle_on_posets(case):
     assert_constructor_matches_eager(case[1])
 
 
+@st.composite
+def relations(draw):
+    # any relation on up to 6 elements, reflexive in most draws; in half of
+    # them y <= x only for y <= x as indices, so antisymmetric and often
+    # not transitive
+    n = draw(st.integers(1, 6))
+    lower = draw(st.booleans())
+    down = []
+    for x in range(n):
+        mask = draw(st.integers(0, (2 << x if lower else 1 << n) - 1))
+        if draw(st.integers(0, 7)):
+            mask |= 1 << x
+        down.append(mask)
+    return tuple(down)
+
+
+@given(relations())
+@settings(max_examples=500, deadline=None)
+def test_constructor_matches_eager_oracle_on_relations(down):
+    assert_constructor_matches_eager(down)
+
+
+def test_constructor_matches_eager_oracle_on_one_bit_changes(corpus6):
+    # every order bit of every lattice up to size 6 flipped in turn, which
+    # reaches each verdict of the constructor
+    verdicts = set()
+    for L in corpus6:
+        for x, y in itertools.product(range(L.n), repeat=2):
+            down = list(L.down_bits)
+            down[x] ^= 1 << y
+            message = assert_constructor_matches_eager(down)
+            verdicts.add(message.split(" have ")[-1])
+    assert verdicts == {
+        "",
+        "order is not reflexive",
+        "order is not antisymmetric",
+        "order is not transitive",
+        "no least upper bound",
+        "no greatest lower bound",
+    }
+
+
+def two_times_m_k(k: int) -> FiniteLattice:
+    """The product of the 2-chain and M_k: element (a, x) is a * (k + 2) + x."""
+    down, s = m_k(k).down_bits, k + 2
+    return FiniteLattice([*down, *(d | d << s for d in down)])
+
+
 def test_canonical_form_matches_oracle_on_m_k():
+    # the atoms of M_k are mutual twins, so its code needs no search; the
+    # elements (1, a) of 2 x M_k share a colour but are not twins
     for k in range(1, 8):
         assert canonical_form(m_k(k)) == oracle_code(m_k(k))
+    for k in range(1, 5):
+        assert canonical_form(two_times_m_k(k)) == oracle_code(two_times_m_k(k))
 
 
 def test_canonical_form_of_m_12():
@@ -573,6 +638,13 @@ def test_covers_are_exact_and_sorted(case):
         and L.le(i, j)
         and not any(k not in (i, j) and L.le(i, k) and L.le(k, j) for k in rng)
     ]
+
+
+def test_covers_match_pair_scan():
+    # every lattice up to size 8 and its dual, whose bottom is not element 0
+    for L in enumerate_lattices(8):
+        for K in (L, FiniteLattice(L.up_bits)):
+            assert K.covers() == covers_by_pair_scan(K)
 
 
 @given(relabelings())
