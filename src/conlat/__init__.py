@@ -107,7 +107,6 @@ _EXPORTS = {
         "csurp_witness",
         "first_urp_failure",
         "holds_urp_at",
-        "meet_witness_holds",
         "refine_instance",
         "satisfies_urp",
         "search_urp_witness",

@@ -75,13 +75,20 @@ class HypothesesFail(ValueError):
 
 
 class Congruence:
-    """A lattice congruence, as the representative array of its partition."""
+    """A lattice congruence, as the representative array of its partition:
+    rep maps each element to the least member of its block."""
 
     __slots__ = ("host", "rep")
 
     def __init__(self, host: FiniteLattice, rep: Sequence[int]):
+        rep = tuple(rep)
+        # equal partitions must have equal arrays, and every entry indexes
+        if len(rep) != host.n or not all(
+            0 <= r <= x and rep[r] == r for x, r in enumerate(rep)
+        ):
+            raise ValueError(f"{rep} does not map each element to the least of its block")
         self.host = host
-        self.rep = tuple(rep)
+        self.rep = rep
 
     def same(self, x: int, y: int) -> bool:
         return self.rep[x] == self.rep[y]
@@ -291,6 +298,7 @@ class CongruenceLattice:
 
     def below_join(self, u: int, v: int, alpha: Congruence, beta: Congruence) -> bool:
         """Theta(u, v) <= alpha v beta."""
+        _check_elements(self.host, u, v)
         m = self.masks
         joined = m[self.congruence_index(alpha)] | m[self.congruence_index(beta)]
         return m[self.principal[u][v]] & ~joined == 0

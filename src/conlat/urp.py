@@ -34,16 +34,11 @@ so each is built once and kept on the semilattice; indices stay literal and
 duplicate pairs are not merged.  A node budget bounds the search; hitting it
 raises instead of reporting a false negative.
 
-On a congruence lattice the search is not needed.  Its cover masks certify
+On a congruence lattice the search is not needed: its cover masks certify
 Con L as a ring of sets (:func:`~conlat.congruence.certifies_ring_of_sets`),
-and then the meet witness a* = a, b* = b, c_ik = a_i & b_k is checked bit
-by bit over the covers t in the mask of e.  With A_t and B_t the indices i
-whose a_i, resp. b_i, holds t, clause (ii) fails at t iff A_t is nonempty
-and A_t | B_t misses an index, and clause (iii) fails there iff also B_t is
-nonempty; clause (i) holds as a_i + b_i = e.  This costs one budget node
-per pair instead of one per cell, and the pairs are listed without
-caching them on the semilattice.  :func:`first_urp_failure` falls back to
-:func:`holds_urp_at` where the certificate or a bit fails.
+and a ring of sets has URP at every element, which :func:`first_urp_failure`
+reads off the certificate.  Masks the certificate rejects fall back to the
+literal :func:`holds_urp_at`.
 
 Also here: combination of URP witnesses across joins, transfer of URP along
 weakly distributive maps, and the direct witness construction in Con L for a
@@ -51,8 +46,6 @@ congruence-splitting lattice L.
 """
 from __future__ import annotations
 
-from functools import reduce
-from operator import and_
 from typing import NamedTuple, Sequence
 
 from .congruence import certifies_ring_of_sets, con_lattice
@@ -242,8 +235,8 @@ class _Budget:
     def __init__(self, budget: int):
         self.left = budget
 
-    def spend(self, nodes: int = 1) -> None:
-        self.left -= nodes
+    def spend(self) -> None:
+        self.left -= 1
         if self.left < 0:
             raise SearchBudgetExceeded("witness search exceeded its node budget")
 
@@ -394,43 +387,21 @@ def satisfies_urp(S: FiniteJoinSemilattice, budget: int | None = None) -> bool:
     return all(holds_urp_at(S, e, budget) for e in range(S.n))
 
 
-def meet_witness_holds(
-    S: FiniteJoinSemilattice, masks: Sequence[int], e: int, budget: int | None = None
-) -> bool:
-    """The meet witness of the canonical instance at e passes, for masks
-    that certify S as a ring of sets: no cover bit t has A_t nonempty and
-    A_t | B_t short of every index.  A failing clause (iii) bit is such a
-    bit with B_t nonempty too, so this one test covers both clauses.
-    Spends one budget node per pair."""
-    tick = _Budget(DEFAULT_SEARCH_BUDGET if budget is None else budget)
-    j = S.join_rows
-    below = list(_bits(S.down_bits[e]))
-    # bit t is in any_a iff A_t is nonempty, and in all_ab iff A_t | B_t
-    # holds every index; e itself is a partner of every a, so bs is nonempty
-    any_a, all_ab = 0, -1
-    for a in below:
-        row, ma = j[a], masks[a]
-        bs = [masks[b] for b in below if row[b] == e]
-        tick.spend(len(bs))
-        any_a |= ma
-        all_ab &= ma | reduce(and_, bs)
-    return not any_a & ~all_ab
-
-
 def first_urp_failure(
     S: FiniteJoinSemilattice, masks: Sequence[int], budget: int | None = None
 ) -> int | None:
-    """The first element of S at which URP fails, or None.  When masks
-    certify S as a ring of sets, as the cover masks of a Con L do, an
-    element whose meet witness passes holds; the literal
-    :func:`holds_urp_at` decides every other element."""
-    certified = certifies_ring_of_sets(S, masks)
-    for e in range(S.n):
-        if certified and meet_witness_holds(S, masks, e, budget):
-            continue
-        if not holds_urp_at(S, e, budget):
-            return e
-    return None
+    """The first element of S at which URP fails, or None.
+
+    Masks that certify S as a ring of sets, as the cover masks of a Con L
+    do, prove URP at every e by the meet witness a* = a, b* = b,
+    c_ik = a_i & b_k.  Join is union and the masks are closed under &, so
+    c_ik is an element.  (ii): every t in a_i lies in e = a_k | b_k, so
+    a_i <= a_k | (a_i & b_k).  (iii): t in a_i & b_k lies in a_j or b_j,
+    so in (a_i & b_j) | (a_j & b_k).  On other masks the literal
+    :func:`holds_urp_at` decides each element in turn."""
+    if certifies_ring_of_sets(S, masks):
+        return None
+    return next((e for e in range(S.n) if not holds_urp_at(S, e, budget)), None)
 
 
 # -- closure under joins ---------------------------------------------------------

@@ -157,29 +157,23 @@ def test_check_violation_sets_exit_one(tmp_path, capsys):
     assert report["rows"][0]["verdict"] == "fails"
 
 
-def test_check_tiny_budget_exit_two(tmp_path, capsys):
-    corpus = tmp_path / "c5.jsonl"
-    run(capsys, "gen-corpus", "--max-size", "5", "--out", str(corpus))
-    code, out, _ = run(
-        capsys, "check", "urp", "--in", str(corpus), "--budget", "3"
-    )
+def test_check_tiny_budget_exit_two(capsys):
+    code, out, _ = run(capsys, "verify-theorem", "prop-urpadd", "--budget", "3")
     assert code == 2
     report = json.loads(out)
-    assert report["summary"]["budget-exceeded"] > 0
+    assert report["summary"]["budget-exceeded"] == 7
     assert report["summary"]["fails"] == 0
 
 
-def test_check_urp_on_the_9_chain_spends_one_node_per_pair():
-    # the top of Con of the 9-chain, the Boolean lattice 2^8, has 3^8 pairs
+def test_check_urp_on_the_9_chain_holds_at_budget_zero():
+    # Con of the 9-chain, the Boolean lattice 2^8, is decided by its
+    # certificate with no search; its top alone has 3^8 pairs
     items = [("c9", chain(9))]
     S = con_lattice(items[0][1]).as_semilattice
-    pairs = len(S.decompositions(S.top))
-    assert pairs == 3**8
-    assert campaign_check("urp", items).rows[0]["verdict"] == "holds"
-    assert campaign_check("urp", items, pairs).rows[0]["verdict"] == "holds"
-    exceeded = campaign_check("urp", items, pairs - 1)
-    assert exceeded.rows[0]["verdict"] == "budget-exceeded"
-    assert exceeded.exit_code == 2
+    assert len(S.decompositions(S.top)) == 3**8
+    report = campaign_check("urp", items, 0)
+    assert report.rows[0]["verdict"] == "holds"
+    assert report.exit_code == 0
 
 
 def test_check_unknown_property(tmp_path, capsys):
@@ -253,7 +247,9 @@ def test_negative_budget_is_a_usage_error(capsys):
         assert out == ""
         assert "budget" in err
     # zero stays a valid budget: every search runs out at once
-    code, out, _ = run(capsys, "check", "urp", "--max-size", "3", "--budget", "0")
+    code, out, _ = run(
+        capsys, "verify-theorem", "prop-urpadd", "--max-size", "3", "--budget", "0"
+    )
     assert code == 2
     assert json.loads(out)["params"]["budget"] == 0
 

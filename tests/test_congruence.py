@@ -12,6 +12,7 @@ from conlat import (
     FiniteLattice,
     HostMismatch,
     HypothesesFail,
+    IndexOutOfRange,
     LatticeHom,
     NotAnIdeal,
     NotJoined,
@@ -82,6 +83,23 @@ def test_congruence_from_blocks_round_trips():
 def test_congruence_from_blocks_rejects_bad_partitions(blocks):
     with pytest.raises(ValueError):
         congruence_from_blocks(m3(), blocks)
+
+
+def test_congruence_needs_the_least_member_of_each_block():
+    # the same partition of the 3-chain as (0, 0, 2), but not its array
+    assert Congruence(chain(3), (0, 0, 2)).blocks() == ((0, 1), (2,))
+    for rep in [(1, 1, 2), (5, 5, 5), (0, 0), (0, 1, 1, 3)]:
+        with pytest.raises(ValueError):
+            Congruence(chain(3), rep)
+
+
+def test_below_join_rejects_elements_out_of_range():
+    delta = CON_N5.congruences[CON_N5.delta_index]
+    for u in (-1, N5.n):
+        with pytest.raises(IndexOutOfRange):
+            CON_N5.below_join(u, N5.top, delta, delta)
+        with pytest.raises(IndexOutOfRange):
+            CON_N5.below_join(N5.bottom, u, delta, delta)
 
 
 def b2() -> FiniteLattice:

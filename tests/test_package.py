@@ -75,7 +75,7 @@ EXPORTS = {
         "NoSourceWitness NotDistributive NotSplitting NotWeaklyDistributive "
         "SearchBudgetExceeded UrpInstance UrpVerification UrpWitness "
         "canonical_instance csurp_witness first_urp_failure holds_urp_at "
-        "meet_witness_holds refine_instance satisfies_urp search_urp_witness "
+        "refine_instance satisfies_urp search_urp_witness "
         "urp_join_combine urp_transfer verify_urp_witness"
     ),
     "splitting": (

@@ -20,6 +20,7 @@ from conlat import (
     UrpInstance,
     UrpWitness,
     canonical_instance,
+    certifies_ring_of_sets,
     chain,
     con_lattice,
     congruence_join,
@@ -33,7 +34,6 @@ from conlat import (
     is_distributive,
     is_weakly_distributive,
     m3,
-    meet_witness_holds,
     n5,
     principal_congruence,
     refine_instance,
@@ -399,44 +399,31 @@ def test_urp_on_con_semilattices(corpus5):
 
 
 # ---------------------------------------------------------------------------
-# the meet witness on a certified Con L
+# URP on a certified Con L
 
 
 def test_meet_witness_matches_literal_on_every_con_element(corpus6):
+    # the certificate, which implies the meet witness, alone decides URP on
+    # Con L, and the literal search agrees
     for L in corpus6:
         con = con_lattice(L)
         S = con.as_semilattice
-        for e in range(S.n):
-            assert meet_witness_holds(S, con.masks, e) == holds_urp_at(S, e)
-        assert first_urp_failure(S, con.masks) is None
-
-
-def test_meet_witness_spends_one_node_per_pair():
-    con = con_lattice(chain(5))
-    S = con.as_semilattice
-    pairs = len(S.decompositions(S.top))
-    assert pairs == 3**4
-    assert meet_witness_holds(S, con.masks, S.top, budget=pairs)
-    with pytest.raises(SearchBudgetExceeded):
-        meet_witness_holds(S, con.masks, S.top, budget=pairs - 1)
-
-
-def test_meet_witness_fails_a_bit_of_a_non_join_map():
-    # chain 0 < 1 sent to disjoint sets: a_i + b_i = 1 for every pair, but
-    # the pair (1, 0) misses bit 0, which a_0 = 0 holds
-    S = fjs(chain(2))
-    assert not meet_witness_holds(S, (0b01, 0b10), 1)
+        assert certifies_ring_of_sets(S, con.masks)
+        assert all(holds_urp_at(S, e) for e in range(S.n))
+        assert first_urp_failure(S, con.masks, budget=0) is None
 
 
 def test_uncertified_masks_fall_back_to_the_literal_search():
-    # M3's atoms as the two-element subsets of {0, 1, 2}: every bit passes,
-    # but a_i & b_k is no element, so only the certificate can vouch for
-    # the meet witness; the fallback finds M3's literal failure at the top
+    # M3's atoms as the two-element subsets of {0, 1, 2}: join is union, but
+    # a_i & b_k is no element, so the certificate fails, and the fallback
+    # finds M3's literal failure at the top, within the budget it is given
     S = fjs(m3())
     masks = (0b000, 0b011, 0b110, 0b101, 0b111)
-    assert meet_witness_holds(S, masks, S.top)
+    assert not certifies_ring_of_sets(S, masks)
     literal = next(e for e in range(S.n) if not holds_urp_at(S, e))
     assert first_urp_failure(S, masks) == literal == S.top
+    with pytest.raises(SearchBudgetExceeded):
+        first_urp_failure(S, masks, budget=0)
 
 
 def test_canonical_instance_lists_each_pair_once():
