@@ -12,9 +12,10 @@ their closure under joins.
 # %%
 # Semilattices from lattices
 # --------------------------
-# Any lattice is a join-semilattice after forgetting meets.  The type
-# validates the join table (idempotent, commutative, associative) at
-# construction.
+# Any lattice is a join-semilattice after forgetting meets.  The
+# constructor validates a join table (idempotent, commutative,
+# associative); from_lattice shares the lattice's join table and order,
+# which are valid already.
 from conlat import FiniteJoinSemilattice, boolean, chain, m3
 
 S = FiniteJoinSemilattice.from_lattice(boolean(2))

@@ -42,6 +42,7 @@ from .lattice import (
     LatticeHom,
     _bits,
     _check_elements,
+    _once,
     check_hom,
     is_modular,
     is_sectionally_complemented,
@@ -145,28 +146,26 @@ def congruence_from_blocks(L: FiniteLattice, blocks: Iterable[Iterable[int]]) ->
     return theta
 
 
+@_once
 def _cover_tables(L: FiniteLattice) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
     # (above, below, steps) over the covers j = (x, y) of L.covers(), one
     # table per lattice: bit j of above[a] is set iff a <= x, of below[b] iff
     # y <= b, so the covers inside [a, b] are above[a] & below[b]; steps[j]
     # holds the covers inside [x ^ z, y ^ z] and [x v z, y v z] for every z
-    tables = getattr(L, "_cover_tables", None)
-    if tables is None:
-        covers, jn, mt = L.covers(), L.join_rows, L.meet_rows
-        above, below = [0] * L.n, [0] * L.n
-        for j, (x, y) in enumerate(covers):
-            for a in _bits(L.down_bits[x]):
-                above[a] |= 1 << j
-            for b in _bits(L.up_bits[y]):
-                below[b] |= 1 << j
-        steps = []
-        for x, y in covers:
-            step = 0
-            for mxz, myz, jxz, jyz in zip(mt[x], mt[y], jn[x], jn[y]):
-                step |= above[mxz] & below[myz] | above[jxz] & below[jyz]
-            steps.append(step)
-        tables = L._cover_tables = (tuple(above), tuple(below), steps)
-    return tables
+    covers, jn, mt = L.covers(), L.join_rows, L.meet_rows
+    above, below = [0] * L.n, [0] * L.n
+    for j, (x, y) in enumerate(covers):
+        for a in _bits(L.down_bits[x]):
+            above[a] |= 1 << j
+        for b in _bits(L.up_bits[y]):
+            below[b] |= 1 << j
+    steps = []
+    for x, y in covers:
+        step = 0
+        for mxz, myz, jxz, jyz in zip(mt[x], mt[y], jn[x], jn[y]):
+            step |= above[mxz] & below[myz] | above[jxz] & below[jyz]
+        steps.append(step)
+    return tuple(above), tuple(below), steps
 
 
 def _closure(L: FiniteLattice, mask: int) -> int:
@@ -359,13 +358,10 @@ def refinement_by_certificate(
     return has_refinement_property(S)
 
 
+@_once
 def con_lattice(L: FiniteLattice) -> CongruenceLattice:
-    """The congruence lattice of L, cached on the lattice object."""
-    cached = getattr(L, "_con_lattice", None)
-    if cached is None:
-        cached = CongruenceLattice(L)
-        L._con_lattice = cached
-    return cached
+    """The congruence lattice of L, cached on L as ``_con_lattice``."""
+    return CongruenceLattice(L)
 
 
 # -- chains -------------------------------------------------------------------
@@ -417,9 +413,10 @@ def monotonize_chain(
     endpoints to u and v.  Any congruence containing a step of the raw fence
     still contains the corresponding step of the output, so labels carry over.
     """
+    seq = list(raw)
+    _check_elements(L, u, v, *seq)
     if not L.le(u, v):
         raise ValueError(f"{u} is not below {v}")
-    seq = list(raw)
     if len(seq) < 2:
         seq = [u] if u == v else [u, v]
     seq[0] = u
@@ -481,19 +478,19 @@ def alternating_chain(
 # -- induced congruence maps ----------------------------------------------------
 
 
+@_once
 def induced_con_map(h: LatticeHom) -> SemilatticeHom:
     """The join-map Con(source) -> Con(target) sending Theta(u, v) to
     Theta(h(u), h(v)) and extended by joins.
 
-    The extension sends theta to the congruence generated by the image pairs
-    of the covers theta collapses, read off the principal and join tables of
-    Con(target); this is monotone and join-preserving on all of Con(source),
-    which is re-checked here.  Cached on h, so that the weak-distributivity
+    The extension sends the congruence with cover mask m to the join of the
+    Theta(f x, f y) over the covers x < y in m, read off the principal and
+    join tables of Con(target).  It preserves joins by construction: join in
+    Con(source) is OR of masks, so the covers of mask(i v j) are those of
+    mask(i) together with those of mask(j), and a join over that union is
+    mapping[i] v mapping[j].  Cached on h, so that the weak-distributivity
     verdict cached on the induced map is shared by every use of h.
     """
-    cached = getattr(h, "_induced_con_map", None)
-    if cached is not None:
-        return cached
     if not check_hom(h):
         raise NotAHom("map does not preserve join and meet")
     conK = con_lattice(h.source)
@@ -505,16 +502,7 @@ def induced_con_map(h: LatticeHom) -> SemilatticeHom:
         )
         for m in conK.masks
     ]
-    jn_k = conK.as_lattice.join_rows
-    jn_l = conL.as_lattice.join_rows
-    k = len(conK)
-    for i in range(k):
-        for j in range(k):
-            if mapping[jn_k[i][j]] != jn_l[mapping[i]][mapping[j]]:
-                raise AssertionError("induced map failed to preserve joins")
-    cached = SemilatticeHom(conK.as_semilattice, conL.as_semilattice, tuple(mapping))
-    object.__setattr__(h, "_induced_con_map", cached)  # h is frozen
-    return cached
+    return SemilatticeHom(conK.as_semilattice, conL.as_semilattice, tuple(mapping))
 
 
 # -- ideals and neutrality -------------------------------------------------------

@@ -68,7 +68,7 @@ before the enumerator yields its second lattice.
 from __future__ import annotations
 
 import os
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
@@ -116,8 +116,10 @@ def _is_int(x: object) -> bool:
 
 def _check_elements(L: FiniteLattice, *xs: int) -> None:
     # element ids index tables, where a negative id would wrap silently
-    if not all(0 <= x < L.n for x in xs):
-        raise IndexOutOfRange(f"{xs} outside 0..{L.n - 1}")
+    n = L.n
+    for x in xs:
+        if not 0 <= x < n:
+            raise IndexOutOfRange(f"{xs} outside 0..{n - 1}")
 
 
 def _bound_rows(sets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -489,6 +491,23 @@ class _Frozen:
         return hash(self._key())
 
 
+def _once(fn):
+    """Decorate fn(obj) to run once per object: the result is kept in
+    ``obj.__dict__`` under ``"_" + fn.__name__``, past any ``__setattr__``,
+    so frozen records cache too.  Falsy results are kept; a call that
+    raises keeps nothing."""
+    key = "_" + fn.__name__
+
+    @wraps(fn)
+    def once(obj):
+        d = obj.__dict__
+        if key not in d:
+            d[key] = fn(obj)
+        return d[key]
+
+    return once
+
+
 class LatticeHom(_Frozen):
     """A map between lattices given by its value table; not assumed valid
     until checked with :func:`check_hom`."""
@@ -675,15 +694,11 @@ def _poset_code(below: list[list[int]], above: list[list[int]]) -> str:
     return f"{n}:{code:x}"
 
 
+@_once
 def canonical_form(L: FiniteLattice) -> str:
     """A string invariant: two lattices get equal codes iff isomorphic.
-    Cached on the lattice object."""
-    code = getattr(L, "_canonical_form", None)
-    if code is None:
-        code = L._canonical_form = _poset_code(
-            _element_lists(L.down_bits), _element_lists(L.up_bits)
-        )
-    return code
+    Cached on the lattice object as ``_canonical_form``."""
+    return _poset_code(_element_lists(L.down_bits), _element_lists(L.up_bits))
 
 
 def is_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:

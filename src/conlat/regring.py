@@ -43,13 +43,20 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .congruence import NotAnIdeal, con_lattice, con_nid_iso, is_neutral_ideal, neutral_ideals
-from .lattice import FiniteLattice, _bits, _Frozen
+from .lattice import FiniteLattice, _bits, _Frozen, _once
 
 RING_SIZE_BOUND = 1 << 14
 
 
 class NotRegular(ValueError):
-    """The ring has an element with no quasi-inverse."""
+    """The ring has an element, ``element``, with no quasi-inverse."""
+
+    def __init__(self, element: int):
+        super().__init__(element)
+        self.element = element
+
+    def __str__(self) -> str:
+        return f"element {self.element} has no quasi-inverse"
 
 
 class NotIdempotent(ValueError):
@@ -174,25 +181,16 @@ def _product_tables(comps: list[tuple[int, int]]) -> tuple[list[list[int]], list
 class FiniteRing:
     """A finite ring with identity, as full addition/multiplication tables."""
 
-    def __init__(
-        self,
-        add: Sequence[Sequence[int]],
-        mul: Sequence[Sequence[int]],
-        one: int,
-        *,
-        validate: bool = True,
-    ):
+    def __init__(self, add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]], one: int):
         self.add = tuple(map(tuple, add))
         self.mul = tuple(map(tuple, mul))
         self.n = n = len(self.add)
         self.one = one
-        if validate:
-            self._validate_shape()
+        self._validate_shape()
         self.zero = next((z for z in range(n) if all(self.add[z][x] == x for x in range(n))), None)
         if self.zero is None:
             raise ValueError("no additive identity")
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate_shape(self) -> None:
         n = self.n
@@ -237,15 +235,20 @@ class FiniteRing:
 
     @classmethod
     def from_matrix_spec(cls, spec: str | list[tuple[int, int]]) -> "FiniteRing":
-        """Product of full matrix rings over prime fields; axioms hold by
-        construction, so no table validation."""
+        """Product of full matrix rings over prime fields, built without
+        the constructor's checks: the axioms hold by construction, and the
+        zero matrix of every factor is numbered 0."""
         comps = parse_ring_spec(spec) if isinstance(spec, str) else list(spec)
         size = 1
         for n, p in comps:
             size *= _check_component(n, p)
             if size > RING_SIZE_BOUND:
                 raise RingTooLarge(f"ring would have more than {RING_SIZE_BOUND} elements")
-        return cls(*_product_tables(comps), validate=False)
+        add, mul, one = _product_tables(comps)
+        R = cls.__new__(cls)
+        R.add, R.mul = tuple(map(tuple, add)), tuple(map(tuple, mul))
+        R.n, R.one, R.zero = size, one, 0
+        return R
 
     def idempotents(self) -> list[int]:
         return [e for e in range(self.n) if self.mul[e][e] == e]
@@ -260,11 +263,13 @@ class RegularityResult(NamedTuple):
 
 
 def is_regular(R: FiniteRing) -> RegularityResult:
-    """Every x needs some y with xyx = x."""
-    mul = R.mul
-    for x in range(R.n):
-        if not any(mul[mul[x][y]][x] == x for y in range(R.n)):
-            return RegularityResult(False, x)
+    """Every x needs some y with xyx = x.  Read off L(R): building it
+    rejects the first x whose xR has no idempotent generator, which is the
+    first x without a quasi-inverse (:func:`principal_right_ideals`)."""
+    try:
+        principal_right_ideals(R)
+    except NotRegular as e:
+        return RegularityResult(False, e.element)
     return RegularityResult(True, None)
 
 
@@ -331,25 +336,23 @@ class RightIdealLattice(_Frozen):
         )
 
 
+@_once
 def principal_right_ideals(R: FiniteRing) -> RightIdealLattice:
     """Compute L(R), cached on the ring; requires regularity so that
     idempotent generators exist and the inclusion order is a (complemented,
     modular) lattice.  x is regular iff xR = eR for an idempotent e (xyx = x
-    gives e = xy; e = xs and x = ex give xsx = x), so the first x whose xR
-    has no idempotent generator is the first x that ``is_regular`` rejects."""
-    cached = getattr(R, "_principal_right_ideals", None)
-    if cached is not None:
-        return cached
+    gives e = xy; e = xs and x = ex give xsx = x), so raising
+    :class:`NotRegular` for the first x whose xR has no idempotent generator
+    names the first x without a quasi-inverse."""
     mul = R.mul
     xr = [frozenset(row) for row in mul]
     gen = {s: next((e for e in s if mul[e][e] == e and xr[e] == s), None) for s in set(xr)}
     for x, s in enumerate(xr):
         if gen[s] is None:
-            raise NotRegular(f"element {x} has no quasi-inverse")
+            raise NotRegular(x)
     ideals, lattice, index = _inclusion_lattice(gen)
     gens, nodes = tuple(gen[s] for s in ideals), tuple(index[s] for s in xr)
-    R._principal_right_ideals = RightIdealLattice(R, lattice, ideals, gens, index, nodes)
-    return R._principal_right_ideals
+    return RightIdealLattice(R, lattice, ideals, gens, index, nodes)
 
 
 class IsoCertificate(NamedTuple):
@@ -451,13 +454,11 @@ class TwoSidedIdealLattice(_Frozen):
             raise ValueError("set is not a node of the lattice") from None
 
 
+@_once
 def two_sided_ideals(R: FiniteRing) -> TwoSidedIdealLattice:
     """Id R: all two-sided ideals, as the join-closure of the principal
     two-sided ideals RxR (every ideal is a finite sum of principal ones);
     cached on the ring."""
-    cached = getattr(R, "_two_sided_ideals", None)
-    if cached is not None:
-        return cached
     principal = _principal_ideals(R)
     found = {frozenset({R.zero}), *principal}
     work = list(found)
@@ -469,8 +470,7 @@ def two_sided_ideals(R: FiniteRing) -> TwoSidedIdealLattice:
                 found.add(s)
                 work.append(s)
     ideals, lattice, index = _inclusion_lattice(found)
-    R._two_sided_ideals = TwoSidedIdealLattice(R, lattice, ideals, principal, index)
-    return R._two_sided_ideals
+    return TwoSidedIdealLattice(R, lattice, ideals, principal, index)
 
 
 # -- neutral ideals of L(R) vs two-sided ideals of R -----------------------------
@@ -576,6 +576,7 @@ def _node_vectors(L: FiniteLattice, atom_class: dict[int, int], k: int) -> list[
     return [decompose(node) for node in range(L.n)]
 
 
+@_once
 def v_monoid(R: FiniteRing) -> VMonoid:
     """Decompose every principal right ideal into indecomposables, and
     confirm that the multiplicity vectors do not depend on the choices made:
@@ -586,9 +587,6 @@ def v_monoid(R: FiniteRing) -> VMonoid:
 
     Either failure raises AssertionError naming the nodes.  The classes are
     those of the atoms under ``iso_bits``.  Cached on the ring."""
-    cached = getattr(R, "_v_monoid", None)
-    if cached is not None:
-        return cached
     lr = principal_right_ideals(R)
     L, iso = lr.lattice, lr.iso_bits
     atom_mask = sum(1 << a for a in L.atoms)
@@ -608,8 +606,7 @@ def v_monoid(R: FiniteRing) -> VMonoid:
             y = (diff & -diff).bit_length() - 1
             how = "share a vector but are not" if same[v] >> y & 1 else "differ in vector but are"
             raise AssertionError(f"nodes {x} and {y} {how} isomorphic")
-    R._v_monoid = VMonoid(lr, len(classes), tuple(vecs))
-    return R._v_monoid
+    return VMonoid(lr, len(classes), tuple(vecs))
 
 
 def refine_nonneg_vectors(

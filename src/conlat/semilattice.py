@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple
 
-from .lattice import FiniteLattice, _bits, _Frozen, _monotone_maps
+from .lattice import FiniteLattice, _bits, _check_elements, _Frozen, _monotone_maps, _once
 
 
 class TargetNotDistributive(ValueError):
@@ -38,26 +38,25 @@ class FiniteJoinSemilattice:
     (the join of everything); a bottom may or may not.
     """
 
-    def __init__(self, join, *, validate: bool = True):
+    def __init__(self, join):
         rows = tuple(map(tuple, join))
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("join table must be square")
         if n == 0:
             raise ValueError("a semilattice needs at least one element")
-        if validate:
-            if any(not 0 <= v < n for r in rows for v in r):
-                raise ValueError("join table entries outside 0..n-1")
-            if any(rows[x][x] != x for x in range(n)):
-                raise ValueError("join is not idempotent")
-            if any(rows[x][y] != rows[y][x] for x in range(n) for y in range(x)):
-                raise ValueError("join is not commutative")
-            for x in range(n):
-                for y in range(n):
-                    xy = rows[x][y]
-                    for z in range(n):
-                        if rows[xy][z] != rows[x][rows[y][z]]:
-                            raise ValueError("join is not associative")
+        if any(not 0 <= v < n for r in rows for v in r):
+            raise ValueError("join table entries outside 0..n-1")
+        if any(rows[x][x] != x for x in range(n)):
+            raise ValueError("join is not idempotent")
+        if any(rows[x][y] != rows[y][x] for x in range(n) for y in range(x)):
+            raise ValueError("join is not commutative")
+        for x in range(n):
+            for y in range(n):
+                xy = rows[x][y]
+                for z in range(n):
+                    if rows[xy][z] != rows[x][rows[y][z]]:
+                        raise ValueError("join is not associative")
         self.n = n
         self.join_rows: tuple[tuple[int, ...], ...] = rows
         down = [0] * n
@@ -73,7 +72,12 @@ class FiniteJoinSemilattice:
 
     @classmethod
     def from_lattice(cls, L: FiniteLattice) -> "FiniteJoinSemilattice":
-        return cls(L.join_rows, validate=False)
+        """L as a join-semilattice, sharing L's join table and order: a
+        lattice's join is a semilattice join, so there is nothing to check."""
+        S = cls.__new__(cls)
+        S.n, S.join_rows, S.down_bits = L.n, L.join_rows, L.down_bits
+        S.top, S.bottom = L.top, L.bottom
+        return S
 
     def le(self, x: int, y: int) -> bool:
         return self.join_rows[x][y] == y
@@ -118,12 +122,13 @@ class FiniteJoinSemilattice:
             rows.append(tuple(tuple(z for z in below if dy >> z & 1) for dy in d))
         return tuple(rows)
 
+    @cached_property
+    def _decompositions(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        return {}
+
     def decompositions(self, e: int) -> tuple[tuple[int, int], ...]:
         """All ordered pairs (y0, y1) with y0 + y1 = e, cached."""
-        cache = getattr(self, "_decomp_cache", None)
-        if cache is None:
-            cache = {}
-            self._decomp_cache = cache
+        cache = self._decompositions
         if e not in cache:
             if not 0 <= e < self.n:
                 raise IndexError(f"element {e} outside 0..{self.n - 1}")
@@ -210,6 +215,7 @@ def refinement_square(
     S: FiniteJoinSemilattice, a0: int, a1: int, b0: int, b1: int
 ) -> RefinementSquare | None:
     """Search for a refinement square; complete, so None means none exists."""
+    _check_elements(S, a0, a1, b0, b1)
     j = S.join_rows
     if j[a0][a1] != j[b0][b1]:
         raise ValueError("a0 + a1 and b0 + b1 differ")
@@ -243,6 +249,7 @@ class RefinementResult(NamedTuple):
     counterexample: tuple[int, int, int, int] | None
 
 
+@_once
 def has_refinement_property(S: FiniteJoinSemilattice) -> RefinementResult:
     """Check every equation a0 + a1 = b0 + b1; cached on the semilattice.
 
@@ -256,9 +263,6 @@ def has_refinement_property(S: FiniteJoinSemilattice) -> RefinementResult:
     only that form is solved: each unordered equation once, in the order of
     its first form, with nothing kept per equation.
     """
-    cached = getattr(S, "_refinement_result", None)
-    if cached is not None:
-        return cached
     failing = next(
         (
             p + q
@@ -270,8 +274,7 @@ def has_refinement_property(S: FiniteJoinSemilattice) -> RefinementResult:
         ),
         None,
     )
-    S._refinement_result = RefinementResult(failing is None, failing)
-    return S._refinement_result
+    return RefinementResult(failing is None, failing)
 
 
 # -- weak distributivity --------------------------------------------------------
@@ -305,13 +308,11 @@ class WdAtResult(NamedTuple):
     failure: tuple[int, int] | None
 
 
+@_once
 def _max_pullbacks(h: SemilatticeHom) -> list[list[int | None]]:
     # M[u][y] = greatest x <= u with f(x) <= y, or None; the candidate set is
     # join-closed, so its join is its greatest element and the only candidate
     # pullback component that can work.  Cached on h.
-    cached = getattr(h, "_max_pullbacks", None)
-    if cached is not None:
-        return cached
     S, T, f = h.source, h.target, h.map
     fmask = [0] * T.n
     for x in range(S.n):
@@ -329,7 +330,6 @@ def _max_pullbacks(h: SemilatticeHom) -> list[list[int | None]]:
                 for x in _bits(mask):
                     acc = x if acc is None else rows[acc][x]
                 M[u][y] = acc
-    object.__setattr__(h, "_max_pullbacks", M)  # h is frozen
     return M
 
 
@@ -337,6 +337,7 @@ def is_weakly_distributive_at(h: SemilatticeHom, u: int) -> WdAtResult:
     """Decide weak distributivity at u, producing the full witness table or
     the first failing decomposition of f(u)."""
     S, T, f = h.source, h.target, h.map
+    _check_elements(S, u)
     M = _max_pullbacks(h)
     table: dict[tuple[int, int], tuple[int, int]] = {}
     for y0, y1 in T.decompositions(f[u]):
@@ -347,15 +348,12 @@ def is_weakly_distributive_at(h: SemilatticeHom, u: int) -> WdAtResult:
     return WdAtResult(True, WdWitness(h, u, table), None)
 
 
+@_once
 def is_weakly_distributive(h: SemilatticeHom) -> bool:
     """True iff h is weakly distributive at every element of its source;
     cached on the hom.  For surjective h this is the usual weakly
     distributive homomorphism."""
-    cached = getattr(h, "_weakly_distributive", None)
-    if cached is None:
-        cached = all(is_weakly_distributive_at(h, u).holds for u in range(h.source.n))
-        object.__setattr__(h, "_weakly_distributive", cached)  # h is frozen
-    return cached
+    return all(is_weakly_distributive_at(h, u).holds for u in range(h.source.n))
 
 
 def weakly_distributive_points(h: SemilatticeHom) -> list[int]:

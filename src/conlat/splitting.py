@@ -76,6 +76,7 @@ class CChain(NamedTuple):
 
 def rel_lessdot(L: FiniteLattice, a: int, b: int, c: int) -> int | None:
     """The first z (in element order) with a v z = b and a ^ z <= c, if any."""
+    _check_elements(L, a, b, c)
     ja, ma, dc = L.join_rows[a], L.meet_rows[a], L.down_bits[c]
     for z in range(L.n):
         if ja[z] == b and dc >> ma[z] & 1:

@@ -620,6 +620,15 @@ def matrix_ring_tables(comps) -> tuple[list[list[int]], list[list[int]], int, in
     return add, mul, index[constant(1)], index[constant(0)]
 
 
+def first_non_regular_element(R) -> int | None:
+    """The first x with no y such that xyx = x, by scanning every pair."""
+    mul = R.mul
+    for x in range(R.n):
+        if not any(mul[mul[x][y]][x] == x for y in range(R.n)):
+            return x
+    return None
+
+
 def additive_closure(R, gens) -> frozenset[int]:
     """The additive subgroup generated by gens, by a work list that adds
     every new element to every element found so far."""

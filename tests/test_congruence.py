@@ -14,6 +14,7 @@ from conlat import (
     HypothesesFail,
     IndexOutOfRange,
     LatticeHom,
+    NotAHom,
     NotAnIdeal,
     NotJoined,
     RefinementSquare,
@@ -25,6 +26,8 @@ from conlat import (
     congruence_from_blocks,
     congruence_join,
     congruence_meet,
+    check_semilattice_hom,
+    enumerate_lattice_homs,
     enumerate_lattices,
     has_refinement_property,
     induced_con_map,
@@ -495,6 +498,13 @@ def test_monotonize_incomparable_middle():
     assert ch.elements == (1, L.meet_of(L.join_of(1, 2), 3), 3)
 
 
+def test_monotonize_rejects_elements_out_of_range():
+    for x in (-1, N5.n):
+        for raw, u, v in (([0, 4], 0, x), ([0, 4], x, 4), ([0, x, 4], 0, 4)):
+            with pytest.raises(IndexOutOfRange):
+                monotonize_chain(N5, raw, u, v)
+
+
 @given(lattice_with_raw_chain())
 @settings(max_examples=80, deadline=None)
 def test_monotonize_output_monotone(case):
@@ -533,6 +543,20 @@ def test_induced_map_of_identity():
 def test_induced_map_of_constant():
     f = induced_con_map(LatticeHom(N5, N5, (0, 0, 0, 0, 0)))
     assert set(f.map) == {CON_N5.delta_index}
+
+
+def test_induced_maps_preserve_joins():
+    # induced_con_map does not check this at run time; its docstring proves it
+    for K, L in itertools.product(SMALL, repeat=2):
+        for h in enumerate_lattice_homs(K, L):
+            assert check_semilattice_hom(induced_con_map(h))
+
+
+def test_induced_map_of_a_non_hom_raises_on_every_call():
+    h = LatticeHom(chain(2), chain(2), (1, 0))
+    for _ in range(2):
+        with pytest.raises(NotAHom):
+            induced_con_map(h)
 
 
 def test_induced_map_of_interval_inclusion():

@@ -625,6 +625,18 @@ def test_canonical_form_is_cached():
     assert canonical_form(L) is canonical_form(L)
 
 
+def test_canonical_form_seeded_by_enumeration_is_not_recomputed(monkeypatch):
+    # every lattice past the first, chain(1), is built with its code
+    corpus = list(enumerate_lattices(5))[1:]
+
+    def fail(below, above):
+        raise AssertionError("code recomputed")
+
+    monkeypatch.setattr(lattice, "_poset_code", fail)
+    for L in corpus:
+        assert canonical_form(L) is vars(L)["_canonical_form"]
+
+
 @given(relabelings())
 @settings(max_examples=40, deadline=None)
 def test_covers_are_exact_and_sorted(case):

@@ -299,6 +299,19 @@ def test_hom_caches_do_not_enter_equality():
     assert h == LatticeHom(L, L, (0, 1))
 
 
+def test_frozen_homs_keep_their_caches_and_stay_frozen():
+    from conlat import induced_con_map, is_weakly_distributive
+
+    L = chain(3)
+    h = LatticeHom(L, L, (0, 1, 2))
+    f = induced_con_map(h)
+    assert vars(h)["_induced_con_map"] is f
+    assert is_weakly_distributive(f) is vars(f)["_is_weakly_distributive"]
+    for hom in (h, f):
+        with pytest.raises(AttributeError):
+            hom.map = ()
+
+
 # the validating records reject bad fields with the exceptions they raised
 # as dataclasses (from __post_init__)
 

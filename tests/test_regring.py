@@ -46,6 +46,7 @@ from conlat.cli import TEST_RINGS
 from conlat.regring import _additive_closure, _additive_generators
 from oracles import (
     additive_closure,
+    first_non_regular_element,
     from_ideal_by_closure,
     matrix_ring_tables,
     neutral_iff_iso_closed_by_pairs,
@@ -78,6 +79,12 @@ def z4_x() -> FiniteRing:
     add = [[(a + c) % 4 + 4 * ((b + d) % 2) for c, d in elems] for a, b in elems]
     mul = [[a * c % 4 + 4 * ((a * d + b * c) % 2) for c, d in elems] for a, b in elems]
     return FiniteRing.from_tables({"add": add, "mul": mul, "one": 1})
+
+
+def z_n(n: int) -> FiniteRing:
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[a * b % n for b in range(n)] for a in range(n)]
+    return FiniteRing(add, mul, 1 % n)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +125,12 @@ def test_matrix_spec_tables_match_matrix_tuple_oracle(spec):
     assert R.add == tuple(map(tuple, add))
     assert R.mul == tuple(map(tuple, mul))
     assert (R.one, R.zero) == (one, zero)
+
+
+@pytest.mark.parametrize("spec", ["M(1,2)", "M(2,2)", "M(1,2)xM(1,3)"])
+def test_matrix_spec_ring_matches_the_validating_constructor(spec):
+    R = FiniteRing.from_matrix_spec(spec)
+    assert vars(FiniteRing(R.add, R.mul, R.one)) == vars(R)
 
 
 @given(st.sampled_from(TEST_RINGS), st.data())
@@ -184,6 +197,13 @@ def test_z4_is_not_regular():
     assert res.failing == 2
 
 
+def test_is_regular_matches_the_scan_oracle():
+    rings = [ring(spec) for spec in TEST_RINGS] + [z4(), z4_x()]
+    for R in rings + [z_n(n) for n in range(1, 17)]:
+        failing = first_non_regular_element(R)
+        assert is_regular(R) == (failing is None, failing)
+
+
 # ---------------------------------------------------------------------------
 # the lattice of principal right ideals
 
@@ -236,10 +256,11 @@ def test_non_regular_rejected():
 @pytest.mark.parametrize("make", [z4, z4_x])
 def test_non_regular_rejection_names_the_first_failing_element(make):
     R = make()
-    failing = is_regular(R).failing
+    failing = first_non_regular_element(R)
     assert failing is not None
-    with pytest.raises(NotRegular, match=rf"^element {failing} has no quasi-inverse$"):
+    with pytest.raises(NotRegular, match=rf"^element {failing} has no quasi-inverse$") as info:
         principal_right_ideals(R)
+    assert info.value.element == failing
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from conlat import semilattice
 from conlat import (
     FiniteJoinSemilattice,
     FiniteLattice,
+    IndexOutOfRange,
     InvalidInputWitness,
     SemilatticeHom,
     TargetNotDistributive,
@@ -27,6 +28,7 @@ from conlat import (
     is_weakly_distributive,
     is_weakly_distributive_at,
     m3,
+    n5,
     refinement_square,
     wd_join_combine,
     weakly_distributive_points,
@@ -67,6 +69,16 @@ def test_bad_tables_rejected():
         FiniteJoinSemilattice([[0, 1], [0, 1]])  # not commutative
     with pytest.raises(ValueError):
         FiniteJoinSemilattice([[1, 1], [1, 1]])  # not idempotent
+
+
+def test_from_lattice_matches_the_validating_constructor(corpus6):
+    # from_lattice shares the lattice's tables instead of re-deriving them
+    for L in corpus6:
+        for K in (L, con_lattice(L).as_lattice):
+            S, V = fjs(K), FiniteJoinSemilattice(K.join_rows)
+            assert (S.n, S.join_rows, S.down_bits, S.top, S.bottom) == (
+                V.n, V.join_rows, V.down_bits, V.top, V.bottom
+            )
 
 
 @given(semilattice_with_elements())
@@ -218,6 +230,16 @@ def test_refinement_scan_solves_each_equation_once(name, monkeypatch):
     assert res.counterexample == (None if res.holds else expected[-1])
 
 
+def test_refinement_square_rejects_elements_out_of_range():
+    S = fjs(n5())
+    assert refinement_square(S, 0, 0, 0, 0) is not None
+    for x in (-1, S.n):
+        # x + 0 = x + 0, with x as a0 and b0 or as a1 and b1
+        for args in ((x, 0, x, 0), (0, x, 0, x)):
+            with pytest.raises(IndexOutOfRange):
+                refinement_square(S, *args)
+
+
 def test_decompositions_reject_elements_outside_range():
     S = fjs(chain(3))
     for e in (-1, S.n, S.n + 5):
@@ -285,6 +307,32 @@ def test_join_irreducible_image_trivial_split():
     h = SemilatticeHom(S, T, (0, 1, 2))
     res = is_weakly_distributive_at(h, 2)
     assert res.holds
+
+
+def test_weakly_distributive_at_rejects_elements_out_of_range():
+    S = fjs(n5())
+    identity = SemilatticeHom(S, S, tuple(range(S.n)))
+    for u in (-1, S.n):
+        with pytest.raises(IndexOutOfRange):
+            is_weakly_distributive_at(identity, u)
+
+
+def test_a_false_weak_distributivity_verdict_is_computed_once(monkeypatch):
+    S = fjs(chain(3))
+    T = fjs(FiniteLattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
+    h = SemilatticeHom(S, T, (0, 1, 3))
+    at, calls = semilattice.is_weakly_distributive_at, []
+
+    def counting(g, u):
+        calls.append(u)
+        return at(g, u)
+
+    monkeypatch.setattr(semilattice, "is_weakly_distributive_at", counting)
+    assert is_weakly_distributive(h) is False
+    first = len(calls)
+    assert first > 0
+    assert is_weakly_distributive(h) is False
+    assert len(calls) == first
 
 
 def test_weak_distributivity_cache_does_not_keep_homs_alive():

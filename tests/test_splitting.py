@@ -8,6 +8,7 @@ import pytest
 from conlat import (
     Congruence,
     FiniteLattice,
+    IndexOutOfRange,
     NoChain,
     SplitInstance,
     alternating_chain,
@@ -98,6 +99,14 @@ def test_lessdot_n5_bottom_to_b():
     z = rel_lessdot(N, 0, 2, 0)
     assert z is not None
     assert N.join_of(0, z) == 2 and N.meet_of(0, z) == 0
+
+
+def test_rel_lessdot_rejects_elements_out_of_range():
+    N = n5()
+    for x in (-1, N.n):
+        for args in ((x, 4, 0), (0, x, 0), (0, 4, x)):
+            with pytest.raises(IndexOutOfRange):
+                rel_lessdot(N, *args)
 
 
 def test_lessdot_matches_exhaustive_scan():
