@@ -326,16 +326,16 @@ def _join_instances(L: FiniteLattice):
             yield u, v, congs[i0], congs[i1]
 
 
-def _first_failure(instances, failure: Callable) -> tuple[int, dict | None]:
-    """Walk ``instances`` up to the first one ``failure`` reports; return
-    how many were examined and that counterexample, or None."""
+def _first_failure(instances, failure: Callable) -> dict:
+    """The row of a walk over ``instances`` up to the first one ``failure``
+    reports: that counterexample, or how many instances were examined."""
     checked = 0
     for inst in instances:
         checked += 1
         bad = failure(*inst)
         if bad:
-            return checked, bad
-    return checked, None
+            return _verdict(False, counterexample=bad)
+    return _verdict(True, detail={"instances": checked})
 
 
 def _splits_constructively(L: FiniteLattice, _budget: int) -> dict:
@@ -356,10 +356,7 @@ def _splits_constructively(L: FiniteLattice, _budget: int) -> dict:
         return None if ok else {"a": a, "b": b, "x0": x0, "x1": x1}
 
     # a validated split on every join instance proves L splits
-    checked, bad = _first_failure(_join_instances(L), failure)
-    if bad is None:
-        return _verdict(True, detail={"instances": checked})
-    return _verdict(False, counterexample=bad)
+    return _first_failure(_join_instances(L), failure)
 
 
 def _property_c_triple(L: FiniteLattice, _budget: int) -> dict:
@@ -373,10 +370,7 @@ def _csurp_witnesses_verify(L: FiniteLattice, _budget: int) -> dict:
         check = verify_urp_witness(UrpInstance(S, eps, fams), csurp_witness(L, u, v, fams))
         return None if check.ok else {"u": u, "v": v, "clause": check.clause}
 
-    checked, bad = _first_failure(con_lattice(L).join_decompositions(), failure)
-    if bad is None:
-        return _verdict(True, detail={"instances": checked})
-    return _verdict(False, counterexample=bad)
+    return _first_failure(con_lattice(L).join_decompositions(), failure)
 
 
 def _chains_label_faithful(L: FiniteLattice, _budget: int) -> dict:

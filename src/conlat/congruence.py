@@ -3,16 +3,19 @@
 A congruence is an equivalence relation compatible with join and meet; it is
 stored as a class-representative array (each element mapped to the least
 member of its block) and computed as the bitmask of the covers x < y that
-it collapses.  Its blocks are intervals, so the mask determines them, and
-the congruence generated by a set of covers collapses exactly the closure of
+it collapses.  Its blocks are intervals (Gratzer, The Congruences of a
+Finite Lattice, 2016), so the mask determines them by one rule: x is the
+top of its block unless some upper cover x < y is collapsed, and then x
+shares the top of y.  One walk from the top down reads every block top off
+the mask, and the rep of x is the least element with the top of x.  The
+congruence generated by a set of covers collapses exactly the closure of
 that set under the prime-interval step: a collapsed cover x < y forces every
-cover inside [x ^ z, y ^ z] and [x v z, y v z] (Gratzer, The Congruences of
-a Finite Lattice, 2016).  The mask is exact in Con L too: a congruence is the
-join of the Theta(x, y) of the covers it collapses, and these
-join-irreducibles are join-prime because Con L is distributive, so a join of
-congruences collapses exactly the covers that one of them collapses.  Con L
-is thus the OR-closure of the closures of single covers, with order mask
-inclusion.
+cover inside [x ^ z, y ^ z] and [x v z, y v z].  The mask is exact in Con L
+too: a congruence is the join of the Theta(x, y) of the covers it collapses,
+and these join-irreducibles are join-prime because Con L is distributive,
+so a join of congruences collapses exactly the covers that one of them
+collapses.  Con L is thus the OR-closure of the closures of single covers,
+with order mask inclusion.
 
 The same join-primeness builds alternating chains: every cover x < y in
 [u, v] has Theta(x, y) <= Theta(u, v), so when Theta(u, v) <= alpha v beta
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lattice import (
     FiniteLattice,
@@ -189,7 +192,7 @@ def _generated(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> Congruence
     seed = 0
     for u, v in pairs:
         seed |= above[mt[u][v]] & below[jn[u][v]]
-    return Congruence(L, _cover_blocks(L, _closure(L, seed)))
+    return Congruence(L, next(_blocks(L, [_closure(L, seed)]))[0])
 
 
 def principal_congruence(L: FiniteLattice, u: int, v: int) -> Congruence:
@@ -226,7 +229,8 @@ class CongruenceLattice:
     ``masks[i]`` is the set of covers (bit j for ``covers[j]``) that
     congruence i collapses, so ``masks`` ordered by inclusion is Con L and
     join is OR.  ``principal[u][v]`` is the index of Theta(u, v), and
-    ``tops[i][x]`` is the top of x's block in congruence i.
+    ``tops[i][x]`` is the top of x's block in congruence i; the reps and
+    the tops are both read off ``masks[i]`` by the walk of :func:`_blocks`.
     ``as_lattice`` is the containment order as a FiniteLattice (same
     indexing), ``as_semilattice`` the corresponding join-semilattice.
     """
@@ -242,10 +246,9 @@ class CongruenceLattice:
         found = {0}
         for g in congs:
             found |= {m | g for m in found}
-        congs = {m: congs.get(m) or Congruence(host, _cover_blocks(host, m)) for m in found}
-        masks = sorted(
-            found, key=lambda m: (congs[m].num_blocks, congs[m].rep), reverse=True
-        )
+        rest = list(found - congs.keys())
+        congs.update(zip(rest, (Congruence(host, rep) for rep, _ in _blocks(host, rest))))
+        masks = sorted(found, key=lambda m: (congs[m].num_blocks, congs[m].rep), reverse=True)
         self.masks: tuple[int, ...] = tuple(masks)
         self.congruences: tuple[Congruence, ...] = tuple(congs[m] for m in masks)
         self.index = {t.rep: i for i, t in enumerate(self.congruences)}
@@ -275,14 +278,7 @@ class CongruenceLattice:
 
     @cached_property
     def tops(self) -> tuple[tuple[int, ...], ...]:
-        # the top of a block is the join of its members, folded along rep
-        jn, out = self.host.join_rows, []
-        for t in self.congruences:
-            top: dict[int, int] = {}
-            for x, r in enumerate(t.rep):
-                top[r] = jn[top.get(r, x)][x]
-            out.append(tuple(map(top.__getitem__, t.rep)))
-        return tuple(out)
+        return tuple(top for _, top in _blocks(self.host, self.masks))
 
     def __len__(self) -> int:
         return len(self.congruences)
@@ -319,15 +315,23 @@ class CongruenceLattice:
         return f"CongruenceLattice(|Con|={len(self.congruences)})"
 
 
-def _cover_blocks(L: FiniteLattice, mask: int) -> tuple[int, ...]:
-    # rep array of the congruence collapsing the covers in mask: its blocks
-    # are intervals, so x and y share one iff every cover inside
-    # [x ^ y, x v y] is collapsed, and the least such y is the rep of x
-    (above, below, _), jn, mt = _cover_tables(L), L.join_rows, L.meet_rows
-    return tuple(
-        next(y for y in range(x + 1) if above[mt[x][y]] & below[jn[x][y]] & ~mask == 0)
-        for x in range(L.n)
-    )
+def _blocks(
+    L: FiniteLattice, masks: Iterable[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # the (rep, top) arrays of each mask's congruence, by the rule of the
+    # module docstring: ups[x] is the set of covers x < y, and the walk by
+    # decreasing down-set reads the top of any collapsed one before x
+    covers, down, ups = L.covers(), L.down_bits, [0] * L.n
+    for j, (x, _) in enumerate(covers):
+        ups[x] |= 1 << j
+    walk = [(x, ups[x]) for x in sorted(range(L.n), key=lambda x: -down[x].bit_count())]
+    for mask in masks:
+        top = list(range(L.n))
+        for x, up in walk:
+            if mask & up:
+                top[x] = top[covers[(mask & up).bit_length() - 1][1]]
+        least: dict[int, int] = {}
+        yield tuple([least.setdefault(t, x) for x, t in enumerate(top)]), tuple(top)
 
 
 def certifies_ring_of_sets(S: FiniteJoinSemilattice, masks: Sequence[int]) -> bool:
@@ -392,6 +396,7 @@ class Chain(_ChainFields):
     def validate(self) -> bool:
         """Steps are (weakly) increasing and lie in their labels."""
         e = self.elements
+        _check_elements(self.host, *e)
         for i, lab in enumerate(self.labels):
             if not self.host.le(e[i], e[i + 1]):
                 return False

@@ -65,6 +65,7 @@ class CChain(NamedTuple):
 
     def validate(self) -> bool:
         L = self.L
+        _check_elements(L, self.c, *self.elements, *self.witnesses)
         if len(self.witnesses) != len(self.elements) - 1:
             return False
         jn, mt, dc = L.join_rows, L.meet_rows, L.down_bits[self.c]

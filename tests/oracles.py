@@ -25,6 +25,10 @@ the lattice constructor's down-set and up-set lookups;
 both tables at once and scanned them for a missing bound, kept as the
 reference for the meet test per pair and the tables built on first use;
 :func:`eager_principal_table` is the former eager principal table of Con L;
+:func:`reps_by_interval_scan` is the former rep array of a cover mask, which
+tests every pair y <= x for an interval of collapsed covers, and
+:func:`tops_by_join_fold` the former block tops, which fold joins along the
+reps; both are kept as the reference for the one walk over upper covers;
 :func:`admissible_downsets_by_subsets` is the former augmentation step, which
 filters all 2^m subsets, kept as the reference for the down-sets built
 element by element; :func:`refinement_counterexample_literal` is the former
@@ -277,6 +281,28 @@ def eager_principal_table(con) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(theta_index(mt[u][v], jn[u][v]) for v in range(L.n)) for u in range(L.n)
     )
+
+
+def reps_by_interval_scan(L, mask: int) -> tuple[int, ...]:
+    """The rep array of the congruence collapsing the covers in ``mask``:
+    its blocks are intervals, so x and y share one iff every cover inside
+    [x ^ y, x v y] is collapsed, and the least such y is the rep of x."""
+    from conlat.congruence import _cover_tables
+
+    (above, below, _), jn, mt = _cover_tables(L), L.join_rows, L.meet_rows
+    return tuple(
+        next(y for y in range(x + 1) if above[mt[x][y]] & below[jn[x][y]] & ~mask == 0)
+        for x in range(L.n)
+    )
+
+
+def tops_by_join_fold(L, rep) -> tuple[int, ...]:
+    """The top of each element's block under the rep array ``rep``: the
+    join of the block's members, folded along rep."""
+    jn, top = L.join_rows, {}
+    for x, r in enumerate(rep):
+        top[r] = jn[top.get(r, x)][x]
+    return tuple(map(top.__getitem__, rep))
 
 
 def covers_by_pair_scan(L) -> list[tuple[int, int]]:

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conlat import (
+    Chain,
     Congruence,
     FiniteJoinSemilattice,
     FiniteLattice,
@@ -19,6 +21,7 @@ from conlat import (
     NotJoined,
     RefinementSquare,
     alternating_chain,
+    boolean,
     certifies_ring_of_sets,
     chain,
     con_lattice,
@@ -44,6 +47,7 @@ from conlat import (
     refinement_by_certificate,
 )
 from conlat.cli import _join_instances
+from conlat.congruence import _blocks
 from oracles import (
     alternating_chain_bfs,
     closure_by_union_find,
@@ -54,7 +58,9 @@ from oracles import (
     is_neutral_ideal_by_axes,
     join_by_union_find,
     principal_ideal_sets,
+    reps_by_interval_scan,
     set_partitions,
+    tops_by_join_fold,
 )
 
 SMALL = list(enumerate_lattices(5))
@@ -285,6 +291,39 @@ def test_tops_are_the_largest_block_elements(corpus6):
                 assert all(tops[x] == top[0] for x in block)
 
 
+def assert_blocks_match_oracles(L):
+    con = con_lattice(L)
+    reps = [reps_by_interval_scan(L, m) for m in con.masks]
+    tops = [tops_by_join_fold(L, rep) for rep in reps]
+    assert list(_blocks(L, con.masks)) == list(zip(reps, tops))
+    assert [t.rep for t in con.congruences] == reps
+    assert list(con.tops) == tops
+
+
+def test_blocks_match_oracles_up_to_size_8():
+    for L in enumerate_lattices(8):
+        assert_blocks_match_oracles(L)
+
+
+def test_blocks_match_oracles_on_chains_and_cube():
+    assert len(con_lattice(chain(10))) == 512
+    for L in [*map(chain, range(1, 11)), boolean(3)]:
+        assert_blocks_match_oracles(L)
+
+
+def test_blocks_match_oracles_under_relabelling(corpus7):
+    # a random relabelling is not a linear extension, so a rep need not be
+    # the bottom of its block
+    rng = random.Random(25)
+    moved = 0
+    for L in corpus7:
+        perm = rng.sample(range(L.n), L.n)
+        M = FiniteLattice.from_covers(L.n, [(perm[x], perm[y]) for x, y in L.covers()])
+        assert_blocks_match_oracles(M)
+        moved += any(not M.le(r, x) for t in con_lattice(M).congruences for x, r in enumerate(t.rep))
+    assert moved
+
+
 def test_certificate_check_builds_no_principal_table():
     con = con_lattice(chain(6))
     assert refinement_by_certificate(con.as_semilattice, con.masks).holds
@@ -503,6 +542,14 @@ def test_monotonize_rejects_elements_out_of_range():
         for raw, u, v in (([0, 4], 0, x), ([0, 4], x, 4), ([0, x, 4], 0, 4)):
             with pytest.raises(IndexOutOfRange):
                 monotonize_chain(N5, raw, u, v)
+
+
+def test_chain_validate_rejects_elements_out_of_range():
+    L = chain(3)
+    for x in (-1, L.n):
+        for elements in ((0, x), (x, 2)):
+            with pytest.raises(IndexOutOfRange):
+                Chain(L, elements, (None,)).validate()
 
 
 @given(lattice_with_raw_chain())

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from conlat import (
+    CChain,
     Congruence,
     FiniteLattice,
     IndexOutOfRange,
@@ -125,6 +126,19 @@ def test_lessdot_matches_exhaustive_scan():
 
 # ---------------------------------------------------------------------------
 # property (C)
+
+
+def test_property_c_chain_validate_rejects_ids_out_of_range():
+    L = chain(3)
+    for x in (-1, L.n):
+        for c, elements, witnesses in (
+            (x, (0, 2), (2,)),
+            (0, (0, x), (2,)),
+            (0, (x, 2), (2,)),
+            (0, (0, 2), (x,)),
+        ):
+            with pytest.raises(IndexOutOfRange):
+                CChain(L, c, elements, witnesses).validate()
 
 
 def test_property_c_chains_validate():
