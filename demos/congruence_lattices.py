@@ -45,7 +45,7 @@ a = principal_congruence(pent, 0, 1)
 b = principal_congruence(pent, 2, 4)
 print("join blocks:", congruence_join(a, b).blocks())
 print("meet blocks:", congruence_meet(a, b).blocks())
-print("Con(N5) distributive:", is_distributive(con.as_lattice))
+print("Con(N5) distributive:", is_distributive(con))
 
 # %%
 # Chain counts double with every new covering

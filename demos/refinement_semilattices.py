@@ -12,13 +12,15 @@ their closure under joins.
 # %%
 # Semilattices from lattices
 # --------------------------
-# Any lattice is a join-semilattice after forgetting meets.  The
-# constructor validates a join table (idempotent, commutative,
-# associative); from_lattice shares the lattice's join table and order,
-# which are valid already.
+# Any lattice is a join-semilattice after forgetting meets:
+# FiniteLattice is a subclass of FiniteJoinSemilattice, so a lattice is
+# passed to the semilattice functions as it is.  The
+# FiniteJoinSemilattice constructor validates a bare join table
+# (idempotent, commutative, associative).
 from conlat import FiniteJoinSemilattice, boolean, chain, m3
 
-S = FiniteJoinSemilattice.from_lattice(boolean(2))
+S = boolean(2)
+print("a join-semilattice:", isinstance(S, FiniteJoinSemilattice))
 print("size:", S.n, " top:", S.top, " bottom:", S.bottom)
 print("1 v 2 =", S.join_of(1, 2))
 
@@ -39,7 +41,7 @@ print("square for 1 v 2 = 3 v 0:", sq)
 # -----------------
 # In M3 the equation a v b = a v c (all three atoms join pairwise to the
 # top) admits no refinement, which is exactly its non-distributivity.
-D = FiniteJoinSemilattice.from_lattice(m3())
+D = m3()
 res = has_refinement_property(D)
 print("M3 refines:", res.holds, " counterexample:", res.counterexample)
 print("square exists:", refinement_square(D, 1, 2, 1, 3))
@@ -57,7 +59,7 @@ from conlat import (
     weakly_distributive_points,
 )
 
-C3 = FiniteJoinSemilattice.from_lattice(chain(3))
+C3 = chain(3)
 identity = SemilatticeHom(C3, C3, (0, 1, 2))
 print("identity wd points:", weakly_distributive_points(identity))
 

@@ -18,7 +18,6 @@ searches can only confirm, never refute.
 # coherence table c_ij, and the verifier reports the first violated clause
 # if any.
 from conlat import (
-    FiniteJoinSemilattice,
     UrpInstance,
     boolean,
     canonical_instance,
@@ -26,7 +25,7 @@ from conlat import (
     verify_urp_witness,
 )
 
-S = FiniteJoinSemilattice.from_lattice(boolean(2))
+S = boolean(2)
 inst = canonical_instance(S, S.top)
 print("canonical instance at top has", len(inst.pairs), "pairs")
 w = search_urp_witness(inst)
@@ -42,7 +41,7 @@ print("verifies:", verify_urp_witness(inst, w).ok)
 # proof of failure.
 from conlat import holds_urp_at, m3, satisfies_urp
 
-D = FiniteJoinSemilattice.from_lattice(m3())
+D = m3()
 print("URP at top of M3:", holds_urp_at(D, D.top))
 print("URP at an atom of M3:", holds_urp_at(D, 1))
 print("URP everywhere on M3:", satisfies_urp(D))
@@ -87,7 +86,7 @@ print("merged witness verifies:", verify_urp_witness(combined, merged).ok)
 # solution.
 from conlat import SemilatticeHom, chain, urp_transfer
 
-C3 = FiniteJoinSemilattice.from_lattice(chain(3))
+C3 = chain(3)
 h = SemilatticeHom(C3, S, (0, 1, 1))
 target_inst = canonical_instance(S, 1)
 pushed = urp_transfer(h, 2, target_inst)
@@ -103,7 +102,7 @@ from conlat import con_lattice, csurp_witness, n5
 
 pent = n5()
 con = con_lattice(pent)
-jn = con.as_lattice.join_rows
+jn = con.join_rows
 eps = con.principal[0][4]
 fams = tuple(
     (i, j)
@@ -112,7 +111,7 @@ fams = tuple(
     if jn[i][j] == eps
 )
 w = csurp_witness(pent, 0, 4, fams)
-inst = UrpInstance(con.as_semilattice, eps, fams)
+inst = UrpInstance(con, eps, fams)
 print("constructed witness over", len(fams), "families verifies:",
       verify_urp_witness(inst, w).ok)
 
@@ -127,7 +126,6 @@ print("constructed witness over", len(fams), "families verifies:",
 from conlat import certifies_ring_of_sets, chain, first_urp_failure
 
 con9 = con_lattice(chain(9))
-S9 = con9.as_semilattice
 print("Con of the 9-chain has", len(con9), "congruences")
-print("its masks certify a ring of sets:", certifies_ring_of_sets(S9, con9.masks))
-print("URP holds at every element:", first_urp_failure(S9, con9.masks) is None)
+print("its masks certify a ring of sets:", certifies_ring_of_sets(con9, con9.masks))
+print("URP holds at every element:", first_urp_failure(con9, con9.masks) is None)

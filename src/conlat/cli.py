@@ -63,7 +63,6 @@ from .lattice import (
     n5,
 )
 from .semilattice import (
-    FiniteJoinSemilattice,
     enumerate_semilattice_homs,
     has_refinement_property,
     is_weakly_distributive,
@@ -303,7 +302,7 @@ def _decided(failing: tuple | None, counterexample: Callable) -> dict:
 def _urp_everywhere(L: FiniteLattice, budget: int) -> dict:
     con = con_lattice(L)
     try:
-        e = first_urp_failure(con.as_semilattice, con.masks, budget)
+        e = first_urp_failure(con, con.masks, budget)
     except SearchBudgetExceeded:
         return {"verdict": "budget-exceeded"}
     return _decided(None if e is None else (e,), lambda e: {"element": e})
@@ -312,7 +311,7 @@ def _urp_everywhere(L: FiniteLattice, budget: int) -> dict:
 def _con_distributive(L: FiniteLattice, _budget: int) -> dict:
     con = con_lattice(L)
     return _decided(
-        refinement_by_certificate(con.as_semilattice, con.masks).counterexample,
+        refinement_by_certificate(con, con.masks).counterexample,
         lambda *eq: dict(zip(("a0", "a1", "b0", "b1"), eq)),
     )
 
@@ -364,13 +363,13 @@ def _property_c_triple(L: FiniteLattice, _budget: int) -> dict:
 
 
 def _csurp_witnesses_verify(L: FiniteLattice, _budget: int) -> dict:
-    S = con_lattice(L).as_semilattice
+    con = con_lattice(L)
 
     def failure(u, v, eps, fams):
-        check = verify_urp_witness(UrpInstance(S, eps, fams), csurp_witness(L, u, v, fams))
+        check = verify_urp_witness(UrpInstance(con, eps, fams), csurp_witness(L, u, v, fams))
         return None if check.ok else {"u": u, "v": v, "clause": check.clause}
 
-    return _first_failure(con_lattice(L).join_decompositions(), failure)
+    return _first_failure(con.join_decompositions(), failure)
 
 
 def _chains_label_faithful(L: FiniteLattice, _budget: int) -> dict:
@@ -396,9 +395,8 @@ def _convex_homs(items: Sequence[tuple[str, FiniteLattice]]) -> list:
 
 
 def _semilattice_homs(items: Sequence[tuple[str, FiniteLattice]]):
-    sls = [(item_id, FiniteJoinSemilattice.from_lattice(L)) for item_id, L in items]
-    for src_id, S in sls:
-        for _, T in sls:
+    for src_id, S in items:
+        for _, T in items:
             for h in enumerate_semilattice_homs(S, T):
                 yield src_id, h
 
@@ -423,9 +421,8 @@ def _wd_combine(draw, _budget: int) -> None:
 def _urp_split_points(items) -> list:
     population = []
     for item_id, L in items:
-        S = FiniteJoinSemilattice.from_lattice(L)
-        if has_refinement_property(S).holds:
-            population.extend((item_id, (S, e0, e1)) for e0 in range(S.n) for e1 in range(S.n))
+        if has_refinement_property(L).holds:
+            population.extend((item_id, (L, e0, e1)) for e0 in range(L.n) for e1 in range(L.n))
     return population
 
 

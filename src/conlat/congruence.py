@@ -15,7 +15,9 @@ too: a congruence is the join of the Theta(x, y) of the covers it collapses,
 and these join-irreducibles are join-prime because Con L is distributive,
 so a join of congruences collapses exactly the covers that one of them
 collapses.  Con L is thus the OR-closure of the closures of single covers,
-with order mask inclusion.
+with order mask inclusion: :class:`CongruenceLattice` is that lattice, a
+:class:`~conlat.lattice.FiniteLattice` on the congruence indices, and so
+also the join-semilattice that the refinement and URP checks read.
 
 The same join-primeness builds alternating chains: every cover x < y in
 [u, v] has Theta(x, y) <= Theta(u, v), so when Theta(u, v) <= alpha v beta
@@ -41,6 +43,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lattice import (
+    FiniteJoinSemilattice,
     FiniteLattice,
     LatticeHom,
     _bits,
@@ -50,12 +53,7 @@ from .lattice import (
     is_modular,
     is_sectionally_complemented,
 )
-from .semilattice import (
-    FiniteJoinSemilattice,
-    RefinementResult,
-    SemilatticeHom,
-    has_refinement_property,
-)
+from .semilattice import RefinementResult, SemilatticeHom, has_refinement_property
 
 
 class HostMismatch(ValueError):
@@ -220,24 +218,24 @@ def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
     return Congruence(t1.host, tuple(mins[(t1.rep[x], t2.rep[x])] for x in range(n)))
 
 
-class CongruenceLattice:
-    """Con L with precomputed congruences, masks and order; the principal
-    table is built on first use.
+class CongruenceLattice(FiniteLattice):
+    """Con L as a :class:`FiniteLattice` on the congruence indices, with
+    precomputed congruences and masks; the principal table is built on
+    first use.
 
     Congruences are indexed 0..k-1 by (number of blocks, rep) descending: the
-    identity congruence first and the all-collapsing congruence last.
-    ``masks[i]`` is the set of covers (bit j for ``covers[j]``) that
-    congruence i collapses, so ``masks`` ordered by inclusion is Con L and
-    join is OR.  ``principal[u][v]`` is the index of Theta(u, v), and
-    ``tops[i][x]`` is the top of x's block in congruence i; the reps and
-    the tops are both read off ``masks[i]`` by the walk of :func:`_blocks`.
-    ``as_lattice`` is the containment order as a FiniteLattice (same
-    indexing), ``as_semilattice`` the corresponding join-semilattice.
+    identity congruence is ``bottom`` (0) and the all-collapsing congruence
+    ``top`` (k - 1).  ``masks[i]`` is the set of host covers (bit j for
+    ``host_covers[j]``) that congruence i collapses; the order is mask
+    inclusion, so join is OR, and ``covers()`` are the covers of Con L.
+    ``principal[u][v]`` is the index of Theta(u, v), and ``tops[i][x]`` is
+    the top of x's block in congruence i; the reps and the tops are both
+    read off ``masks[i]`` by the walk of :func:`_blocks`.
     """
 
     def __init__(self, host: FiniteLattice):
         self.host = host
-        self.covers = covers = host.covers()
+        self.host_covers = covers = host.covers()
         gens = [_closure(host, 1 << j) for j in range(len(covers))]
         # the join-irreducibles are the Theta(x, y) of single covers; every
         # congruence is the join of those of the covers it collapses, and
@@ -249,16 +247,14 @@ class CongruenceLattice:
         rest = list(found - congs.keys())
         congs.update(zip(rest, (Congruence(host, rep) for rep, _ in _blocks(host, rest))))
         masks = sorted(found, key=lambda m: (congs[m].num_blocks, congs[m].rep), reverse=True)
+        super().__init__(
+            sum(1 << j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks
+        )
         self.masks: tuple[int, ...] = tuple(masks)
         self.congruences: tuple[Congruence, ...] = tuple(congs[m] for m in masks)
         self.index = {t.rep: i for i, t in enumerate(self.congruences)}
-        self.as_lattice = FiniteLattice(
-            sum(1 << j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks
-        )
         self.mask_index = {m: i for i, m in enumerate(masks)}
         self._gens = gens
-        self.delta_index = self.as_lattice.bottom
-        self.nabla_index = self.as_lattice.top
 
     @cached_property
     def principal(self) -> tuple[tuple[int, ...], ...]:
@@ -281,7 +277,7 @@ class CongruenceLattice:
         return tuple(top for _, top in _blocks(self.host, self.masks))
 
     def __len__(self) -> int:
-        return len(self.congruences)
+        return self.n
 
     def congruence_index(self, theta: Congruence) -> int:
         if theta.host is not self.host:
@@ -301,15 +297,11 @@ class CongruenceLattice:
     def join_decompositions(self):
         """Each (u, v, eps, fams) with u <= v, eps = Theta(u, v) and fams every
         (i0, i1) with alpha_i0 v alpha_i1 = eps, in ascending order."""
-        up, S = self.host.up_bits, self.as_semilattice
+        up = self.host.up_bits
         for u in range(self.host.n):
             for v in _bits(up[u]):
                 eps = self.principal[u][v]
-                yield u, v, eps, S.decompositions(eps)
-
-    @cached_property
-    def as_semilattice(self) -> FiniteJoinSemilattice:
-        return FiniteJoinSemilattice.from_lattice(self.as_lattice)
+                yield u, v, eps, self.decompositions(eps)
 
     def __repr__(self) -> str:
         return f"CongruenceLattice(|Con|={len(self.congruences)})"
@@ -394,9 +386,12 @@ class Chain(_ChainFields):
         return super().__new__(cls, host, elements, labels)
 
     def validate(self) -> bool:
-        """Steps are (weakly) increasing and lie in their labels."""
+        """Steps are (weakly) increasing and lie in their labels; a label
+        on another lattice raises :class:`HostMismatch`."""
         e = self.elements
         _check_elements(self.host, *e)
+        if any(lab is not None and lab.host is not self.host for lab in self.labels):
+            raise HostMismatch("labels on a different lattice")
         for i, lab in enumerate(self.labels):
             if not self.host.le(e[i], e[i + 1]):
                 return False
@@ -454,7 +449,6 @@ def alternating_chain(
     """
     if alpha.host is not L or beta.host is not L:
         raise HostMismatch("congruences on a different lattice")
-    _check_elements(L, u, v)
     if not L.le(u, v):
         raise NotJoined(f"{u} is not below {v}")
     if not con_lattice(L).below_join(u, v, alpha, beta):
@@ -502,12 +496,12 @@ def induced_con_map(h: LatticeHom) -> SemilatticeHom:
     conL = con_lattice(h.target)
     f, pc = h.map, conL.principal
     mapping = [
-        conL.as_lattice.join_all(
-            pc[f[x]][f[y]] for j, (x, y) in enumerate(conK.covers) if m >> j & 1
+        conL.join_all(
+            pc[f[x]][f[y]] for j, (x, y) in enumerate(conK.host_covers) if m >> j & 1
         )
         for m in conK.masks
     ]
-    return SemilatticeHom(conK.as_semilattice, conL.as_semilattice, tuple(mapping))
+    return SemilatticeHom(conK, conL, tuple(mapping))
 
 
 # -- ideals and neutrality -------------------------------------------------------
@@ -569,7 +563,7 @@ def con_nid_iso(L: FiniteLattice) -> ConNidCorrespondence:
     from_ideal = {I: con.principal[bot][L.join_all(I)] for I in nid}
     if any(from_ideal[I] != i for i, I in enumerate(to_ideal)):
         raise AssertionError("correspondence maps are not mutually inverse")
-    le, pairs = con.as_lattice.le, itertools.product(enumerate(to_ideal), repeat=2)
+    le, pairs = con.le, itertools.product(enumerate(to_ideal), repeat=2)
     if any(le(i, j) != (I <= J) for (i, I), (j, J) in pairs):
         raise AssertionError("correspondence is not an order isomorphism")
     return ConNidCorrespondence(L, tuple(to_ideal), from_ideal)

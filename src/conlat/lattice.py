@@ -8,6 +8,14 @@ every pair has a meet is a lattice, and the meet of x and y is the element
 whose down-set is down(x) & down(y).  Instances are immutable after
 construction and safe to share.
 
+Every lattice is a join-semilattice: :class:`FiniteLattice` subclasses
+:class:`FiniteJoinSemilattice`, which is built from a join table alone.
+The order test, joins and join decompositions are defined once, on the
+down-sets and join table both classes keep, and reject ids outside 0..n-1
+with :class:`IndexOutOfRange`; a lattice's greatest common lower bounds are
+its meet table.  Con L (:class:`conlat.congruence.CongruenceLattice`) is a
+further subclass.
+
 The module also provides lattice homomorphisms, interval sublattices, the
 standard structural predicates (modular, complemented, atomistic, ...),
 the perspectivity relation (one bitmask row per element, built once per
@@ -114,7 +122,7 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_elements(L: FiniteLattice, *xs: int) -> None:
+def _check_elements(L: FiniteJoinSemilattice, *xs: int) -> None:
     # element ids index tables, where a negative id would wrap silently
     n = L.n
     for x in xs:
@@ -143,7 +151,120 @@ def _raise_first_unbounded_pair(down: tuple[int, ...], up: list[int]) -> None:
     raise AssertionError("every pair has both bounds")
 
 
-class FiniteLattice:
+class FiniteJoinSemilattice:
+    """A finite join-semilattice on elements 0..n-1, given by its join table.
+
+    The induced order is x <= y iff x + y = y.  A top element always exists
+    (the join of everything); a bottom may or may not.  Every
+    :class:`FiniteLattice` is one: the order queries below read
+    ``down_bits`` and ``join_rows``, which both classes keep, and raise
+    :class:`IndexOutOfRange` for an id outside 0..n-1.
+    """
+
+    def __init__(self, join):
+        rows = tuple(map(tuple, join))
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise ValueError("join table must be square")
+        if n == 0:
+            raise ValueError("a semilattice needs at least one element")
+        if any(not 0 <= v < n for r in rows for v in r):
+            raise ValueError("join table entries outside 0..n-1")
+        if any(rows[x][x] != x for x in range(n)):
+            raise ValueError("join is not idempotent")
+        if any(rows[x][y] != rows[y][x] for x in range(n) for y in range(x)):
+            raise ValueError("join is not commutative")
+        for x in range(n):
+            for y in range(n):
+                xy = rows[x][y]
+                for z in range(n):
+                    if rows[xy][z] != rows[x][rows[y][z]]:
+                        raise ValueError("join is not associative")
+        self.n = n
+        self.join_rows: tuple[tuple[int, ...], ...] = rows
+        down = [0] * n
+        for x, row in enumerate(rows):
+            for y in range(n):
+                if row[y] == y:
+                    down[y] |= 1 << x
+        self.down_bits: tuple[int, ...] = tuple(down)
+        self.top: int = down.index((1 << n) - 1)
+        self.bottom: int | None = next(
+            (x for x in range(n) if all((down[y] >> x) & 1 for y in range(n))), None
+        )
+
+    def le(self, x: int, y: int) -> bool:
+        _check_elements(self, x, y)
+        return bool(self.down_bits[y] >> x & 1)
+
+    def join_of(self, x: int, y: int) -> int:
+        _check_elements(self, x, y)
+        return self.join_rows[x][y]
+
+    def join_all(self, xs: Iterable[int]) -> int:
+        """The join of xs; the empty join is the bottom, when there is one."""
+        xs = tuple(xs)
+        _check_elements(self, *xs)
+        acc = xs[0] if xs else self.bottom
+        if acc is None:
+            raise ValueError("empty join without a bottom")
+        row = self.join_rows
+        for x in xs:
+            acc = row[acc][x]
+        return acc
+
+    def pseudo_meet(self, x: int, y: int) -> int | None:
+        """Greatest common lower bound if one exists, else None."""
+        _check_elements(self, x, y)
+        return self.pseudo_meet_rows[x][y]
+
+    @cached_property
+    def pseudo_meet_rows(self) -> tuple[tuple[int | None, ...], ...]:
+        """The table of :meth:`pseudo_meet`, built once.  A greatest common
+        lower bound z of x and y is the element whose down-set is exactly
+        the set of common lower bounds."""
+        d = self.down_bits
+        by_down = {mask: z for z, mask in enumerate(d)}
+        return tuple(tuple(by_down.get(dx & dy) for dy in d) for dx in d)
+
+    @cached_property
+    def clb_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """clb_rows[x][y]: the common lower bounds of x and y, larger down-set
+        first and ties by index, so the greatest one, when it exists, comes
+        first.  Built once; the candidate lists of
+        :func:`conlat.semilattice.refinement_square`."""
+        d = self.down_bits
+        order = sorted(range(self.n), key=lambda z: -d[z].bit_count())
+        rows = []
+        for dx in d:
+            below = [z for z in order if dx >> z & 1]
+            rows.append(tuple(tuple(z for z in below if dy >> z & 1) for dy in d))
+        return tuple(rows)
+
+    @cached_property
+    def _decompositions(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        return {}
+
+    def decompositions(self, e: int) -> tuple[tuple[int, int], ...]:
+        """All ordered pairs (y0, y1) with y0 + y1 = e, cached."""
+        cache = self._decompositions
+        if e not in cache:
+            _check_elements(self, e)
+            row = self.join_rows
+            de = self.down_bits[e]
+            cache[e] = tuple(
+                (y0, y1)
+                for y0 in _bits(de)
+                for y1 in _bits(de)
+                if row[y0][y1] == e
+            )
+        return cache[e]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n})"
+
+
+class FiniteLattice(FiniteJoinSemilattice):
     """A finite lattice on elements 0..n-1.
 
     Construct from the down-sets of the order (``FiniteLattice(down)``,
@@ -164,7 +285,8 @@ class FiniteLattice:
         down_bits, up_bits: ``down_bits[x]`` has bit y set iff y <= x,
             ``up_bits[x]`` bit y iff x <= y.
         join_rows, meet_rows: n x n element tables as tuples of rows,
-            built on first use.
+            built on first use; ``meet_rows`` is also the lattice's
+            ``pseudo_meet_rows``.
         bottom, top: least and greatest element.
     """
 
@@ -218,12 +340,19 @@ class FiniteLattice:
     def meet_rows(self) -> tuple[tuple[int, ...], ...]:
         return _bound_rows(self.down_bits)
 
+    @property
+    def pseudo_meet_rows(self) -> tuple[tuple[int, ...], ...]:
+        # every pair of a lattice has a greatest common lower bound: its meet
+        return self.meet_rows
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> "FiniteLattice":
+    def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> FiniteLattice:
         """Build the lattice whose order is the reflexive-transitive closure
-        of the given acyclic relation; ``(i, j)`` means i is below j.
+        of the given acyclic relation; ``(i, j)`` means i is below j.  The
+        result is a plain :class:`FiniteLattice`, also when called on a
+        subclass.
 
         A lattice is connected, so n elements need at least n - 1 covers;
         fewer is rejected before anything of size n is allocated."""
@@ -254,7 +383,7 @@ class FiniteLattice:
                     order.append(y)
         if len(order) < n:
             raise CyclicCovers("covers contain a directed cycle")
-        return cls(down)
+        return FiniteLattice(down)
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteLattice":
@@ -274,21 +403,9 @@ class FiniteLattice:
 
     # -- queries -----------------------------------------------------------
 
-    def le(self, x: int, y: int) -> bool:
-        return bool(self.down_bits[y] >> x & 1)
-
-    def join_of(self, x: int, y: int) -> int:
-        return self.join_rows[x][y]
-
     def meet_of(self, x: int, y: int) -> int:
+        _check_elements(self, x, y)
         return self.meet_rows[x][y]
-
-    def join_all(self, xs: Iterable[int]) -> int:
-        acc = self.bottom
-        row = self.join_rows
-        for x in xs:
-            acc = row[acc][x]
-        return acc
 
     def covers(self) -> list[tuple[int, int]]:
         """The cover pairs (i, j): i < j with nothing strictly between."""
@@ -338,9 +455,6 @@ class FiniteLattice:
             h[x] = max((h[y] + 1 for y in _bits(below)), default=0)
         return h[self.top]
 
-    def __repr__(self) -> str:
-        return f"FiniteLattice(n={self.n})"
-
 
 # -- named small lattices ---------------------------------------------------
 
@@ -384,8 +498,6 @@ class IntervalSublattice(NamedTuple):
 
 def interval(L: FiniteLattice, a: int, b: int) -> IntervalSublattice:
     """The interval [a, b] as a sublattice, with its index map back into L."""
-    if not (0 <= a < L.n and 0 <= b < L.n):
-        raise IndexOutOfRange(f"interval endpoints ({a}, {b}) outside 0..{L.n - 1}")
     if not L.le(a, b):
         raise NotComparable(f"{a} is not below {b}")
     box = L.up_bits[a] & L.down_bits[b]

@@ -533,7 +533,7 @@ def conc_idc_iso(R: FiniteRing) -> bool:
     mapping = [tsl.index_of(phi(lr, a)) for a in corr.to_ideal]
     if sorted(mapping) != list(range(len(tsl.ideals))):
         return False
-    jn_c, jn_i = con_lattice(lr.lattice).as_lattice.join_rows, tsl.lattice.join_rows
+    jn_c, jn_i = con_lattice(lr.lattice).join_rows, tsl.lattice.join_rows
     return all(
         mapping[jn_c[i][j]] == jn_i[mapping[i]][mapping[j]]
         for i, j in itertools.product(range(len(mapping)), repeat=2)

@@ -1,11 +1,16 @@
 """Finite join-semilattices, the refinement property, and weak distributivity.
 
-A join-semilattice is stored as its full join table.  "Distributive" is used
-in the refinement sense throughout this module: every equation
-a0 + a1 = b0 + b1 admits a 2x2 refinement matrix.  No lattice distributivity
-is assumed anywhere here, and meets are never required to exist; where a
-greatest common lower bound happens to exist it is used as a search heuristic
-only.
+A join-semilattice is stored as its full join table.  The class
+:class:`FiniteJoinSemilattice` lives in :mod:`conlat.lattice`, as the base
+of :class:`~conlat.lattice.FiniteLattice`, and is re-exported here: every
+lattice, Con L included, is passed to these functions as it is, with its
+meet table as its table of greatest common lower bounds.
+
+"Distributive" is used in the refinement sense throughout this module: every
+equation a0 + a1 = b0 + b1 admits a 2x2 refinement matrix.  No lattice
+distributivity is assumed anywhere here, and meets are never required to
+exist; where a greatest common lower bound happens to exist it is used as a
+search heuristic only.
 
 A map f between join-semilattices is weakly distributive at u if every
 decomposition f(u) = y0 + y1 pulls back to a decomposition u = x0 + x1 with
@@ -16,11 +21,10 @@ joins; :func:`wd_join_combine` realizes that closure constructively.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple
 
-from .lattice import FiniteLattice, _bits, _check_elements, _Frozen, _monotone_maps, _once
+from .lattice import FiniteJoinSemilattice, _bits, _check_elements, _Frozen, _monotone_maps, _once
 
 
 class TargetNotDistributive(ValueError):
@@ -29,121 +33,6 @@ class TargetNotDistributive(ValueError):
 
 class InvalidInputWitness(ValueError):
     """A supplied witness fails its defining conditions."""
-
-
-class FiniteJoinSemilattice:
-    """A finite join-semilattice on elements 0..n-1, given by its join table.
-
-    The induced order is x <= y iff x + y = y.  A top element always exists
-    (the join of everything); a bottom may or may not.
-    """
-
-    def __init__(self, join):
-        rows = tuple(map(tuple, join))
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("join table must be square")
-        if n == 0:
-            raise ValueError("a semilattice needs at least one element")
-        if any(not 0 <= v < n for r in rows for v in r):
-            raise ValueError("join table entries outside 0..n-1")
-        if any(rows[x][x] != x for x in range(n)):
-            raise ValueError("join is not idempotent")
-        if any(rows[x][y] != rows[y][x] for x in range(n) for y in range(x)):
-            raise ValueError("join is not commutative")
-        for x in range(n):
-            for y in range(n):
-                xy = rows[x][y]
-                for z in range(n):
-                    if rows[xy][z] != rows[x][rows[y][z]]:
-                        raise ValueError("join is not associative")
-        self.n = n
-        self.join_rows: tuple[tuple[int, ...], ...] = rows
-        down = [0] * n
-        for x, row in enumerate(rows):
-            for y in range(n):
-                if row[y] == y:
-                    down[y] |= 1 << x
-        self.down_bits: tuple[int, ...] = tuple(down)
-        self.top = self.join_all(range(n))
-        self.bottom: int | None = next(
-            (x for x in range(n) if all((down[y] >> x) & 1 for y in range(n))), None
-        )
-
-    @classmethod
-    def from_lattice(cls, L: FiniteLattice) -> "FiniteJoinSemilattice":
-        """L as a join-semilattice, sharing L's join table and order: a
-        lattice's join is a semilattice join, so there is nothing to check."""
-        S = cls.__new__(cls)
-        S.n, S.join_rows, S.down_bits = L.n, L.join_rows, L.down_bits
-        S.top, S.bottom = L.top, L.bottom
-        return S
-
-    def le(self, x: int, y: int) -> bool:
-        return self.join_rows[x][y] == y
-
-    def join_of(self, x: int, y: int) -> int:
-        return self.join_rows[x][y]
-
-    def join_all(self, xs) -> int:
-        it = iter(xs)
-        try:
-            acc = next(it)
-        except StopIteration:
-            raise ValueError("empty join") from None
-        row = self.join_rows
-        for x in it:
-            acc = row[acc][x]
-        return acc
-
-    def pseudo_meet(self, x: int, y: int) -> int | None:
-        """Greatest common lower bound if one exists, else None."""
-        return self.pseudo_meet_rows[x][y]
-
-    @cached_property
-    def pseudo_meet_rows(self) -> tuple[tuple[int | None, ...], ...]:
-        """The table of :meth:`pseudo_meet`, built once.  A greatest common
-        lower bound z of x and y is the element whose down-set is exactly
-        the set of common lower bounds."""
-        d = self.down_bits
-        by_down = {mask: z for z, mask in enumerate(d)}
-        return tuple(tuple(by_down.get(dx & dy) for dy in d) for dx in d)
-
-    @cached_property
-    def clb_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """clb_rows[x][y]: the common lower bounds of x and y, larger down-set
-        first and ties by index, so the greatest one, when it exists, comes
-        first.  Built once; the candidate lists of :func:`refinement_square`."""
-        d = self.down_bits
-        order = sorted(range(self.n), key=lambda z: -d[z].bit_count())
-        rows = []
-        for dx in d:
-            below = [z for z in order if dx >> z & 1]
-            rows.append(tuple(tuple(z for z in below if dy >> z & 1) for dy in d))
-        return tuple(rows)
-
-    @cached_property
-    def _decompositions(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        return {}
-
-    def decompositions(self, e: int) -> tuple[tuple[int, int], ...]:
-        """All ordered pairs (y0, y1) with y0 + y1 = e, cached."""
-        cache = self._decompositions
-        if e not in cache:
-            if not 0 <= e < self.n:
-                raise IndexError(f"element {e} outside 0..{self.n - 1}")
-            row = self.join_rows
-            de = self.down_bits[e]
-            cache[e] = tuple(
-                (y0, y1)
-                for y0 in _bits(de)
-                for y1 in _bits(de)
-                if row[y0][y1] == e
-            )
-        return cache[e]
-
-    def __repr__(self) -> str:
-        return f"FiniteJoinSemilattice(n={self.n})"
 
 
 class SemilatticeHom(_Frozen):
@@ -314,11 +203,7 @@ def _max_pullbacks(h: SemilatticeHom) -> list[list[int | None]]:
     # join-closed, so its join is its greatest element and the only candidate
     # pullback component that can work.  Cached on h.
     S, T, f = h.source, h.target, h.map
-    fmask = [0] * T.n
-    for x in range(S.n):
-        for y in range(T.n):
-            if T.le(f[x], y):
-                fmask[y] |= 1 << x
+    fmask = [sum(1 << x for x, fx in enumerate(f) if dy >> fx & 1) for dy in T.down_bits]
     M: list[list[int | None]] = [[None] * T.n for _ in range(S.n)]
     rows = S.join_rows
     for u in range(S.n):

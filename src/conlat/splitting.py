@@ -47,7 +47,6 @@ class SplitInstance(_SplitInstanceFields):
     def __new__(
         cls, L: FiniteLattice, a: int, b: int, alpha0: Congruence, alpha1: Congruence
     ) -> SplitInstance:
-        _check_elements(L, a, b)
         if not L.le(a, b):
             raise ValueError(f"{a} is not below {b}")
         if not con_lattice(L).below_join(a, b, alpha0, alpha1):

@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .congruence import certifies_ring_of_sets, con_lattice
-from .lattice import FiniteLattice, _bits, _check_elements
+from .lattice import FiniteLattice, _bits
 from .semilattice import (
     FiniteJoinSemilattice,
     InvalidInputWitness,
@@ -521,9 +521,8 @@ def csurp_witness(
     is not verified here: the caller checks it with
     :func:`verify_urp_witness`."""
     con = con_lattice(L)
-    jn = con.as_lattice.join_rows
+    jn = con.join_rows
     pc = con.principal
-    _check_elements(L, u, v)
     if not L.le(u, v):
         raise ValueError(f"{u} is not below {v}")
     if not all(0 <= i < len(con) for pair in families for i in pair):

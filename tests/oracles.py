@@ -268,7 +268,7 @@ def eager_principal_table(con) -> tuple[tuple[int, ...], ...]:
     from conlat.congruence import _closure, _cover_tables
 
     L = con.host
-    gens = [_closure(L, 1 << j) for j in range(len(con.covers))]
+    gens = [_closure(L, 1 << j) for j in range(len(con.host_covers))]
     at = {m: i for i, m in enumerate(con.masks)}
     (above, below, _), jn, mt = _cover_tables(L), L.join_rows, L.meet_rows
 
@@ -912,7 +912,7 @@ def splitting_witness_by_box_scan(L, a, b, i0, i1):
     jn = L.join_rows
     con = con_lattice(L)
     pa = con.principal[a]
-    d0, d1 = con.as_lattice.down_bits[i0], con.as_lattice.down_bits[i1]
+    d0, d1 = con.down_bits[i0], con.down_bits[i1]
     box = list(_bits(L.up_bits[a] & L.down_bits[b]))
     ok0 = [x for x in box if d0 >> pa[x] & 1]
     ok1 = set(x for x in box if d1 >> pa[x] & 1)

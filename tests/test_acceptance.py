@@ -41,7 +41,7 @@ from conlat.regring import (
     verify_nid_id_iso,
     verify_pi_map,
 )
-from conlat.semilattice import FiniteJoinSemilattice, has_refinement_property
+from conlat.semilattice import has_refinement_property
 from conlat.splitting import (
     SplitInstance,
     has_property_C,
@@ -92,7 +92,7 @@ def test_criterion_02_congruence_lattices_have_refinement(capsys):
     started = time.perf_counter()
     bad = []
     for L in enumerate_lattices(6):
-        if not has_refinement_property(con_lattice(L).as_semilattice).holds:
+        if not has_refinement_property(con_lattice(L)).holds:
             bad.append(canonical_form(L))
     ok = not bad
     elapsed = _report(
@@ -135,7 +135,7 @@ def test_criterion_03_complemented_or_atomistic_implies_property_c(capsys):
 def _exact_join_split_instances(L):
     """All (a, b, alpha0, alpha1) with a <= b and alpha0 v alpha1 = Theta(a, b)."""
     con = con_lattice(L)
-    jn = con.as_lattice.join_rows
+    jn = con.join_rows
     k = len(con)
     for a in range(L.n):
         for b in range(L.n):
@@ -198,8 +198,7 @@ def test_criterion_05_splitting_lattices_get_urp_witnesses(capsys):
             continue
         lattices += 1
         con = con_lattice(L)
-        S = con.as_semilattice
-        jn = con.as_lattice.join_rows
+        jn = con.join_rows
         k = len(con)
         for u in range(L.n):
             for v in range(L.n):
@@ -213,7 +212,7 @@ def test_criterion_05_splitting_lattices_get_urp_witnesses(capsys):
                     if jn[i0][i1] == eps
                 )
                 w = csurp_witness(L, u, v, fams)
-                res = verify_urp_witness(UrpInstance(S, eps, fams), w)
+                res = verify_urp_witness(UrpInstance(con, eps, fams), w)
                 instances += 1
                 if not res.ok:
                     bad.append((canonical_form(L), u, v, res.clause))
@@ -314,7 +313,7 @@ def test_criterion_08_urp_consistent_at_finite_scale(capsys):
     started = time.perf_counter()
     failures = []
     for L in enumerate_lattices(5):
-        S = con_lattice(L).as_semilattice
+        S = con_lattice(L)
         for e in range(S.n):
             if not holds_urp_at(S, e):
                 failures.append((canonical_form(L), e))
@@ -323,7 +322,7 @@ def test_criterion_08_urp_consistent_at_finite_scale(capsys):
     disagreements = 0
     families = 0
     for L in enumerate_lattices(6):
-        S = FiniteJoinSemilattice.from_lattice(L)
+        S = L
         for e in range(S.n):
             canon = canonical_instance(S, e).pairs
             canon_ok = holds_urp_at(S, e)

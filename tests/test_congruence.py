@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from conlat import (
     Chain,
     Congruence,
-    FiniteJoinSemilattice,
     FiniteLattice,
     HostMismatch,
     HypothesesFail,
@@ -103,7 +102,7 @@ def test_congruence_needs_the_least_member_of_each_block():
 
 
 def test_below_join_rejects_elements_out_of_range():
-    delta = CON_N5.congruences[CON_N5.delta_index]
+    delta = CON_N5.congruences[CON_N5.bottom]
     for u in (-1, N5.n):
         with pytest.raises(IndexOutOfRange):
             CON_N5.below_join(u, N5.top, delta, delta)
@@ -195,8 +194,8 @@ def test_join_of_partitions_matches_union_find_oracle(corpus5):
 
 
 def test_join_meet_identity_laws():
-    delta = CON_N5.congruences[CON_N5.delta_index]
-    nabla = CON_N5.congruences[CON_N5.nabla_index]
+    delta = CON_N5.congruences[CON_N5.bottom]
+    nabla = CON_N5.congruences[CON_N5.top]
     for theta in CON_N5.congruences:
         assert congruence_join(theta, delta) == theta
         assert congruence_meet(theta, nabla) == theta
@@ -220,6 +219,13 @@ def test_host_mismatch():
             principal_congruence(N5, 0, 1),
             principal_congruence(chain(3), 0, 1),
         )
+
+
+def test_chain_validate_rejects_labels_from_another_lattice():
+    C3 = chain(3)
+    assert Chain(C3, (0, 1), (principal_congruence(C3, 0, 1),)).validate()
+    with pytest.raises(HostMismatch):
+        Chain(C3, (0, 1), (principal_congruence(chain(5), 0, 1),)).validate()
 
 
 @given(n5_congruences, n5_congruences, n5_congruences)
@@ -266,7 +272,7 @@ def test_con_tables_match_join_closure_oracle(corpus7):
         cl = con_lattice(L)
         congs, leq, principal = con_tables_by_joins(L)
         assert [t.rep for t in cl.congruences] == [t.rep for t in congs]
-        assert [[cl.as_lattice.le(i, j) for j in range(len(cl))] for i in range(len(cl))] == leq
+        assert [[cl.le(i, j) for j in range(len(cl))] for i in range(len(cl))] == leq
         assert [list(row) for row in cl.principal] == principal
 
 
@@ -326,7 +332,7 @@ def test_blocks_match_oracles_under_relabelling(corpus7):
 
 def test_certificate_check_builds_no_principal_table():
     con = con_lattice(chain(6))
-    assert refinement_by_certificate(con.as_semilattice, con.masks).holds
+    assert refinement_by_certificate(con, con.masks).holds
     assert "principal" not in con.__dict__
 
 
@@ -334,7 +340,7 @@ def test_con_join_table_matches_congruence_join(corpus6):
     for L in corpus6:
         cl = con_lattice(L)
         congs = cl.congruences
-        jn = cl.as_lattice.join_rows
+        jn = cl.join_rows
         for i, ti in enumerate(congs):
             for j, tj in enumerate(congs):
                 assert congs[jn[i][j]] == congruence_join(ti, tj)
@@ -344,16 +350,16 @@ def test_con_contains_bounds_and_is_closed(corpus5):
     for L in corpus5:
         cl = con_lattice(L)
         reps = set(cl.congruences)
-        assert cl.congruences[cl.delta_index].num_blocks == L.n
-        assert cl.congruences[cl.nabla_index].num_blocks == 1
+        assert cl.congruences[cl.bottom].num_blocks == L.n
+        assert cl.congruences[cl.top].num_blocks == 1
         for t1, t2 in itertools.combinations(cl.congruences, 2):
             assert congruence_join(t1, t2) in reps
             assert congruence_meet(t1, t2) in reps
 
 
-def test_con_as_lattice_is_distributive(corpus5):
+def test_con_lattice_is_distributive(corpus5):
     for L in corpus5:
-        assert is_distributive(con_lattice(L).as_lattice)
+        assert is_distributive(con_lattice(L))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +379,7 @@ def join_irreducible_masks(L: FiniteLattice) -> list[int]:
 def test_certificate_matches_literal_refinement_on_lattices(corpus7):
     verdicts = set()
     for L in corpus7:
-        S = FiniteJoinSemilattice.from_lattice(L)
+        S = L
         certified = certifies_ring_of_sets(S, join_irreducible_masks(L))
         assert certified == has_refinement_property(S).holds == is_distributive(L)
         verdicts.add(certified)
@@ -383,8 +389,8 @@ def test_certificate_matches_literal_refinement_on_lattices(corpus7):
 def test_certificate_holds_on_every_con(corpus7):
     for L in corpus7:
         con = con_lattice(L)
-        assert certifies_ring_of_sets(con.as_semilattice, con.masks)
-        assert refinement_by_certificate(con.as_semilattice, con.masks).holds
+        assert certifies_ring_of_sets(con, con.masks)
+        assert refinement_by_certificate(con, con.masks).holds
 
 
 def test_mask_squares_refine_every_equation_of_con(corpus6):
@@ -392,7 +398,7 @@ def test_mask_squares_refine_every_equation_of_con(corpus6):
     # mask -> index dict
     for L in corpus6:
         con = con_lattice(L)
-        S, m, at = con.as_semilattice, con.masks, con.mask_index
+        S, m, at = con, con.masks, con.mask_index
         for e in range(S.n):
             decs = S.decompositions(e)
             for (a0, a1), (b0, b1) in itertools.product(decs, repeat=2):
@@ -401,7 +407,7 @@ def test_mask_squares_refine_every_equation_of_con(corpus6):
 
 
 def test_certificate_rejects_masks_that_are_not_a_ring_of_sets():
-    S = FiniteJoinSemilattice.from_lattice(m3())
+    S = m3()
     # the atoms of M3 as the two-element subsets of {0, 1, 2}: joins are
     # unions, but no element is the intersection of two atoms
     masks = (0b000, 0b011, 0b110, 0b101, 0b111)
@@ -452,13 +458,13 @@ def test_alternating_chain_n5_example():
 
 
 def test_alternating_chain_trivial_endpoints():
-    delta = CON_N5.congruences[CON_N5.delta_index]
+    delta = CON_N5.congruences[CON_N5.bottom]
     ch = alternating_chain(N5, 2, 2, delta, delta)
     assert ch.elements == (2,)
 
 
 def test_alternating_chain_not_joined():
-    delta_idx = CON_N5.delta_index
+    delta_idx = CON_N5.bottom
     delta = CON_N5.congruences[delta_idx]
     with pytest.raises(NotJoined):
         alternating_chain(N5, 0, 4, delta, delta)
@@ -589,7 +595,7 @@ def test_induced_map_of_identity():
 
 def test_induced_map_of_constant():
     f = induced_con_map(LatticeHom(N5, N5, (0, 0, 0, 0, 0)))
-    assert set(f.map) == {CON_N5.delta_index}
+    assert set(f.map) == {CON_N5.bottom}
 
 
 def test_induced_maps_preserve_joins():

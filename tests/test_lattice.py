@@ -159,7 +159,7 @@ def test_tables_match_brute_force_bounds():
     # every lattice up to size 8, its dual (whose bottom is not element 0)
     # and its Con L
     for L in enumerate_lattices(8):
-        for K in (L, FiniteLattice(L.up_bits), con_lattice(L).as_lattice):
+        for K in (L, FiniteLattice(L.up_bits), con_lattice(L)):
             join, meet, bottom, top = lub_glb_tables(K.down_bits)
             assert [list(row) for row in K.join_rows] == join
             assert [list(row) for row in K.meet_rows] == meet

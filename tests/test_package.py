@@ -12,7 +12,6 @@ import pytest
 
 import conlat
 from conlat import (
-    FiniteJoinSemilattice,
     chain,
     con_lattice,
     pi_map,
@@ -191,7 +190,7 @@ def _records():
     L = chain(2)
     con = con_lattice(L)
     bottom, top = sorted(con.congruences, key=lambda c: len(set(c.rep)), reverse=True)
-    S = FiniteJoinSemilattice.from_lattice(L)
+    S = L
     h = SemilatticeHom(S, S, (0, 1))
     R = FiniteRing.from_matrix_spec("M(1,2)xM(1,2)")
     lr, tsl, vm, pm = principal_right_ideals(R), two_sided_ideals(R), v_monoid(R), pi_map(R)
@@ -339,7 +338,7 @@ def test_split_instance_validates():
 
 
 def test_urp_instance_validates():
-    S = FiniteJoinSemilattice.from_lattice(chain(3))
+    S = chain(3)
     assert UrpInstance(S, 2, ((0, 2),)).pairs == ((0, 2),)
     with pytest.raises(ElementOutOfRange, match="target"):
         UrpInstance(S, 3, ())

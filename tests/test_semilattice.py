@@ -40,7 +40,7 @@ from oracles import (
     refinement_square_sorting,
 )
 
-SMALL = [FiniteJoinSemilattice.from_lattice(L) for L in enumerate_lattices(5)]
+SMALL = list(enumerate_lattices(5))
 
 semilattices = st.sampled_from(SMALL)
 
@@ -50,10 +50,6 @@ def semilattice_with_elements(draw, k: int = 3):
     S = draw(semilattices)
     xs = [draw(st.integers(min_value=0, max_value=S.n - 1)) for _ in range(k)]
     return (S, *xs)
-
-
-def fjs(L) -> FiniteJoinSemilattice:
-    return FiniteJoinSemilattice.from_lattice(L)
 
 
 # two minimal elements below a top: 0 and 1 have no common lower bound
@@ -71,14 +67,54 @@ def test_bad_tables_rejected():
         FiniteJoinSemilattice([[1, 1], [1, 1]])  # not idempotent
 
 
-def test_from_lattice_matches_the_validating_constructor(corpus6):
-    # from_lattice shares the lattice's tables instead of re-deriving them
+def test_lattice_matches_the_validating_semilattice_constructor(corpus6):
+    # a lattice is its own join-semilattice: its tables, read through the
+    # semilattice interface, are those the join table alone determines
     for L in corpus6:
-        for K in (L, con_lattice(L).as_lattice):
-            S, V = fjs(K), FiniteJoinSemilattice(K.join_rows)
-            assert (S.n, S.join_rows, S.down_bits, S.top, S.bottom) == (
+        for K in (L, con_lattice(L)):
+            assert isinstance(K, FiniteLattice) and isinstance(K, FiniteJoinSemilattice)
+            V = FiniteJoinSemilattice(K.join_rows)
+            assert (K.n, K.join_rows, K.down_bits, K.top, K.bottom) == (
                 V.n, V.join_rows, V.down_bits, V.top, V.bottom
             )
+            assert K.pseudo_meet_rows is K.meet_rows
+            assert (K.pseudo_meet_rows, K.clb_rows) == (V.pseudo_meet_rows, V.clb_rows)
+            assert all(K.decompositions(e) == V.decompositions(e) for e in range(K.n))
+
+
+def test_con_lattice_order_is_mask_inclusion(corpus6):
+    for L in corpus6:
+        con = con_lattice(L)
+        k, m = len(con), con.masks
+        assert con.n == k and (con.bottom, con.top) == (0, k - 1)
+        assert con.congruences[0].num_blocks == L.n and con.congruences[-1].num_blocks == 1
+        assert all(
+            con.le(i, j) == (m[i] & ~m[j] == 0) for i in range(k) for j in range(k)
+        )
+
+
+def test_empty_join_is_the_bottom_when_there_is_one():
+    for L in (chain(1), chain(3), m3(), con_lattice(n5())):
+        assert L.join_all([]) == L.bottom
+    assert VEE.bottom is None
+    with pytest.raises(ValueError, match="empty join"):
+        VEE.join_all([])
+    assert VEE.join_all([0, 1]) == 2
+
+
+@pytest.mark.parametrize(
+    "S", [chain(3), con_lattice(chain(3)), VEE], ids=["chain3", "con_chain3", "vee"]
+)
+def test_order_queries_reject_ids_outside_range(S):
+    # a negative id would index the tables from the end
+    queries = [S.le, S.join_of, S.pseudo_meet, lambda x, y: S.join_all([x, y])]
+    if isinstance(S, FiniteLattice):
+        queries.append(S.meet_of)
+    for bad in (-1, S.n):
+        for query in queries:
+            for args in ((0, bad), (bad, 0)):
+                with pytest.raises(IndexOutOfRange):
+                    query(*args)
 
 
 @given(semilattice_with_elements())
@@ -103,11 +139,11 @@ def test_leq_derived_from_join(case):
 
 def test_chains_have_refinement():
     for n in range(1, 6):
-        assert has_refinement_property(fjs(chain(n))).holds
+        assert has_refinement_property(chain(n)).holds
 
 
 def test_m3_fails_refinement():
-    S = fjs(m3())
+    S = m3()
     res = has_refinement_property(S)
     assert not res.holds
     a0, a1, b0, b1 = res.counterexample
@@ -121,7 +157,7 @@ def test_distributive_lattices_refine_by_meets(corpus5):
     for L in corpus5:
         if not is_distributive(L):
             continue
-        S = fjs(L)
+        S = L
         res = has_refinement_property(S)
         assert res.holds
         for x0, x1 in itertools.product(range(L.n), repeat=2):
@@ -140,7 +176,7 @@ def test_distributive_lattices_refine_by_meets(corpus5):
 
 def test_refinement_squares_returned_are_valid(corpus5):
     for L in corpus5:
-        S = fjs(L)
+        S = L
         if not has_refinement_property(S).holds:
             continue
         for e in range(S.n):
@@ -155,7 +191,7 @@ def test_refinement_squares_returned_are_valid(corpus5):
 
 def _semilattices_of(corpus) -> list[FiniteJoinSemilattice]:
     return [VEE] + [
-        S for L in corpus for S in (con_lattice(L).as_semilattice, fjs(L))
+        S for L in corpus for S in (con_lattice(L), L)
     ]
 
 
@@ -180,7 +216,7 @@ def test_pseudo_meet_table_matches_brute_force(corpus5):
 
 def test_refinement_agrees_with_oracle(corpus6):
     for L in corpus6:
-        S = fjs(L)
+        S = L
         assert has_refinement_property(S).holds == refinement_holds(S)
 
 
@@ -188,7 +224,7 @@ def test_refinement_counterexample_matches_literal_scan(corpus6):
     # fresh semilattices, so that no cached verdict is reused
     failing = 0
     for L in corpus6:
-        for S in (fjs(L), fjs(con_lattice(L).as_lattice)):
+        for S in (L, con_lattice(L)):
             expected = refinement_counterexample_literal(S)
             res = has_refinement_property(S)
             assert res.counterexample == expected
@@ -215,7 +251,7 @@ def _memo_keys(S):
 
 @pytest.mark.parametrize("name", ["con_chain6", "m3"])
 def test_refinement_scan_solves_each_equation_once(name, monkeypatch):
-    S = con_lattice(chain(6)).as_semilattice if name == "con_chain6" else fjs(m3())
+    S = con_lattice(chain(6)) if name == "con_chain6" else m3()
     expected = _memo_keys(S)
     calls = []
 
@@ -231,7 +267,7 @@ def test_refinement_scan_solves_each_equation_once(name, monkeypatch):
 
 
 def test_refinement_square_rejects_elements_out_of_range():
-    S = fjs(n5())
+    S = n5()
     assert refinement_square(S, 0, 0, 0, 0) is not None
     for x in (-1, S.n):
         # x + 0 = x + 0, with x as a0 and b0 or as a1 and b1
@@ -241,17 +277,17 @@ def test_refinement_square_rejects_elements_out_of_range():
 
 
 def test_decompositions_reject_elements_outside_range():
-    S = fjs(chain(3))
+    S = chain(3)
     for e in (-1, S.n, S.n + 5):
         for _ in range(2):  # nothing is cached for a bad element
-            with pytest.raises(IndexError):
+            with pytest.raises(IndexOutOfRange):
                 S.decompositions(e)
     assert S.decompositions(S.n - 1)[0] == (0, 2)
 
 
 def test_con_semilattices_refine(corpus5):
     for L in corpus5:
-        assert has_refinement_property(con_lattice(L).as_semilattice).holds
+        assert has_refinement_property(con_lattice(L)).holds
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +304,7 @@ def test_enumerate_homs_agrees_with_oracle():
 
 
 def test_check_hom():
-    S = fjs(chain(3))
+    S = chain(3)
     assert check_semilattice_hom(SemilatticeHom(S, S, (0, 1, 2)))
     assert not check_semilattice_hom(SemilatticeHom(S, S, (2, 1, 0)))
 
@@ -285,7 +321,7 @@ def test_identity_weakly_distributive():
 
 
 def test_identity_witness_echoes_decomposition():
-    S = fjs(m3())
+    S = m3()
     res = is_weakly_distributive_at(SemilatticeHom(S, S, tuple(range(S.n))), 4)
     assert res.holds
     for (y0, y1), (x0, x1) in res.witness.table.items():
@@ -295,7 +331,7 @@ def test_identity_witness_echoes_decomposition():
 
 
 def test_constant_to_bottom_weakly_distributive():
-    S, T = fjs(m3()), fjs(chain(3))
+    S, T = m3(), chain(3)
     h = SemilatticeHom(S, T, (0,) * S.n)
     assert is_weakly_distributive(h)
 
@@ -303,14 +339,14 @@ def test_constant_to_bottom_weakly_distributive():
 def test_join_irreducible_image_trivial_split():
     # if every decomposition of f(u) keeps one side above f(u), splitting
     # u as u + u works
-    S, T = fjs(chain(3)), fjs(chain(3))
+    S, T = chain(3), chain(3)
     h = SemilatticeHom(S, T, (0, 1, 2))
     res = is_weakly_distributive_at(h, 2)
     assert res.holds
 
 
 def test_weakly_distributive_at_rejects_elements_out_of_range():
-    S = fjs(n5())
+    S = n5()
     identity = SemilatticeHom(S, S, tuple(range(S.n)))
     for u in (-1, S.n):
         with pytest.raises(IndexOutOfRange):
@@ -318,8 +354,8 @@ def test_weakly_distributive_at_rejects_elements_out_of_range():
 
 
 def test_a_false_weak_distributivity_verdict_is_computed_once(monkeypatch):
-    S = fjs(chain(3))
-    T = fjs(FiniteLattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
+    S = chain(3)
+    T = FiniteLattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     h = SemilatticeHom(S, T, (0, 1, 3))
     at, calls = semilattice.is_weakly_distributive_at, []
 
@@ -336,7 +372,7 @@ def test_a_false_weak_distributivity_verdict_is_computed_once(monkeypatch):
 
 
 def test_weak_distributivity_cache_does_not_keep_homs_alive():
-    S, T = fjs(chain(3)), fjs(chain(3))
+    S, T = chain(3), chain(3)
     h = SemilatticeHom(S, T, (0, 1, 2))
     assert is_weakly_distributive(h)
     assert is_weakly_distributive(h)
@@ -349,8 +385,8 @@ def test_weak_distributivity_cache_does_not_keep_homs_alive():
 def test_non_wd_hom_detected():
     # collapse a three-chain onto {0, a, top} of the square: the decomposition
     # top = a + b in the image has no preimage split
-    S = fjs(chain(3))
-    T = fjs(FiniteLattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
+    S = chain(3)
+    T = FiniteLattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     h = SemilatticeHom(S, T, (0, 1, 3))
     assert check_semilattice_hom(h)
     res = is_weakly_distributive_at(h, 2)
@@ -361,7 +397,7 @@ def test_non_wd_hom_detected():
 
 def test_composition_of_wd_maps_is_wd():
     # exhaustive over small hom triples
-    trip = [fjs(chain(2)), fjs(chain(3)), fjs(chain(2))]
+    trip = [chain(2), chain(3), chain(2)]
     S, T, U = trip
     for f in enumerate_semilattice_homs(S, T):
         if not is_weakly_distributive(f):
@@ -378,7 +414,7 @@ def test_composition_of_wd_maps_is_wd():
 
 
 def test_combine_idempotent():
-    S = fjs(chain(4))
+    S = chain(4)
     h = SemilatticeHom(S, S, (0, 1, 2, 3))
     w = is_weakly_distributive_at(h, 2).witness
     out = wd_join_combine(h, 2, 2, w, w)
@@ -391,7 +427,7 @@ def test_combine_idempotent():
 
 
 def test_combine_identity_hom():
-    S = fjs(chain(4))
+    S = chain(4)
     h = SemilatticeHom(S, S, (0, 1, 2, 3))
     w1 = is_weakly_distributive_at(h, 1).witness
     w3 = is_weakly_distributive_at(h, 3).witness
@@ -404,7 +440,7 @@ def test_combine_identity_hom():
 
 def test_combine_randomized(corpus5):
     rng = random.Random(7)
-    dist = [fjs(L) for L in corpus5 if is_distributive(L)]
+    dist = [L for L in corpus5 if is_distributive(L)]
     for _ in range(300):
         T = rng.choice(dist)
         S = rng.choice(dist)
@@ -434,7 +470,7 @@ def test_combine_randomized(corpus5):
 
 
 def test_combine_rejects_non_distributive_target():
-    S = fjs(m3())
+    S = m3()
     h = SemilatticeHom(S, S, tuple(range(S.n)))
     w = is_weakly_distributive_at(h, 1).witness
     with pytest.raises(TargetNotDistributive):
@@ -442,7 +478,7 @@ def test_combine_rejects_non_distributive_target():
 
 
 def test_combine_rejects_invalid_witness():
-    S = fjs(chain(3))
+    S = chain(3)
     h = SemilatticeHom(S, S, (0, 1, 2))
     w1 = is_weakly_distributive_at(h, 1).witness
     w2 = is_weakly_distributive_at(h, 2).witness

@@ -195,7 +195,7 @@ def test_n5_fails_property_c():
 def test_splitting_witness_absorbing_alpha0():
     for L in (n5(), b2()):
         cl = con_lattice(L)
-        delta = cl.congruences[cl.delta_index]
+        delta = cl.congruences[cl.bottom]
         for a in range(L.n):
             for b in range(L.n):
                 if not L.le(a, b):
@@ -226,7 +226,7 @@ def test_splitting_witness_n5_example():
 def test_splitting_witness_m3_nabla():
     M = m3()
     cl = con_lattice(M)
-    nabla = cl.congruences[cl.nabla_index]
+    nabla = cl.congruences[cl.top]
     inst = SplitInstance(M, 0, 4, nabla, nabla)
     pair = splitting_witness(inst)
     assert pair is not None
@@ -339,8 +339,8 @@ def test_property_c_implies_splitting(corpus5):
 def test_constructive_split_trivial_cases():
     L = b2()
     cl = con_lattice(L)
-    nabla = cl.congruences[cl.nabla_index]
-    delta = cl.congruences[cl.delta_index]
+    nabla = cl.congruences[cl.top]
+    delta = cl.congruences[cl.bottom]
     # a = b
     inst = SplitInstance(L, 1, 1, delta, delta)
     assert splitting_from_property_C(inst) == (1, 1)

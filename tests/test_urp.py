@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from conlat import (
     ElementOutOfRange,
-    FiniteJoinSemilattice,
     IndexMismatch,
     NoSourceWitness,
     NotSplitting,
@@ -50,10 +49,6 @@ SMALL = list(enumerate_lattices(5))
 DISTRIBUTIVE = [L for L in SMALL if is_distributive(L)]
 
 
-def fjs(L) -> FiniteJoinSemilattice:
-    return FiniteJoinSemilattice.from_lattice(L)
-
-
 def meet_formula_witness(L, inst: UrpInstance) -> UrpWitness:
     """In a distributive lattice a_i ^ b_j witnesses every instance."""
     a = [p[0] for p in inst.pairs]
@@ -70,7 +65,7 @@ def meet_formula_witness(L, inst: UrpInstance) -> UrpWitness:
 
 
 def test_singleton_instance_trivially_witnessed():
-    S = fjs(chain(3))
+    S = chain(3)
     inst = UrpInstance(S, 2, ((1, 2),))
     w = UrpWitness(astar=(1,), bstar=(2,), c=((0,),))
     assert verify_urp_witness(inst, w).ok
@@ -78,7 +73,7 @@ def test_singleton_instance_trivially_witnessed():
 
 def test_meet_formula_witnesses_distributive_instances():
     for L in DISTRIBUTIVE:
-        S = fjs(L)
+        S = L
         for e in range(L.n):
             inst = canonical_instance(S, e)
             res = verify_urp_witness(inst, meet_formula_witness(L, inst))
@@ -86,7 +81,7 @@ def test_meet_formula_witnesses_distributive_instances():
 
 
 def test_bottom_c_with_incomparable_astars_fails_clause_ii():
-    S = fjs(m3())
+    S = m3()
     inst = UrpInstance(S, 4, ((1, 4), (2, 4)))
     w = UrpWitness(astar=(1, 2), bstar=(4, 4), c=((0, 0), (0, 0)))
     res = verify_urp_witness(inst, w)
@@ -95,7 +90,7 @@ def test_bottom_c_with_incomparable_astars_fails_clause_ii():
 
 
 def test_verify_reports_first_failing_clause():
-    S = fjs(chain(3))
+    S = chain(3)
     inst = UrpInstance(S, 2, ((1, 2), (2, 2)))
     too_big = UrpWitness(astar=(2, 2), bstar=(2, 2), c=((0, 0), (0, 0)))
     res = verify_urp_witness(inst, too_big)
@@ -103,14 +98,14 @@ def test_verify_reports_first_failing_clause():
 
 
 def test_index_mismatch():
-    S = fjs(chain(3))
+    S = chain(3)
     inst = UrpInstance(S, 2, ((1, 2), (2, 2)))
     with pytest.raises(IndexMismatch):
         verify_urp_witness(inst, UrpWitness(astar=(1,), bstar=(2,), c=((0,),)))
 
 
 def test_instance_requires_exact_joins():
-    S = fjs(chain(3))
+    S = chain(3)
     with pytest.raises(ValueError):
         UrpInstance(S, 2, ((1, 1),))
 
@@ -124,7 +119,7 @@ def _replace_cell(w: UrpWitness, i: int, k: int, v: int) -> UrpWitness:
 def test_out_of_range_elements_are_rejected():
     # Con of the 3-chain has 4 elements: a negative id must not wrap around
     # to a valid one, nor an id of 4 raise a bare IndexError
-    S = con_lattice(chain(3)).as_semilattice
+    S = con_lattice(chain(3))
     assert S.n == 4 and S.top == 3
     inst = canonical_instance(S, S.top)
     w = search_urp_witness(inst)
@@ -170,7 +165,7 @@ def matches_oracle(inst: UrpInstance, w: UrpWitness):
 
 def test_verifier_matches_oracle_on_con_greedy_witnesses(corpus6):
     for L in corpus6:
-        S = con_lattice(L).as_semilattice
+        S = con_lattice(L)
         for e in range(S.n):
             inst = canonical_instance(S, e)
             assert matches_oracle(inst, greedy_candidate(inst)).ok
@@ -179,7 +174,7 @@ def test_verifier_matches_oracle_on_con_greedy_witnesses(corpus6):
 def test_verifier_matches_oracle_on_lattice_greedy_candidates(corpus5):
     outcomes = Counter()
     for L in corpus5:
-        S = fjs(L)
+        S = L
         for e in range(S.n):
             inst = canonical_instance(S, e)
             w = greedy_candidate(inst)
@@ -194,7 +189,7 @@ def test_verifier_matches_oracle_on_csurp_certificates(corpus5):
     for L in corpus5:
         if not is_congruence_splitting(L).holds:
             continue
-        S = con_lattice(L).as_semilattice
+        S = con_lattice(L)
         for u, v, eps, fams in con_lattice(L).join_decompositions():
             inst = UrpInstance(S, eps, tuple(fams))
             assert matches_oracle(inst, csurp_witness(L, u, v, fams)).ok
@@ -207,7 +202,7 @@ def _mutation_bases() -> list[tuple[UrpInstance, UrpWitness]]:
     # its greedy candidate; equal a_i (rows) and b_k (columns) repeat
     bases = []
     for L in SMALL:
-        for S in (fjs(L), con_lattice(L).as_semilattice):
+        for S in (L, con_lattice(L)):
             for e in range(S.n):
                 inst = canonical_instance(S, e)
                 w = greedy_candidate(inst)
@@ -282,7 +277,7 @@ def test_mutated_witnesses_reach_every_clause():
 
 def test_search_finds_witness_on_distributive_instances():
     for L in DISTRIBUTIVE:
-        S = fjs(L)
+        S = L
         for e in range(L.n):
             inst = canonical_instance(S, e)
             w = search_urp_witness(inst)
@@ -291,7 +286,7 @@ def test_search_finds_witness_on_distributive_instances():
 
 
 def test_search_empty_index_set():
-    S = fjs(chain(2))
+    S = chain(2)
     inst = UrpInstance(S, 1, ())
     w = search_urp_witness(inst)
     assert w == UrpWitness(astar=(), bstar=(), c=())
@@ -300,7 +295,7 @@ def test_search_empty_index_set():
 
 def test_search_on_con_instances(corpus5):
     for L in corpus5:
-        S = con_lattice(L).as_semilattice
+        S = con_lattice(L)
         for e in range(S.n):
             inst = canonical_instance(S, e)
             w = search_urp_witness(inst)
@@ -313,7 +308,7 @@ HEXAGON = FiniteLattice.from_covers(
 PINNED_LATTICES = {"m3": m3(), "n5": n5(), "chain4": chain(4), "hexagon": HEXAGON}
 
 # (lattice, e, pairs appended to the canonical instance at e, nodes, found):
-# the exact node count of the search on from_lattice(lattice).  At the tops
+# the exact node count of the search on the lattice itself.  At the tops
 # of M3, N5 and the hexagon the greedy candidate fails and the search
 # backtracks; M3 has no witness at its top.
 NODE_COUNTS = [
@@ -345,7 +340,7 @@ NODE_COUNTS = [
     ids=[f"{t[0]}-{t[1]}-{len(t[2])}" for t in NODE_COUNTS],
 )
 def test_search_node_count_is_pinned(name, e, extra, nodes, found):
-    S = fjs(PINNED_LATTICES[name])
+    S = PINNED_LATTICES[name]
     inst = UrpInstance(S, e, canonical_instance(S, e).pairs + extra)
     w = search_urp_witness(inst, budget=nodes)
     assert (w is not None) == found
@@ -354,7 +349,7 @@ def test_search_node_count_is_pinned(name, e, extra, nodes, found):
 
 
 def test_search_budget_is_a_distinct_outcome():
-    S = fjs(FiniteLattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
+    S = FiniteLattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     inst = canonical_instance(S, 3)
     with pytest.raises(SearchBudgetExceeded):
         search_urp_witness(inst, budget=2)
@@ -367,35 +362,35 @@ def test_search_budget_is_a_distinct_outcome():
 
 def test_urp_at_bottom():
     for L in SMALL:
-        assert holds_urp_at(fjs(L), L.bottom)
+        assert holds_urp_at(L, L.bottom)
 
 
 def test_urp_everywhere_on_distributive():
     for L in DISTRIBUTIVE:
-        assert satisfies_urp(fjs(L))
+        assert satisfies_urp(L)
 
 
 def test_urp_fails_at_top_of_m3():
     # pairs (1,2) and (2,3) force a* = a and b* = b, so c <= 1 ^ 3 = 0,
     # and clause (ii) would need 1 <= 2 + 0
-    S = fjs(m3())
+    S = m3()
     assert not holds_urp_at(S, 4)
     assert not satisfies_urp(S)
 
 
 def test_urp_holds_at_m3_atom():
-    S = fjs(m3())
+    S = m3()
     assert holds_urp_at(S, 1)
 
 
 def test_urp_on_chains():
     for n in (1, 2, 3, 4):
-        assert satisfies_urp(fjs(chain(n)))
+        assert satisfies_urp(chain(n))
 
 
 def test_urp_on_con_semilattices(corpus5):
     for L in corpus5:
-        assert satisfies_urp(con_lattice(L).as_semilattice)
+        assert satisfies_urp(con_lattice(L))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +402,7 @@ def test_meet_witness_matches_literal_on_every_con_element(corpus6):
     # Con L, and the literal search agrees
     for L in corpus6:
         con = con_lattice(L)
-        S = con.as_semilattice
+        S = con
         assert certifies_ring_of_sets(S, con.masks)
         assert all(holds_urp_at(S, e) for e in range(S.n))
         assert first_urp_failure(S, con.masks, budget=0) is None
@@ -417,7 +412,7 @@ def test_uncertified_masks_fall_back_to_the_literal_search():
     # M3's atoms as the two-element subsets of {0, 1, 2}: join is union, but
     # a_i & b_k is no element, so the certificate fails, and the fallback
     # finds M3's literal failure at the top, within the budget it is given
-    S = fjs(m3())
+    S = m3()
     masks = (0b000, 0b011, 0b110, 0b101, 0b111)
     assert not certifies_ring_of_sets(S, masks)
     literal = next(e for e in range(S.n) if not holds_urp_at(S, e))
@@ -427,7 +422,7 @@ def test_uncertified_masks_fall_back_to_the_literal_search():
 
 
 def test_canonical_instance_lists_each_pair_once():
-    S = fjs(chain(3))
+    S = chain(3)
     inst = canonical_instance(S, 2)
     expected = {
         (a, b)
@@ -443,7 +438,7 @@ def test_duplicate_families_agree_with_canonical():
     # appending duplicate pairs never changes solvability
     rng = random.Random(3)
     for L in SMALL:
-        S = fjs(L)
+        S = L
         for e in range(S.n):
             base = canonical_instance(S, e)
             if not 0 < len(base.pairs) <= 4:
@@ -461,7 +456,7 @@ def test_duplicate_families_agree_with_canonical():
 
 
 def test_refine_then_combine_idempotent():
-    S = fjs(chain(4))
+    S = chain(4)
     comb = canonical_instance(S, 2)
     i0, i1 = refine_instance(comb, 2, 2)
     w = search_urp_witness(i0)
@@ -471,7 +466,7 @@ def test_refine_then_combine_idempotent():
 
 def test_combine_on_distributive_corpus():
     for L in DISTRIBUTIVE:
-        S = fjs(L)
+        S = L
         for e0, e1 in itertools.product(range(L.n), repeat=2):
             comb = canonical_instance(S, S.join_of(e0, e1))
             i0, i1 = refine_instance(comb, e0, e1)
@@ -483,7 +478,7 @@ def test_combine_on_distributive_corpus():
 
 def test_combine_randomized_search_inputs(corpus5):
     rng = random.Random(11)
-    cons = [con_lattice(L).as_semilattice for L in corpus5]
+    cons = [con_lattice(L) for L in corpus5]
     for _ in range(200):
         S = rng.choice(cons)
         e0 = rng.randrange(S.n)
@@ -497,7 +492,7 @@ def test_combine_randomized_search_inputs(corpus5):
 
 
 def test_combine_rejects_bad_decomposition():
-    S = fjs(chain(4))
+    S = chain(4)
     comb = canonical_instance(S, 3)
     i0, i1 = refine_instance(comb, 2, 3)
     alien = canonical_instance(S, 1)
@@ -512,7 +507,7 @@ def test_combine_rejects_bad_decomposition():
 def test_combine_rejects_invalid_witness():
     from conlat import InvalidInputWitness
 
-    S = fjs(chain(4))
+    S = chain(4)
     comb = canonical_instance(S, 3)
     i0, i1 = refine_instance(comb, 2, 3)
     w1 = search_urp_witness(i1)
@@ -527,7 +522,7 @@ def test_combine_rejects_invalid_witness():
 def test_refine_rejects_non_distributive():
     from conlat import NotDistributive
 
-    S = fjs(m3())
+    S = m3()
     comb = canonical_instance(S, 4)
     with pytest.raises(NotDistributive):
         refine_instance(comb, 1, 4)
@@ -538,7 +533,7 @@ def test_refine_rejects_non_distributive():
 
 
 def test_transfer_along_identity():
-    S = fjs(chain(3))
+    S = chain(3)
     h = SemilatticeHom(S, S, (0, 1, 2))
     inst = canonical_instance(S, 2)
     w = urp_transfer(h, 2, inst)
@@ -547,8 +542,8 @@ def test_transfer_along_identity():
 
 def test_transfer_along_surjections():
     for L in DISTRIBUTIVE:
-        S = fjs(L)
-        T = fjs(chain(2))
+        S = L
+        T = chain(2)
         for h in enumerate_semilattice_homs(S, T):
             if set(h.map) != {0, 1} or not is_weakly_distributive(h):
                 continue
@@ -569,8 +564,8 @@ def test_transfer_along_induced_con_maps():
 
 
 def test_transfer_rejects_non_wd_map():
-    S = fjs(chain(3))
-    B = fjs(FiniteLattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
+    S = chain(3)
+    B = FiniteLattice.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     h = SemilatticeHom(S, B, (0, 1, 3))
     inst = canonical_instance(B, 3)
     with pytest.raises(NotWeaklyDistributive):
@@ -578,7 +573,7 @@ def test_transfer_rejects_non_wd_map():
 
 
 def test_transfer_needs_source_witness():
-    S = fjs(m3())
+    S = m3()
     h = SemilatticeHom(S, S, tuple(range(S.n)))
     inst = canonical_instance(S, 4)
     with pytest.raises(NoSourceWitness):
@@ -594,7 +589,7 @@ def test_csurp_trivial_family():
     cl = con_lattice(L)
     ti = cl.congruence_index(principal_congruence(L, 0, 2))
     w = csurp_witness(L, 0, 2, [(ti, ti)])
-    inst = UrpInstance(cl.as_semilattice, ti, ((ti, ti),))
+    inst = UrpInstance(cl, ti, ((ti, ti),))
     assert verify_urp_witness(inst, w).ok
 
 
@@ -607,7 +602,7 @@ def test_csurp_m3_all_nabla_families():
         if congruence_join(cl.congruences[i], cl.congruences[j]).num_blocks == 1
     ]
     w = csurp_witness(M, 0, 4, fams)
-    inst = UrpInstance(cl.as_semilattice, cl.nabla_index, tuple(fams))
+    inst = UrpInstance(cl, cl.top, tuple(fams))
     assert verify_urp_witness(inst, w).ok
 
 
@@ -616,7 +611,7 @@ def test_csurp_exhaustive_over_splitting_corpus():
         if not is_congruence_splitting(L).holds:
             continue
         cl = con_lattice(L)
-        S = cl.as_semilattice
+        S = cl
         for u in range(L.n):
             for v in range(L.n):
                 if not L.le(u, v):
