@@ -394,20 +394,14 @@ def _convex_homs(items: Sequence[tuple[str, FiniteLattice]]) -> list:
     ]
 
 
-def _semilattice_homs(items: Sequence[tuple[str, FiniteLattice]]):
-    for src_id, S in items:
-        for _, T in items:
-            for h in enumerate_semilattice_homs(S, T):
-                yield src_id, h
-
-
 def _wd_point_pairs(items) -> list:
+    targets = [T for _, T in items if has_refinement_property(T).holds]
     population = []
-    for src_id, h in _semilattice_homs(items):
-        if not has_refinement_property(h.target).holds:
-            continue
-        wd_at = [u for u in range(h.source.n) if is_weakly_distributive_at(h, u).holds]
-        population.extend((src_id, (h, u0, u1)) for u0 in wd_at for u1 in wd_at)
+    for src_id, S in items:
+        for T in targets:
+            for h in enumerate_semilattice_homs(S, T):
+                wd_at = [u for u in range(S.n) if is_weakly_distributive_at(h, u).holds]
+                population.extend((src_id, (h, u0, u1)) for u0 in wd_at for u1 in wd_at)
     return population
 
 
@@ -441,9 +435,11 @@ def _urp_combine(draw, budget: int) -> str | None:
 def _wd_points(items) -> list:
     return [
         (src_id, (h, u))
-        for src_id, h in _semilattice_homs(items)
+        for src_id, S in items
+        for _, T in items
+        for h in enumerate_semilattice_homs(S, T)
         if is_weakly_distributive(h)
-        for u in range(h.source.n)
+        for u in range(S.n)
     ]
 
 

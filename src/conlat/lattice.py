@@ -16,7 +16,9 @@ with :class:`IndexOutOfRange`; a lattice's greatest common lower bounds are
 its meet table.  Con L (:class:`conlat.congruence.CongruenceLattice`) is a
 further subclass.
 
-The module also provides lattice homomorphisms, interval sublattices, the
+The module also provides homomorphisms (:class:`SemilatticeHom` and its
+subclass :class:`LatticeHom`, checked and enumerated by one rule each over
+the tables a hom keeps), interval sublattices, the
 standard structural predicates (modular, complemented, atomistic, ...),
 the perspectivity relation (one bitmask row per element, built once per
 lattice with one pass per axis), a canonical form for isomorphism testing,
@@ -620,12 +622,12 @@ def _once(fn):
     return once
 
 
-class LatticeHom(_Frozen):
-    """A map between lattices given by its value table; not assumed valid
-    until checked with :func:`check_hom`."""
+class SemilatticeHom(_Frozen):
+    """A map between join-semilattices given by its value table; not assumed
+    valid until checked with :func:`conlat.semilattice.check_semilattice_hom`."""
 
     def __init__(
-        self, source: FiniteLattice, target: FiniteLattice, map: tuple[int, ...]
+        self, source: FiniteJoinSemilattice, target: FiniteJoinSemilattice, map: tuple[int, ...]
     ) -> None:
         vars(self).update(source=source, target=target, map=map)
 
@@ -633,22 +635,32 @@ class LatticeHom(_Frozen):
         return self.source, self.target, self.map
 
     def __repr__(self) -> str:
-        return f"LatticeHom(source={self.source!r}, target={self.target!r}, map={self.map!r})"
+        name, src, tgt = type(self).__name__, self.source, self.target
+        return f"{name}(source={src!r}, target={tgt!r}, map={self.map!r})"
+
+
+class LatticeHom(SemilatticeHom):
+    """A map between lattices given by its value table; not assumed valid
+    until checked with :func:`check_hom`."""
+
+
+# A hom keeps the tables named in ops: f(s[x][y]) = t[f(x)][f(y)] for the
+# table s of the source and t of the target.  The tables are idempotent and
+# commutative, so the pairs x < y suffice.
+_LATTICE_OPS = ("join_rows", "meet_rows")
+
+
+def _preserves(h: SemilatticeHom, ops: tuple[str, ...]) -> bool:
+    f, n = h.map, h.source.n
+    if len(f) != n or any(not 0 <= v < h.target.n for v in f):
+        return False
+    tables = [(getattr(h.source, op), getattr(h.target, op)) for op in ops]
+    return all(f[s[x][y]] == t[f[x]][f[y]] for s, t in tables for y in range(n) for x in range(y))
 
 
 def check_hom(h: LatticeHom) -> bool:
     """True iff h preserves binary joins and meets (0/1 not required)."""
-    K, L, f = h.source, h.target, h.map
-    if len(f) != K.n or any(not 0 <= v < L.n for v in f):
-        return False
-    jn_k, mt_k = K.join_rows, K.meet_rows
-    jn_l, mt_l = L.join_rows, L.meet_rows
-    for x in range(K.n):
-        fx = f[x]
-        for y in range(x, K.n):
-            if f[jn_k[x][y]] != jn_l[fx][f[y]] or f[mt_k[x][y]] != mt_l[fx][f[y]]:
-                return False
-    return True
+    return _preserves(h, _LATTICE_OPS)
 
 
 def has_convex_range(h: LatticeHom) -> bool:
@@ -660,40 +672,39 @@ def has_convex_range(h: LatticeHom) -> bool:
     )
 
 
-def _monotone_maps(P, Q) -> Iterator[tuple[int, ...]]:
-    """Every order-preserving map between finite orders P -> Q (anything
-    with ``n``, ``le`` and ``down_bits``), by backtracking over the values
-    of 0, 1, ...; the value tables come out in lexicographic order."""
+def _homs(P, Q, ops: tuple[str, ...]) -> Iterator[tuple[int, ...]]:
+    """The value tables of the maps P -> Q that keep the tables named in
+    ops, in lexicographic order: a backtrack over f(0), f(1), ... in
+    ascending values tests each equation where the last of x, y and s[x][y]
+    gets its value.  A map that keeps joins is monotone (x <= y gives
+    f(y) = f(x) v f(y)), so no monotone maps are built first."""
     n, m = P.n, Q.n
-    below = [[i for i in range(k) if P.le(i, k)] for k in range(n)]
-    above = [[i for i in range(k) if P.le(k, i)] for k in range(n)]
-    down = Q.down_bits
-    up = [sum(1 << y for y in range(m) if down[y] >> x & 1) for x in range(m)]
+    tests: list[list[tuple]] = [[] for _ in range(n)]
+    for op in ops:
+        s, t = getattr(P, op), getattr(Q, op)
+        for y in range(n):
+            for x in range(y):
+                tests[max(y, s[x][y])].append((t, x, y, s[x][y]))
     f = [0] * n
 
     def extend(k: int) -> Iterator[tuple[int, ...]]:
         if k == n:
             yield tuple(f)
             return
-        allowed = (1 << m) - 1
-        for i in below[k]:
-            allowed &= up[f[i]]
-        for i in above[k]:
-            allowed &= down[f[i]]
-        for v in _bits(allowed):
+        for v in range(m):
             f[k] = v
-            yield from extend(k + 1)
+            for t, x, y, z in tests[k]:
+                if f[z] != t[f[x]][f[y]]:
+                    break
+            else:
+                yield from extend(k + 1)
 
     yield from extend(0)
 
 
 def enumerate_lattice_homs(K: FiniteLattice, L: FiniteLattice) -> Iterator[LatticeHom]:
-    """All join- and meet-preserving maps K -> L: the monotone maps that
-    pass :func:`check_hom`."""
-    for f in _monotone_maps(K, L):
-        h = LatticeHom(K, L, f)
-        if check_hom(h):
-            yield h
+    """All join- and meet-preserving maps K -> L, in lexicographic order."""
+    return (LatticeHom(K, L, f) for f in _homs(K, L, _LATTICE_OPS))
 
 
 # -- canonical form and enumeration -------------------------------------------

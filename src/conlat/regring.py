@@ -612,7 +612,12 @@ def v_monoid(R: FiniteRing) -> VMonoid:
 def refine_nonneg_vectors(
     a0: Sequence[int], a1: Sequence[int], b0: Sequence[int], b1: Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """Refinement in N^k: componentwise c00 = min(a0, b0) works."""
+    """Refinement in N^k: componentwise c00 = min(a0, b0) works.  Raises
+    ValueError unless the vectors have one length and no negative entry."""
+    if len({len(a0), len(a1), len(b0), len(b1)}) != 1:
+        raise ValueError("vectors of different lengths")
+    if any(x < 0 for v in (a0, a1, b0, b1) for x in v):
+        raise ValueError("negative entry")
     if [x + y for x, y in zip(a0, a1)] != [x + y for x, y in zip(b0, b1)]:
         raise ValueError("sums differ")
     c00 = tuple(min(x, y) for x, y in zip(a0, b0))
@@ -627,7 +632,10 @@ def algebraic_below(v: Sequence[int], alpha: Sequence[int]) -> bool:
 
     Componentwise this asks v_i <= n * alpha_i, so it fails exactly when
     some v_i > 0 meets alpha_i = 0; any n >= max(v) works otherwise.  The
-    condition is therefore support inclusion."""
+    condition is therefore support inclusion.  Raises ValueError for
+    vectors of different lengths."""
+    if len(v) != len(alpha):
+        raise ValueError("vectors of different lengths")
     return all(a > 0 for x, a in zip(v, alpha) if x > 0)
 
 

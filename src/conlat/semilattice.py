@@ -4,7 +4,9 @@ A join-semilattice is stored as its full join table.  The class
 :class:`FiniteJoinSemilattice` lives in :mod:`conlat.lattice`, as the base
 of :class:`~conlat.lattice.FiniteLattice`, and is re-exported here: every
 lattice, Con L included, is passed to these functions as it is, with its
-meet table as its table of greatest common lower bounds.
+meet table as its table of greatest common lower bounds.  So is
+:class:`SemilatticeHom`, the base of :class:`~conlat.lattice.LatticeHom`,
+checked and enumerated by the lattice rule on the join table alone.
 
 "Distributive" is used in the refinement sense throughout this module: every
 equation a0 + a1 = b0 + b1 admits a 2x2 refinement matrix.  No lattice
@@ -24,7 +26,15 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple
 
-from .lattice import FiniteJoinSemilattice, _bits, _check_elements, _Frozen, _monotone_maps, _once
+from .lattice import (
+    FiniteJoinSemilattice,
+    SemilatticeHom,
+    _bits,
+    _check_elements,
+    _homs,
+    _once,
+    _preserves,
+)
 
 
 class TargetNotDistributive(ValueError):
@@ -35,43 +45,16 @@ class InvalidInputWitness(ValueError):
     """A supplied witness fails its defining conditions."""
 
 
-class SemilatticeHom(_Frozen):
-    """A map between join-semilattices; check with :func:`check_semilattice_hom`."""
-
-    def __init__(
-        self, source: FiniteJoinSemilattice, target: FiniteJoinSemilattice, map: tuple[int, ...]
-    ) -> None:
-        vars(self).update(source=source, target=target, map=map)
-
-    def _key(self) -> tuple:
-        return self.source, self.target, self.map
-
-    def __repr__(self) -> str:
-        return (
-            f"SemilatticeHom(source={self.source!r}, target={self.target!r}, map={self.map!r})"
-        )
-
-
 def check_semilattice_hom(h: SemilatticeHom) -> bool:
-    f, S, T = h.map, h.source, h.target
-    if len(f) != S.n or any(not 0 <= v < T.n for v in f):
-        return False
-    return all(
-        f[S.join_rows[x][y]] == T.join_rows[f[x]][f[y]]
-        for x in range(S.n)
-        for y in range(x, S.n)
-    )
+    """True iff h preserves binary joins."""
+    return _preserves(h, ("join_rows",))
 
 
 def enumerate_semilattice_homs(
     S: FiniteJoinSemilattice, T: FiniteJoinSemilattice
 ) -> Iterator[SemilatticeHom]:
-    """All join-preserving maps S -> T: the monotone maps that pass
-    :func:`check_semilattice_hom`."""
-    for f in _monotone_maps(S, T):
-        h = SemilatticeHom(S, T, f)
-        if check_semilattice_hom(h):
-            yield h
+    """All join-preserving maps S -> T, in lexicographic order."""
+    return (SemilatticeHom(S, T, f) for f in _homs(S, T, ("join_rows",)))
 
 
 # -- refinement ---------------------------------------------------------------

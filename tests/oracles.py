@@ -69,6 +69,10 @@ of a k^2 dict ideal by ideal.  :func:`refinement_by_triples` is the former
 check at the end of ``v_monoid``, which refines every equal-sum quadruple of
 class vectors with ``refine_nonneg_vectors``; it holds for any vectors in
 N^k, so it tests that formula rather than the ring.
+:func:`monotone_maps` is the former hom generator, every order-preserving
+map in lexicographic order, and :func:`monotone_homs` its former leaf
+filter; they are kept as the reference for the enumeration that tests each
+join and meet equation as its values are assigned.
 """
 from __future__ import annotations
 
@@ -789,6 +793,47 @@ def all_semilattice_homs(S, T) -> list[tuple[int, ...]]:
         ):
             out.append(f)
     return out
+
+
+def monotone_maps(P, Q):
+    """Every order-preserving map P -> Q (anything with ``n`` and
+    ``down_bits``), by backtracking over the values of 0, 1, ...; the value
+    tables come out in lexicographic order."""
+    n, m = P.n, Q.n
+    below = [[i for i in range(k) if P.down_bits[k] >> i & 1] for k in range(n)]
+    above = [[i for i in range(k) if P.down_bits[i] >> k & 1] for k in range(n)]
+    down = Q.down_bits
+    up = [sum(1 << y for y in range(m) if down[y] >> x & 1) for x in range(m)]
+    f = [0] * n
+
+    def extend(k):
+        if k == n:
+            yield tuple(f)
+            return
+        allowed = (1 << m) - 1
+        for i in below[k]:
+            allowed &= up[f[i]]
+        for i in above[k]:
+            allowed &= down[f[i]]
+        for v in range(m):
+            if allowed >> v & 1:
+                f[k] = v
+                yield from extend(k + 1)
+
+    yield from extend(0)
+
+
+def monotone_homs(P, Q, tables):
+    """The maps of :func:`monotone_maps` that keep each named table
+    (``"join_rows"``, ``"meet_rows"``) on every pair, tested at the leaf."""
+    ops = [(getattr(P, name), getattr(Q, name)) for name in tables]
+    return [
+        f
+        for f in monotone_maps(P, Q)
+        if all(
+            f[s[x][y]] == t[f[x]][f[y]] for s, t in ops for x in range(P.n) for y in range(P.n)
+        )
+    ]
 
 
 def alternating_chain_bfs(L, u, v, alpha, beta):

@@ -16,12 +16,15 @@ from conlat import (
     LatticeHom,
     NotALattice,
     NotComparable,
+    SemilatticeHom,
     are_perspective,
     canonical_form,
     chain,
     check_hom,
+    check_semilattice_hom,
     enumerate_lattice_homs,
     enumerate_lattices,
+    enumerate_semilattice_homs,
     has_convex_range,
     interval,
     is_atomistic,
@@ -36,11 +39,13 @@ from conlat import con_lattice, lattice
 from oracles import (
     admissible_downsets_by_subsets,
     all_lattice_homs,
+    all_semilattice_homs,
     count_lattices,
     covers_by_pair_scan,
     eager_lattice_tables,
     lub_glb_tables,
     meet_semilattice_levels,
+    monotone_homs,
     perspective_rows_by_axes,
     poset_code,
 )
@@ -290,6 +295,52 @@ def test_enumerated_homs_are_all_homs_in_lexicographic_order():
             if K.n <= 4:
                 got = [h.map for h in enumerate_lattice_homs(K, L)]
                 assert got == all_lattice_homs(K, L)
+
+
+def _not_linear_extensions(L: FiniteLattice) -> list[FiniteLattice]:
+    """L under every relabelling whose ids are not a linear extension."""
+    out = []
+    for perm in itertools.permutations(range(L.n)):
+        M = permuted(L, perm)
+        if any(M.down_bits[x] >> y & 1 for x in range(M.n) for y in range(x + 1, M.n)):
+            out.append(M)
+    return out
+
+
+def test_enumerated_homs_on_relabelled_lattices():
+    # the corpus ids are a linear extension; these put some element above a
+    # larger id, and both enumerators must still give every hom in order
+    sources = [M for L in SMALL if L.n <= 4 for M in _not_linear_extensions(L)]
+    targets = [permuted(L, tuple(reversed(range(L.n)))) for L in SMALL]
+    assert len(sources) == 51
+    for K in sources:
+        for L in targets:
+            assert [h.map for h in enumerate_lattice_homs(K, L)] == all_lattice_homs(K, L)
+            assert [h.map for h in enumerate_semilattice_homs(K, L)] == all_semilattice_homs(K, L)
+
+
+def test_enumerated_homs_match_the_monotone_map_oracle(corpus6):
+    # every ordered pair of lattices up to size 6: the same maps in the same
+    # order as the monotone maps filtered at the leaves
+    ops = ("join_rows", "meet_rows")
+    assert len(corpus6) ** 2 == 625
+    count = 0
+    for K in corpus6:
+        for L in corpus6:
+            got = [h.map for h in enumerate_lattice_homs(K, L)]
+            assert got == monotone_homs(K, L, ops)
+            count += len(got)
+    assert count == 29196
+
+
+def test_lattice_homs_keep_meets_as_well_as_joins():
+    # both atoms of the square sent to 1 keeps every join but not the meet
+    # of the atoms, so it is a semilattice hom and no lattice hom
+    B, C, f = b2(), chain(2), (0, 1, 1, 1)
+    assert check_semilattice_hom(SemilatticeHom(B, C, f))
+    assert not check_hom(LatticeHom(B, C, f))
+    assert f in [h.map for h in enumerate_semilattice_homs(B, C)]
+    assert f not in [h.map for h in enumerate_lattice_homs(B, C)]
 
 
 def test_check_hom_rejects_non_hom():

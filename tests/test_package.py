@@ -287,6 +287,18 @@ def test_records_keep_defaults_and_keywords():
     assert CampaignReport("ring", {}).rows is not report.rows
 
 
+def test_one_hom_record_type():
+    # LatticeHom subclasses the SemilatticeHom that conlat.semilattice
+    # re-exports; a record of one never equals a record of the other
+    import conlat
+    from conlat import lattice, semilattice
+
+    assert semilattice.SemilatticeHom is lattice.SemilatticeHom is conlat.SemilatticeHom
+    assert issubclass(LatticeHom, SemilatticeHom)
+    L = chain(2)
+    assert LatticeHom(L, L, (0, 1)) != SemilatticeHom(L, L, (0, 1))
+
+
 def test_hom_caches_do_not_enter_equality():
     from conlat import induced_con_map, is_weakly_distributive
 

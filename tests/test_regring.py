@@ -637,6 +637,23 @@ def test_algebraic_preorder():
     assert algebraic_below((0, 0), (0, 0))
 
 
+def test_vector_refinement_rejects_unequal_lengths():
+    # zip would drop the tail of the longer vectors and answer for a prefix
+    with pytest.raises(ValueError, match="lengths"):
+        refine_nonneg_vectors((1, 2), (0,), (1,), (0,))
+
+
+def test_vector_refinement_rejects_negative_entries():
+    # min(-1, 1) = -1 would make c00 a vector outside N^k
+    with pytest.raises(ValueError, match="negative"):
+        refine_nonneg_vectors((-1,), (1,), (0,), (0,))
+
+
+def test_algebraic_preorder_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="lengths"):
+        algebraic_below((1, 1), (1,))
+
+
 # ---------------------------------------------------------------------------
 # the quotient map pi
 

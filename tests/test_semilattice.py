@@ -35,6 +35,7 @@ from conlat import (
 )
 from oracles import (
     all_semilattice_homs,
+    monotone_homs,
     refinement_counterexample_literal,
     refinement_holds,
     refinement_square_sorting,
@@ -54,6 +55,18 @@ def semilattice_with_elements(draw, k: int = 3):
 
 # two minimal elements below a top: 0 and 1 have no common lower bound
 VEE = FiniteJoinSemilattice([[0, 2, 2], [2, 1, 2], [2, 2, 2]])
+# three minimal elements 0, 1, 2 with 0 + 1 = 3 and 1 + 2 = 5 below the top
+# 4; 5 < 4 in the order, so the ids are not a linear extension
+W = FiniteJoinSemilattice(
+    [
+        [0, 3, 4, 3, 4, 4],
+        [3, 1, 5, 3, 4, 5],
+        [4, 5, 2, 4, 4, 5],
+        [3, 3, 4, 3, 4, 4],
+        [4, 4, 4, 4, 4, 4],
+        [4, 5, 5, 4, 4, 5],
+    ]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +314,29 @@ def test_enumerate_homs_agrees_with_oracle():
             if S.n <= 4:
                 got = [h.map for h in enumerate_semilattice_homs(S, T)]
                 assert got == all_semilattice_homs(S, T)
+
+
+def test_enumerate_homs_without_a_bottom():
+    # no corpus lattice lacks a bottom; as source and as target
+    assert VEE.bottom is None and W.bottom is None
+    small = [S for S in SMALL if S.n <= 4] + [VEE, W]
+    for S in small:
+        for T in (VEE, W):
+            assert [h.map for h in enumerate_semilattice_homs(S, T)] == all_semilattice_homs(S, T)
+            assert [h.map for h in enumerate_semilattice_homs(T, S)] == all_semilattice_homs(T, S)
+
+
+def test_enumerate_homs_matches_the_monotone_map_oracle(corpus6):
+    # every ordered pair of lattices up to size 6: the same maps in the same
+    # order as the monotone maps filtered at the leaves
+    assert len(corpus6) ** 2 == 625
+    count = 0
+    for S in corpus6:
+        for T in corpus6:
+            got = [h.map for h in enumerate_semilattice_homs(S, T)]
+            assert got == monotone_homs(S, T, ("join_rows",))
+            count += len(got)
+    assert count == 70780
 
 
 def test_check_hom():
