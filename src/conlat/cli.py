@@ -339,7 +339,7 @@ def _first_failure(instances, failure: Callable) -> dict:
 
 def _splits_constructively(L: FiniteLattice, _budget: int) -> dict:
     con = con_lattice(L)
-    jn = L.join_rows
+    jn, masks = L.join_rows, con.masks
 
     def failure(a, b, al0, al1):
         x0, x1 = splitting_from_property_C(SplitInstance(L, a, b, al0, al1))
@@ -349,8 +349,8 @@ def _splits_constructively(L: FiniteLattice, _budget: int) -> dict:
             and L.le(a, x1)
             and L.le(x1, b)
             and jn[x0][x1] == b
-            and con.congruences[con.principal[a][x0]].refines(al0)
-            and con.congruences[con.principal[a][x1]].refines(al1)
+            and masks[con.principal[a][x0]] & ~al0.mask == 0
+            and masks[con.principal[a][x1]] & ~al1.mask == 0
         )
         return None if ok else {"a": a, "b": b, "x0": x0, "x1": x1}
 

@@ -1,34 +1,33 @@
 """Congruences of a finite lattice and the congruence lattice Con L.
 
 A congruence is an equivalence relation compatible with join and meet; it is
-stored as a class-representative array (each element mapped to the least
-member of its block) and computed as the bitmask of the covers x < y that
-it collapses.  Its blocks are intervals (Gratzer, The Congruences of a
-Finite Lattice, 2016), so the mask determines them by one rule: x is the
-top of its block unless some upper cover x < y is collapsed, and then x
-shares the top of y.  One walk from the top down reads every block top off
-the mask, and the rep of x is the least element with the top of x.  The
-congruence generated by a set of covers collapses exactly the closure of
-that set under the prime-interval step: a collapsed cover x < y forces every
-cover inside [x ^ z, y ^ z] and [x v z, y v z].  The mask is exact in Con L
-too: a congruence is the join of the Theta(x, y) of the covers it collapses,
-and these join-irreducibles are join-prime because Con L is distributive,
-so a join of congruences collapses exactly the covers that one of them
-collapses.  Con L is thus the OR-closure of the closures of single covers,
-with order mask inclusion: :class:`CongruenceLattice` is that lattice, a
-:class:`~conlat.lattice.FiniteLattice` on the congruence indices, and so
-also the join-semilattice that the refinement and URP checks read.
+stored as the bitmask of the covers x < y that it collapses, and nothing
+else.  Its blocks are intervals (Gratzer, The Congruences of a Finite
+Lattice, 2016), so the mask determines them by one rule: x is the top of
+its block unless some upper cover x < y is collapsed, and then x shares the
+top of y.  One walk from the top down reads every block top off the mask,
+and the rep of x (the least member of its block) is the least element with
+the top of x.  The congruence generated by a set of covers collapses
+exactly the closure of that set under the prime-interval step: a collapsed
+cover x < y forces every cover inside [x ^ z, y ^ z] and [x v z, y v z].
+The mask is exact in Con L too: a congruence is the join of the Theta(x, y)
+of the covers it collapses, and these join-irreducibles are join-prime
+because Con L is distributive, so a join of congruences collapses exactly
+the covers that one of them collapses.  Join is OR of masks, and meet, the
+intersection, is AND.  Con L is thus the OR-closure of the closures of
+single covers, with order mask inclusion: :class:`CongruenceLattice` is
+that lattice, a :class:`~conlat.lattice.FiniteLattice` on the congruence
+indices, and so also the join-semilattice that the refinement and URP
+checks read.
 
 The same join-primeness builds alternating chains: every cover x < y in
 [u, v] has Theta(x, y) <= Theta(u, v), so when Theta(u, v) <= alpha v beta
 one of alpha and beta collapses each cover of a maximal chain from u to v.
-The masks also certify that Con L is distributive: the intersection of two
-congruences is their meet and collapses exactly the covers both collapse,
-so the masks form a ring of sets, closed under | and &.  A ring of sets is
-a distributive lattice, and a distributive lattice has the refinement
-property with the square c_xy = a_x & b_y (Gratzer, Lattice Theory:
-Foundation, 2011); :func:`certifies_ring_of_sets` checks this of any
-index -> mask map in O(k^2) integer operations.
+The masks also certify that Con L is distributive: closed under | and &,
+they form a ring of sets, a distributive lattice, and a distributive
+lattice has the refinement property with the square c_xy = a_x & b_y
+(Gratzer, Lattice Theory: Foundation, 2011); :func:`certifies_ring_of_sets`
+checks this of any index -> mask map in O(k^2) integer operations.
 
 Also here: the monotonization transform, congruence maps induced by lattice
 homomorphisms, and the correspondence between congruences and neutral ideals
@@ -48,6 +47,7 @@ from .lattice import (
     LatticeHom,
     _bits,
     _check_elements,
+    _is_int,
     _once,
     check_hom,
     is_modular,
@@ -77,20 +77,32 @@ class HypothesesFail(ValueError):
 
 
 class Congruence:
-    """A lattice congruence, as the representative array of its partition:
-    rep maps each element to the least member of its block."""
+    """A lattice congruence, as the bitmask of the host covers it collapses
+    (bit j for ``host.covers()[j]``): ``==``, ``hash`` and :meth:`refines`
+    compare masks.  ``rep`` maps each element to the least member of its
+    block, read off the mask by one walk of :func:`_blocks` on first use.
+    The masks accepted are exactly those :func:`_closure` fixes."""
 
-    __slots__ = ("host", "rep")
+    __slots__ = ("host", "mask", "_rep")
 
-    def __init__(self, host: FiniteLattice, rep: Sequence[int]):
-        rep = tuple(rep)
-        # equal partitions must have equal arrays, and every entry indexes
-        if len(rep) != host.n or not all(
-            0 <= r <= x and rep[r] == r for x, r in enumerate(rep)
-        ):
-            raise ValueError(f"{rep} does not map each element to the least of its block")
-        self.host = host
-        self.rep = rep
+    def __init__(self, host: FiniteLattice, mask: int):
+        k = len(_cover_tables(host)[2])
+        if not _is_int(mask) or mask < 0 or mask >> k or _closure(host, mask) != mask:
+            raise ValueError(f"{mask!r} is not the cover mask of a congruence")
+        self.host, self.mask = host, mask
+
+    @classmethod
+    def _of(cls, host: FiniteLattice, mask: int) -> Congruence:
+        # the trusted constructor, for masks closed by construction
+        theta = cls.__new__(cls)
+        theta.host, theta.mask = host, mask
+        return theta
+
+    @property
+    def rep(self) -> tuple[int, ...]:
+        if not hasattr(self, "_rep"):
+            self._rep = next(_blocks(self.host, [self.mask]))[0]
+        return self._rep
 
     def same(self, x: int, y: int) -> bool:
         return self.rep[x] == self.rep[y]
@@ -106,45 +118,50 @@ class Congruence:
         return len(set(self.rep))
 
     def refines(self, other: "Congruence") -> bool:
-        """self <= other in Con L: every block of self lies in a block of other."""
+        """self <= other in Con L: other collapses every cover self collapses."""
         if other.host is not self.host:
             raise HostMismatch("congruences on different lattices")
-        orep, srep = other.rep, self.rep
-        return all(orep[x] == orep[srep[x]] for x in range(len(srep)))
+        return self.mask & ~other.mask == 0
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Congruence)
-            and other.host is self.host
-            and other.rep == self.rep
-        )
+        same_host = isinstance(other, Congruence) and other.host is self.host
+        return same_host and other.mask == self.mask
 
     def __hash__(self) -> int:
-        return hash((id(self.host), self.rep))
+        return hash((id(self.host), self.mask))
 
     def __repr__(self) -> str:
         return f"Congruence({self.blocks()})"
 
 
 def congruence_from_blocks(L: FiniteLattice, blocks: Iterable[Iterable[int]]) -> Congruence:
-    """Build a congruence from an explicit partition, validating compatibility."""
-    rep = [-1] * L.n
+    """Build a congruence from an explicit partition of 0..n-1 into nonempty
+    blocks, validating compatibility."""
+    blocks = [list(block) for block in blocks]
+    elements = [x for block in blocks for x in block]
+    if not all(blocks) or not all(map(_is_int, elements)) or sorted(elements) != [*range(L.n)]:
+        raise ValueError("not a partition of 0..n-1 into nonempty blocks")
+    rep = [0] * L.n
     for block in blocks:
-        block = sorted(block)
         for x in block:
-            if not 0 <= x < L.n or rep[x] != -1:
-                raise ValueError("not a partition of 0..n-1")
-            rep[x] = block[0]
-    if -1 in rep:
-        raise ValueError("partition does not cover all elements")
-    theta = Congruence(L, rep)
-    jn, mt = L.join_rows, L.meet_rows
-    for x in range(L.n):
-        rx = rep[x]
-        for z in range(L.n):
-            if rep[jn[x][z]] != rep[jn[rx][z]] or rep[mt[x][z]] != rep[mt[rx][z]]:
-                raise ValueError("partition is not compatible with join/meet")
+            rep[x] = min(block)
+    # a congruence has interval blocks, so it is the congruence generated by
+    # the covers it collapses, and that one collapses no other cover
+    covers = _block_walk(L)[0]
+    theta = Congruence._of(L, sum(1 << j for j, (x, y) in enumerate(covers) if rep[x] == rep[y]))
+    if _closure(L, theta.mask) != theta.mask or theta.rep != tuple(rep):
+        raise ValueError("partition is not compatible with join/meet")
     return theta
+
+
+@_once
+def _block_walk(L: FiniteLattice) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    # (covers, walk), one table per lattice: the covers of L.covers(), and
+    # each x with the set of its covers x < y, by decreasing down-set
+    covers, down, ups = L.covers(), L.down_bits, [0] * L.n
+    for j, (x, _) in enumerate(covers):
+        ups[x] |= 1 << j
+    return covers, [(x, ups[x]) for x in sorted(range(L.n), key=lambda x: -down[x].bit_count())]
 
 
 @_once
@@ -153,7 +170,7 @@ def _cover_tables(L: FiniteLattice) -> tuple[tuple[int, ...], tuple[int, ...], l
     # table per lattice: bit j of above[a] is set iff a <= x, of below[b] iff
     # y <= b, so the covers inside [a, b] are above[a] & below[b]; steps[j]
     # holds the covers inside [x ^ z, y ^ z] and [x v z, y v z] for every z
-    covers, jn, mt = L.covers(), L.join_rows, L.meet_rows
+    covers, jn, mt = _block_walk(L)[0], L.join_rows, L.meet_rows
     above, below = [0] * L.n, [0] * L.n
     for j, (x, y) in enumerate(covers):
         for a in _bits(L.down_bits[x]):
@@ -183,78 +200,79 @@ def _closure(L: FiniteLattice, mask: int) -> int:
     return mask
 
 
-def _generated(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    # the least congruence identifying each pair (u, v), seeded with the
-    # covers inside [u ^ v, u v v]
-    (above, below, _), jn, mt = _cover_tables(L), L.join_rows, L.meet_rows
-    seed = 0
-    for u, v in pairs:
-        seed |= above[mt[u][v]] & below[jn[u][v]]
-    return Congruence(L, next(_blocks(L, [_closure(L, seed)]))[0])
+def _blocks(
+    L: FiniteLattice, masks: Iterable[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # the (rep, top) arrays of each mask's congruence, by the rule of the
+    # module docstring: the walk by decreasing down-set reads the top of any
+    # collapsed cover x < y before x
+    covers, walk = _block_walk(L)
+    for mask in masks:
+        top = list(range(L.n))
+        for x, up in walk:
+            if mask & up:
+                top[x] = top[covers[(mask & up).bit_length() - 1][1]]
+        least: dict[int, int] = {}
+        yield tuple([least.setdefault(t, x) for x, t in enumerate(top)]), tuple(top)
 
 
 def principal_congruence(L: FiniteLattice, u: int, v: int) -> Congruence:
-    """Theta(u, v): the least congruence identifying u and v."""
+    """Theta(u, v): the least congruence identifying u and v, the closure
+    of the covers inside [u ^ v, u v v]."""
     _check_elements(L, u, v)
-    return _generated(L, [(u, v)])
+    above, below, _ = _cover_tables(L)
+    return Congruence._of(L, _closure(L, above[L.meet_rows[u][v]] & below[L.join_rows[u][v]]))
 
 
 def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
-    """Least congruence containing both: the congruence generated by every
-    element paired with its representative in either."""
+    """Least congruence containing both: by join-primeness (module
+    docstring) it collapses exactly the covers either collapses."""
     if t1.host is not t2.host:
         raise HostMismatch("congruences on different lattices")
-    return _generated(t1.host, [*enumerate(t1.rep), *enumerate(t2.rep)])
+    return Congruence._of(t1.host, t1.mask | t2.mask)
 
 
 def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
-    """Common refinement; an intersection of congruences is a congruence."""
+    """Common refinement: the intersection, which collapses exactly the
+    covers both collapse."""
     if t1.host is not t2.host:
         raise HostMismatch("congruences on different lattices")
-    n = t1.host.n
-    mins: dict[tuple[int, int], int] = {}
-    for x in range(n):
-        mins.setdefault((t1.rep[x], t2.rep[x]), x)
-    return Congruence(t1.host, tuple(mins[(t1.rep[x], t2.rep[x])] for x in range(n)))
+    return Congruence._of(t1.host, t1.mask & t2.mask)
 
 
 class CongruenceLattice(FiniteLattice):
-    """Con L as a :class:`FiniteLattice` on the congruence indices, with
-    precomputed congruences and masks; the principal table is built on
-    first use.
-
-    Congruences are indexed 0..k-1 by (number of blocks, rep) descending: the
-    identity congruence is ``bottom`` (0) and the all-collapsing congruence
-    ``top`` (k - 1).  ``masks[i]`` is the set of host covers (bit j for
-    ``host_covers[j]``) that congruence i collapses; the order is mask
-    inclusion, so join is OR, and ``covers()`` are the covers of Con L.
-    ``principal[u][v]`` is the index of Theta(u, v), and ``tops[i][x]`` is
-    the top of x's block in congruence i; the reps and the tops are both
-    read off ``masks[i]`` by the walk of :func:`_blocks`.
-    """
+    """Con L as a :class:`FiniteLattice` on the congruence indices, held as
+    cover masks: congruence i collapses the host covers in ``masks[i]`` (bit
+    j for ``host_covers[j]``), ``mask_index`` inverts ``masks``, and the
+    order is mask inclusion.  Indices run by (number of blocks, rep)
+    descending: ``bottom`` (0) is the identity, ``top`` (k - 1) collapses
+    everything.  Built on first use: ``congruences[i]``, the
+    :class:`Congruence` with mask ``masks[i]``; ``principal[u][v]``, the
+    index of Theta(u, v); and ``tops[i][x]``, the top of x's block in
+    congruence i, read off ``masks[i]`` by the walk of :func:`_blocks`."""
 
     def __init__(self, host: FiniteLattice):
         self.host = host
-        self.host_covers = covers = host.covers()
-        gens = [_closure(host, 1 << j) for j in range(len(covers))]
+        self.host_covers = covers = _block_walk(host)[0]
+        gens = [principal_congruence(host, x, y).mask for x, y in covers]
         # the join-irreducibles are the Theta(x, y) of single covers; every
         # congruence is the join of those of the covers it collapses, and
         # join is OR, so Con L is the OR-closure of gens
-        congs = {g: principal_congruence(host, *c) for g, c in dict(zip(gens, covers)).items()}
         found = {0}
-        for g in congs:
+        for g in set(gens):
             found |= {m | g for m in found}
-        rest = list(found - congs.keys())
-        congs.update(zip(rest, (Congruence(host, rep) for rep, _ in _blocks(host, rest))))
-        masks = sorted(found, key=lambda m: (congs[m].num_blocks, congs[m].rep), reverse=True)
+        keyed = [(len(set(rep)), rep, m) for m, (rep, _) in zip(found, _blocks(host, found))]
+        masks = [m for *_, m in sorted(keyed, reverse=True)]
         super().__init__(
             sum(1 << j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks
         )
         self.masks: tuple[int, ...] = tuple(masks)
-        self.congruences: tuple[Congruence, ...] = tuple(congs[m] for m in masks)
-        self.index = {t.rep: i for i, t in enumerate(self.congruences)}
         self.mask_index = {m: i for i, m in enumerate(masks)}
         self._gens = gens
+
+    @cached_property
+    def congruences(self) -> tuple[Congruence, ...]:
+        return tuple(Congruence._of(self.host, m) for m in self.masks)
 
     @cached_property
     def principal(self) -> tuple[tuple[int, ...], ...]:
@@ -282,17 +300,14 @@ class CongruenceLattice(FiniteLattice):
     def congruence_index(self, theta: Congruence) -> int:
         if theta.host is not self.host:
             raise HostMismatch("congruence on a different lattice")
-        i = self.index.get(theta.rep)
-        if i is None:
-            raise ValueError(f"{theta!r} is not a congruence of its lattice")
-        return i
+        return self.mask_index[theta.mask]
 
     def below_join(self, u: int, v: int, alpha: Congruence, beta: Congruence) -> bool:
         """Theta(u, v) <= alpha v beta."""
         _check_elements(self.host, u, v)
-        m = self.masks
-        joined = m[self.congruence_index(alpha)] | m[self.congruence_index(beta)]
-        return m[self.principal[u][v]] & ~joined == 0
+        if alpha.host is not self.host or beta.host is not self.host:
+            raise HostMismatch("congruences on a different lattice")
+        return self.masks[self.principal[u][v]] & ~(alpha.mask | beta.mask) == 0
 
     def join_decompositions(self):
         """Each (u, v, eps, fams) with u <= v, eps = Theta(u, v) and fams every
@@ -304,26 +319,7 @@ class CongruenceLattice(FiniteLattice):
                 yield u, v, eps, self.decompositions(eps)
 
     def __repr__(self) -> str:
-        return f"CongruenceLattice(|Con|={len(self.congruences)})"
-
-
-def _blocks(
-    L: FiniteLattice, masks: Iterable[int]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # the (rep, top) arrays of each mask's congruence, by the rule of the
-    # module docstring: ups[x] is the set of covers x < y, and the walk by
-    # decreasing down-set reads the top of any collapsed one before x
-    covers, down, ups = L.covers(), L.down_bits, [0] * L.n
-    for j, (x, _) in enumerate(covers):
-        ups[x] |= 1 << j
-    walk = [(x, ups[x]) for x in sorted(range(L.n), key=lambda x: -down[x].bit_count())]
-    for mask in masks:
-        top = list(range(L.n))
-        for x, up in walk:
-            if mask & up:
-                top[x] = top[covers[(mask & up).bit_length() - 1][1]]
-        least: dict[int, int] = {}
-        yield tuple([least.setdefault(t, x) for x, t in enumerate(top)]), tuple(top)
+        return f"CongruenceLattice(|Con|={self.n})"
 
 
 def certifies_ring_of_sets(S: FiniteJoinSemilattice, masks: Sequence[int]) -> bool:
@@ -553,10 +549,8 @@ def con_nid_iso(L: FiniteLattice) -> ConNidCorrespondence:
         raise HypothesesFail("lattice is not sectionally complemented and modular")
     con = con_lattice(L)
     bot = L.bottom
-    to_ideal = [
-        frozenset(x for x in range(L.n) if theta.same(x, bot))
-        for theta in con.congruences
-    ]
+    # the block of bottom is the interval below its top
+    to_ideal = [frozenset(_bits(L.down_bits[top[bot]])) for top in con.tops]
     nid = set(neutral_ideals(L))
     if set(to_ideal) != nid or len(set(to_ideal)) != len(to_ideal):
         raise AssertionError("zero-block map is not a bijection onto neutral ideals")

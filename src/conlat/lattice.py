@@ -664,12 +664,15 @@ def check_hom(h: LatticeHom) -> bool:
 
 
 def has_convex_range(h: LatticeHom) -> bool:
-    """True iff the image of h is order-convex in the target."""
+    """True iff the image of h is order-convex in the target: nothing lies
+    above one image element and below another but outside the image."""
     L = h.target
-    img = sum(1 << v for v in set(h.map))
-    return all(
-        L.up_bits[x] & L.down_bits[y] & ~img == 0 for x in _bits(img) for y in _bits(img)
-    )
+    img = up = down = 0
+    for v in h.map:
+        img |= 1 << v
+        up |= L.up_bits[v]
+        down |= L.down_bits[v]
+    return up & down & ~img == 0
 
 
 def _homs(P, Q, ops: tuple[str, ...]) -> Iterator[tuple[int, ...]]:

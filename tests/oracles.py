@@ -73,6 +73,12 @@ N^k, so it tests that formula rather than the ring.
 map in lexicographic order, and :func:`monotone_homs` its former leaf
 filter; they are kept as the reference for the enumeration that tests each
 join and meet equation as its values are assigned.
+:func:`join_by_union_find` and :func:`meet_by_partition_intersection` rebuild
+the partitions of two congruences from the covers their masks collapse, by
+union-find alone, and join them by closure or intersect them; they are the
+reference for OR and AND of masks.  :func:`convex_range_by_pairs` is the
+former ``has_convex_range``, which tests every pair of image elements, kept
+as the reference for the one pass over the image.
 """
 from __future__ import annotations
 
@@ -415,12 +421,11 @@ def congruence_partitions(L) -> set[frozenset[frozenset[int]]]:
     return out
 
 
-def closure_by_union_find(L, seed_pairs):
-    """The least congruence identifying the seed pairs: union-find over
+def closure_by_union_find(L, seed_pairs) -> tuple[int, ...]:
+    """The least congruence identifying the seed pairs, as the array that
+    maps each element to the least member of its block: union-find over
     elements, then compatibility forced by re-merging the joins and meets of
     every merged pair with every element."""
-    from conlat import Congruence
-
     n = L.n
     jn, mt = L.join_rows, L.meet_rows
     parent = list(range(n))
@@ -452,47 +457,65 @@ def closure_by_union_find(L, seed_pairs):
         r = find(x)
         if r not in mins or x < mins[r]:
             mins[r] = x
-    return Congruence(L, tuple(mins[find(x)] for x in range(n)))
+    return tuple(mins[find(x)] for x in range(n))
 
 
-def join_by_union_find(t1, t2):
-    """The least congruence containing both partitions, by
-    :func:`closure_by_union_find` on every element paired with its
-    representative in either."""
-    return closure_by_union_find(t1.host, [*enumerate(t1.rep), *enumerate(t2.rep)])
+def collapsed_covers(theta) -> list[tuple[int, int]]:
+    """The covers x < y of the host that theta collapses, read off its mask
+    bit by bit against ``host.covers()``."""
+    covers = theta.host.covers()
+    return [covers[j] for j in range(len(covers)) if theta.mask >> j & 1]
+
+
+def join_by_union_find(t1, t2) -> tuple[int, ...]:
+    """The least congruence containing both, as :func:`closure_by_union_find`
+    of the ends of every cover either collapses."""
+    return closure_by_union_find(t1.host, collapsed_covers(t1) + collapsed_covers(t2))
+
+
+def meet_by_partition_intersection(t1, t2) -> tuple[int, ...]:
+    """The common refinement of both partitions, each rebuilt by
+    :func:`closure_by_union_find` from the covers it collapses: x joins the
+    block of the least y in the same block as x in both."""
+    p1 = closure_by_union_find(t1.host, collapsed_covers(t1))
+    p2 = closure_by_union_find(t2.host, collapsed_covers(t2))
+    least: dict[tuple[int, int], int] = {}
+    return tuple(least.setdefault((r1, r2), x) for x, (r1, r2) in enumerate(zip(p1, p2)))
+
+
+def _refines(r1, r2) -> bool:
+    # every block of the rep array r1 lies in a block of r2
+    return all(r2[x] == r2[r] for x, r in enumerate(r1))
 
 
 def con_tables_by_joins(L):
-    """Con L as (congruences, leq, principal): every principal congruence,
-    closed under joins, sorted by (num_blocks, rep) descending, ordered by
-    refines; principal[u][v] indexes Theta(u, v).  Principal congruences and
-    joins come from :func:`closure_by_union_find`."""
-    from conlat import Congruence
-
+    """Con L as (reps, leq, principal): every principal congruence as a rep
+    array, closed under joins, sorted by (number of blocks, rep)
+    descending, ordered by refinement; principal[u][v] indexes Theta(u, v).
+    Principal congruences and joins come from :func:`closure_by_union_find`."""
     n = L.n
-    found = {tuple(range(n)): Congruence(L, tuple(range(n)))}
+    found = {tuple(range(n))}
     principals = {}
     for u in range(n):
         for v in range(u + 1, n):
-            th = closure_by_union_find(L, [(u, v)])
-            principals[(u, v)] = th
-            found.setdefault(th.rep, th)
-    work = list(found.values())
+            principals[(u, v)] = closure_by_union_find(L, [(u, v)])
+            found.add(principals[(u, v)])
+    work = list(found)
     while work:
-        t1 = work.pop()
-        for t2 in list(found.values()):
-            j = join_by_union_find(t1, t2)
-            if j.rep not in found:
-                found[j.rep] = j
+        r1 = work.pop()
+        for r2 in list(found):
+            j = closure_by_union_find(L, [*enumerate(r1), *enumerate(r2)])
+            if j not in found:
+                found.add(j)
                 work.append(j)
-    congs = sorted(found.values(), key=lambda t: (t.num_blocks, t.rep), reverse=True)
-    index = {t.rep: i for i, t in enumerate(congs)}
-    leq = [[ti.refines(tj) for tj in congs] for ti in congs]
+    reps = sorted(found, key=lambda r: (len(set(r)), r), reverse=True)
+    index = {r: i for i, r in enumerate(reps)}
+    leq = [[_refines(ri, rj) for rj in reps] for ri in reps]
     principal = [
-        [0 if u == v else index[principals[(min(u, v), max(u, v))].rep] for v in range(n)]
+        [0 if u == v else index[principals[(min(u, v), max(u, v))]] for v in range(n)]
         for u in range(n)
     ]
-    return congs, leq, principal
+    return reps, leq, principal
 
 
 def refinement_holds(S) -> bool:
@@ -836,6 +859,14 @@ def monotone_homs(P, Q, tables):
     ]
 
 
+def convex_range_by_pairs(h) -> bool:
+    """The image of h is order-convex: for every pair x, y of image
+    elements, everything in [x, y] is in the image."""
+    L, values = h.target, set(h.map)
+    img = sum(1 << v for v in values)
+    return all(L.up_bits[x] & L.down_bits[y] & ~img == 0 for x in values for y in values)
+
+
 def alternating_chain_bfs(L, u, v, alpha, beta):
     """The former alternating chain: a shortest fence of alpha- and beta-steps
     from u to v found by BFS over all elements (alpha preferred), then
@@ -1001,9 +1032,9 @@ def from_ideal_by_closure(L) -> dict[frozenset[int], int]:
     generated by the pairs (bottom, x) with x in I."""
     from conlat.congruence import con_lattice
 
-    con = con_lattice(L)
+    index = {t.rep: i for i, t in enumerate(con_lattice(L).congruences)}
     return {
-        I: con.index[closure_by_union_find(L, [(L.bottom, x) for x in I]).rep]
+        I: index[closure_by_union_find(L, [(L.bottom, x) for x in I])]
         for I in principal_ideal_sets(L)
         if is_neutral_ideal_by_axes(L, I)
     }

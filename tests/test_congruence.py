@@ -56,6 +56,7 @@ from oracles import (
     from_ideal_by_closure,
     is_neutral_ideal_by_axes,
     join_by_union_find,
+    meet_by_partition_intersection,
     principal_ideal_sets,
     reps_by_interval_scan,
     set_partitions,
@@ -85,20 +86,58 @@ def test_congruence_from_blocks_round_trips():
         [[0], [1, 2], [3]],
         [[0], [1, 2], [3], [4, 5]],
         [[0], [1, 2], [3], [4]],
+        [[], [0], [1], [2], [3], [4]],
+        [[0, True, 2, 3, 4]],
+        [[0, 1, 2, 3, 4.0]],
     ],
-    ids=["overlapping", "missing-element", "out-of-range", "incompatible"],
+    ids=[
+        "overlapping",
+        "missing-element",
+        "out-of-range",
+        "incompatible",
+        "empty-block",
+        "bool-element",
+        "float-element",
+    ],
 )
 def test_congruence_from_blocks_rejects_bad_partitions(blocks):
     with pytest.raises(ValueError):
         congruence_from_blocks(m3(), blocks)
 
 
-def test_congruence_needs_the_least_member_of_each_block():
-    # the same partition of the 3-chain as (0, 0, 2), but not its array
-    assert Congruence(chain(3), (0, 0, 2)).blocks() == ((0, 1), (2,))
-    for rep in [(1, 1, 2), (5, 5, 5), (0, 0), (0, 1, 1, 3)]:
-        with pytest.raises(ValueError):
-            Congruence(chain(3), rep)
+def test_congruence_accepts_exactly_the_masks_of_con(corpus5):
+    for L in corpus5:
+        con = con_lattice(L)
+        for m in range(1 << len(L.covers())):
+            if m in con.mask_index:
+                assert Congruence(L, m) == con.congruences[con.mask_index[m]]
+            else:
+                with pytest.raises(ValueError):
+                    Congruence(L, m)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    ["1", 1.0, None, (0, 1), True, False, -1, 1 << 6, 0b1111111, 1],
+    ids=[
+        "str",
+        "float",
+        "none",
+        "rep-array",
+        "true",
+        "false",
+        "negative",
+        "bit-past-covers",
+        "all-covers-and-one-past",
+        "unclosed",
+    ],
+)
+def test_congruence_rejects_masks_outside_con(mask):
+    # M3 has 6 covers; collapsing one cover of M3 collapses all of them
+    M = m3()
+    assert len(M.covers()) == 6 and con_lattice(M).masks == (0, 0b111111)
+    with pytest.raises(ValueError):
+        Congruence(M, mask)
 
 
 def test_below_join_rejects_elements_out_of_range():
@@ -159,7 +198,7 @@ def test_principal_matches_union_find_oracle(corpus7):
     # the closure over cover masks against the element-pair union-find
     for L in corpus7:
         for u, v in itertools.product(range(L.n), repeat=2):
-            assert principal_congruence(L, u, v) == closure_by_union_find(L, [(u, v)])
+            assert principal_congruence(L, u, v).rep == closure_by_union_find(L, [(u, v)])
 
 
 # ---------------------------------------------------------------------------
@@ -170,27 +209,14 @@ def test_join_matches_union_find_oracle(corpus7):
     for L in corpus7:
         congs = con_lattice(L).congruences
         for t1, t2 in itertools.product(congs, repeat=2):
-            assert congruence_join(t1, t2) == join_by_union_find(t1, t2)
+            assert congruence_join(t1, t2).rep == join_by_union_find(t1, t2)
 
 
-def _partition(L, blocks):
-    rep = [0] * L.n
-    for block in blocks:
-        for x in block:
-            rep[x] = min(block)
-    return Congruence(L, rep)
-
-
-def test_join_of_partitions_matches_union_find_oracle(corpus5):
-    # arbitrary partitions, non-convex and incompatible blocks included:
-    # the join is the congruence they generate
-    p = _partition(chain(3), [[0, 2], [1]])
-    assert p.rep == (0, 1, 0)
-    assert congruence_join(p, p).blocks() == ((0, 1, 2),)
-    for L in corpus5:
-        parts = [_partition(L, b) for b in set_partitions(range(L.n))]
-        for t1, t2 in itertools.product(parts, repeat=2):
-            assert congruence_join(t1, t2) == join_by_union_find(t1, t2)
+def test_meet_matches_partition_intersection_oracle(corpus7):
+    for L in corpus7:
+        congs = con_lattice(L).congruences
+        for t1, t2 in itertools.product(congs, repeat=2):
+            assert congruence_meet(t1, t2).rep == meet_by_partition_intersection(t1, t2)
 
 
 def test_join_meet_identity_laws():
@@ -271,7 +297,7 @@ def test_con_tables_match_join_closure_oracle(corpus7):
     for L in corpus7:
         cl = con_lattice(L)
         congs, leq, principal = con_tables_by_joins(L)
-        assert [t.rep for t in cl.congruences] == [t.rep for t in congs]
+        assert [t.rep for t in cl.congruences] == congs
         assert [[cl.le(i, j) for j in range(len(cl))] for i in range(len(cl))] == leq
         assert [list(row) for row in cl.principal] == principal
 
@@ -328,6 +354,20 @@ def test_blocks_match_oracles_under_relabelling(corpus7):
         assert_blocks_match_oracles(M)
         moved += any(not M.le(r, x) for t in con_lattice(M).congruences for x, r in enumerate(t.rep))
     assert moved
+
+
+def test_con_lattice_reads_the_covers_once_and_builds_congruences_on_first_read():
+    L = boolean(3)
+    calls = []
+    covers = L.covers
+    L.covers = lambda: calls.append(1) or covers()
+    con = con_lattice(L)
+    assert "congruences" not in con.__dict__
+    assert refinement_by_certificate(con, con.masks).holds
+    assert "congruences" not in con.__dict__
+    assert [t.num_blocks for t in con.congruences] == [8, 4, 4, 4, 2, 2, 2, 1]
+    assert con.principal and con.tops and con_nid_iso(L)
+    assert len(calls) == 1
 
 
 def test_certificate_check_builds_no_principal_table():

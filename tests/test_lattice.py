@@ -40,6 +40,7 @@ from oracles import (
     admissible_downsets_by_subsets,
     all_lattice_homs,
     all_semilattice_homs,
+    convex_range_by_pairs,
     count_lattices,
     covers_by_pair_scan,
     eager_lattice_tables,
@@ -287,6 +288,17 @@ def test_bottom_atom_embedding_convex():
     h = LatticeHom(chain(2), chain(3), (0, 1))
     assert check_hom(h)
     assert has_convex_range(h)
+
+
+def test_convex_range_matches_pair_scan_oracle(corpus6):
+    # every lattice hom between lattices up to size 6, both verdicts seen
+    seen = set()
+    for K, L in itertools.product(corpus6, repeat=2):
+        for h in enumerate_lattice_homs(K, L):
+            verdict = has_convex_range(h)
+            assert verdict == convex_range_by_pairs(h)
+            seen.add(verdict)
+    assert seen == {False, True}
 
 
 def test_enumerated_homs_are_all_homs_in_lexicographic_order():

@@ -9,6 +9,7 @@ from conlat import (
     CChain,
     Congruence,
     FiniteLattice,
+    HostMismatch,
     IndexOutOfRange,
     NoChain,
     SplitInstance,
@@ -233,13 +234,16 @@ def test_splitting_witness_m3_nabla():
     check_split(inst, pair)
 
 
-def test_split_instance_rejects_a_partition_outside_con():
-    # {0, 2} | {1} is not convex in the 3-chain, so it is no congruence
+def test_split_instance_rejects_a_congruence_of_another_lattice():
+    # a partition outside Con L cannot be built, so a label from another
+    # lattice is the one foreign congruence left to reject
     L = chain(3)
-    bad = Congruence(L, (0, 1, 0))
     nabla = con_lattice(L).congruences[-1]
-    with pytest.raises(ValueError, match="not a congruence"):
-        SplitInstance(L, 0, 2, bad, nabla)
+    foreign = Congruence(chain(3), 0b11)
+    with pytest.raises(HostMismatch):
+        SplitInstance(L, 0, 2, foreign, nabla)
+    with pytest.raises(HostMismatch):
+        SplitInstance(L, 0, 2, nabla, foreign)
 
 
 def test_greatest_split_matches_box_scan_oracle(corpus7):
