@@ -15,10 +15,11 @@ of the covers it collapses, and these join-irreducibles are join-prime
 because Con L is distributive, so a join of congruences collapses exactly
 the covers that one of them collapses.  Join is OR of masks, and meet, the
 intersection, is AND.  Con L is thus the OR-closure of the closures of
-single covers, with order mask inclusion: :class:`CongruenceLattice` is
-that lattice, a :class:`~conlat.lattice.FiniteLattice` on the congruence
-indices, and so also the join-semilattice that the refinement and URP
-checks read.
+single covers, and a family of sets that holds 0 and is closed under | is
+a lattice under inclusion.  So :class:`CongruenceLattice`, a
+:class:`~conlat.lattice.FiniteLattice` on the congruence indices and the
+join-semilattice that the refinement and URP checks read, needs no lattice
+check: its order and join table are read off the masks on first use.
 
 The same join-primeness builds alternating chains: every cover x < y in
 [u, v] has Theta(x, y) <= Theta(u, v), so when Theta(u, v) <= alpha v beta
@@ -49,6 +50,7 @@ from .lattice import (
     _check_elements,
     _is_int,
     _once,
+    _ups_from_downs,
     check_hom,
     is_modular,
     is_sectionally_complemented,
@@ -243,32 +245,42 @@ def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
 class CongruenceLattice(FiniteLattice):
     """Con L as a :class:`FiniteLattice` on the congruence indices, held as
     cover masks: congruence i collapses the host covers in ``masks[i]`` (bit
-    j for ``host_covers[j]``), ``mask_index`` inverts ``masks``, and the
-    order is mask inclusion.  Indices run by (number of blocks, rep)
-    descending: ``bottom`` (0) is the identity, ``top`` (k - 1) collapses
-    everything.  Built on first use: ``congruences[i]``, the
-    :class:`Congruence` with mask ``masks[i]``; ``principal[u][v]``, the
-    index of Theta(u, v); and ``tops[i][x]``, the top of x's block in
-    congruence i, read off ``masks[i]`` by the walk of :func:`_blocks`."""
+    j for ``host_covers[j]``), and ``mask_index`` inverts ``masks``.
+    Indices run by (number of blocks, rep) descending: ``bottom`` (0) is the
+    identity, ``top`` (k - 1) collapses everything.  Built on first use,
+    with no lattice check: ``down_bits`` by mask inclusion, ``up_bits``,
+    ``join_rows`` by OR, the inherited ``meet_rows`` read off ``down_bits``,
+    ``congruences[i]`` (the :class:`Congruence` with mask ``masks[i]``),
+    ``principal[u][v]`` (the index of Theta(u, v)) and ``tops[i][x]`` (the
+    top of x's block in congruence i, by the walk of :func:`_blocks`)."""
 
     def __init__(self, host: FiniteLattice):
         self.host = host
         self.host_covers = covers = _block_walk(host)[0]
         gens = [principal_congruence(host, x, y).mask for x, y in covers]
-        # the join-irreducibles are the Theta(x, y) of single covers; every
-        # congruence is the join of those of the covers it collapses, and
-        # join is OR, so Con L is the OR-closure of gens
+        # Con L is the OR-closure of the Theta(x, y) of covers (module docstring)
         found = {0}
         for g in set(gens):
             found |= {m | g for m in found}
         keyed = [(len(set(rep)), rep, m) for m, (rep, _) in zip(found, _blocks(host, found))]
-        masks = [m for *_, m in sorted(keyed, reverse=True)]
-        super().__init__(
-            sum(1 << j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks
-        )
-        self.masks: tuple[int, ...] = tuple(masks)
-        self.mask_index = {m: i for i, m in enumerate(masks)}
+        self.masks: tuple[int, ...] = tuple(m for *_, m in sorted(keyed, reverse=True))
+        self.mask_index = {m: i for i, m in enumerate(self.masks)}
+        self.n, self.bottom, self.top = len(self.masks), 0, len(self.masks) - 1
         self._gens = gens
+
+    @cached_property
+    def down_bits(self) -> tuple[int, ...]:
+        masks = self.masks
+        return tuple(sum(1 << j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks)
+
+    @cached_property
+    def up_bits(self) -> tuple[int, ...]:
+        return _ups_from_downs(self.down_bits)
+
+    @cached_property
+    def join_rows(self) -> tuple[tuple[int, ...], ...]:
+        at, masks = self.mask_index.__getitem__, self.masks
+        return tuple(tuple(map(at, map(m.__or__, masks))) for m in masks)
 
     @cached_property
     def congruences(self) -> tuple[Congruence, ...]:
@@ -327,7 +339,8 @@ def certifies_ring_of_sets(S: FiniteJoinSemilattice, masks: Sequence[int]) -> bo
     and its image is closed under intersection.  Then S is isomorphic to a
     ring of sets, a distributive lattice whose meet is intersection, and
     every equation a0 + a1 = b0 + b1 of S is refined by the square
-    c_xy = a_x & b_y."""
+    c_xy = a_x & b_y.  On a :class:`CongruenceLattice` the join half holds
+    by construction; what is left is injectivity and closure under &."""
     index = {m: i for i, m in enumerate(masks)}
     if len(masks) != S.n or len(index) != S.n:
         return False

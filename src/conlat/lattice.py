@@ -139,7 +139,19 @@ def _bound_rows(sets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(bound, map(m.__and__, sets))) for m in sets)
 
 
-def _raise_first_unbounded_pair(down: tuple[int, ...], up: list[int]) -> None:
+def _ups_from_downs(downs: tuple[int, ...]) -> tuple[int, ...]:
+    # bit x of ups[y] is set iff bit y of downs[x] is
+    ups = [0] * len(downs)
+    for x, d in enumerate(downs):
+        bit = 1 << x
+        while d:
+            low = d & -d
+            ups[low.bit_length() - 1] |= bit
+            d ^= low
+    return tuple(ups)
+
+
+def _raise_first_unbounded_pair(down: tuple[int, ...], up: tuple[int, ...]) -> None:
     # NotALattice for the lexicographically first pair (x, y), x <= y as
     # indices, that has no least upper bound or no greatest lower bound
     lub, glb = set(up), set(down)
@@ -301,13 +313,7 @@ class FiniteLattice(FiniteJoinSemilattice):
             raise ValueError(f"order bits outside 0..{n - 1}")
         if any(not d >> x & 1 for x, d in enumerate(down)):
             raise ValueError("order is not reflexive")
-        up = [0] * n
-        for x, d in enumerate(down):
-            bit = 1 << x
-            while d:
-                low = d & -d
-                up[low.bit_length() - 1] |= bit
-                d ^= low
+        up = _ups_from_downs(down)
         if any(d & u != 1 << x for x, (d, u) in enumerate(zip(down, up))):
             raise ValueError("order is not antisymmetric")
 
@@ -328,7 +334,7 @@ class FiniteLattice(FiniteJoinSemilattice):
 
         self.n = n
         self.down_bits: tuple[int, ...] = down
-        self.up_bits: tuple[int, ...] = tuple(up)
+        self.up_bits: tuple[int, ...] = up
         self.bottom: int = up.index(full)
         self.top: int = down.index(full)
 
@@ -538,37 +544,29 @@ def is_distributive(L: FiniteLattice) -> bool:
     return True
 
 
+def _complemented_intervals(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> bool:
+    # for each (a, b): every x in [a, b] has a y in [a, b], x ^ y = a, x v y = b
+    jn, mt, up, down = L.join_rows, L.meet_rows, L.up_bits, L.down_bits
+    for a, b in pairs:
+        box = list(_bits(up[a] & down[b]))
+        if not all(any(mt[x][y] == a and jn[x][y] == b for y in box) for x in box):
+            return False
+    return True
+
+
 def is_complemented(L: FiniteLattice) -> bool:
     """Every element has a complement: x ^ y = bottom, x v y = top."""
-    n, jn, mt = L.n, L.join_rows, L.meet_rows
-    bot, top = L.bottom, L.top
-    return all(
-        any(mt[x][y] == bot and jn[x][y] == top for y in range(n)) for x in range(n)
-    )
+    return _complemented_intervals(L, [(L.bottom, L.top)])
 
 
 def is_sectionally_complemented(L: FiniteLattice) -> bool:
     """Every interval [bottom, b] is complemented."""
-    jn, mt = L.join_rows, L.meet_rows
-    bot = L.bottom
-    for b in range(L.n):
-        below = list(_bits(L.down_bits[b]))
-        for x in below:
-            if not any(mt[x][y] == bot and jn[x][y] == b for y in below):
-                return False
-    return True
+    return _complemented_intervals(L, ((L.bottom, b) for b in range(L.n)))
 
 
 def is_relatively_complemented(L: FiniteLattice) -> bool:
     """Every interval [a, b] is complemented."""
-    jn, mt, up, down = L.join_rows, L.meet_rows, L.up_bits, L.down_bits
-    for a in range(L.n):
-        for b in _bits(up[a]):
-            box = list(_bits(up[a] & down[b]))
-            for x in box:
-                if not any(mt[x][y] == a and jn[x][y] == b for y in box):
-                    return False
-    return True
+    return _complemented_intervals(L, ((a, b) for a in range(L.n) for b in _bits(L.up_bits[a])))
 
 
 def is_atomistic(L: FiniteLattice) -> bool:
@@ -665,8 +663,10 @@ def check_hom(h: LatticeHom) -> bool:
 
 def has_convex_range(h: LatticeHom) -> bool:
     """True iff the image of h is order-convex in the target: nothing lies
-    above one image element and below another but outside the image."""
+    above one image element and below another but outside the image.  An
+    entry outside the target raises :class:`IndexOutOfRange`."""
     L = h.target
+    _check_elements(L, *h.map)
     img = up = down = 0
     for v in h.map:
         img |= 1 << v
@@ -965,13 +965,6 @@ def _admissible_downsets(downs: tuple[int, ...]) -> list[int]:
     return [d for d in found if all((d & dx) in principal for dx in downs)]
 
 
-def _ups_from_downs(downs: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(downs)
-    ups = [0] * n
-    for x in range(n):
-        for y in _bits(downs[x]):
-            ups[y] |= 1 << x
-    return tuple(ups)
 
 
 def _top_adjoined_code(code: str) -> str:

@@ -43,7 +43,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .congruence import NotAnIdeal, con_lattice, con_nid_iso, is_neutral_ideal, neutral_ideals
-from .lattice import FiniteLattice, _bits, _Frozen, _once
+from .lattice import FiniteLattice, _bits, _check_elements, _Frozen, _once
 
 RING_SIZE_BOUND = 1 << 14
 
@@ -322,7 +322,9 @@ class RightIdealLattice(_Frozen):
         )
 
     def node_of(self, x: int) -> int:
-        """The node holding xR."""
+        """The node holding xR; an x outside the ring raises
+        :class:`~conlat.lattice.IndexOutOfRange`."""
+        _check_elements(self.ring, x)
         return self.element_nodes[x]
 
     @cached_property
@@ -364,7 +366,9 @@ def ideals_isomorphic(R: FiniteRing, a: int, b: int) -> IsoCertificate | None:
     """Are aR and bR isomorphic as right modules, for idempotents a and b?
 
     A certificate is x in aRb, y in bRa with xy = a and yx = b; then
-    left multiplication by y and by x are mutually inverse module maps."""
+    left multiplication by y and by x are mutually inverse module maps.  An
+    a or b outside the ring raises :class:`~conlat.lattice.IndexOutOfRange`."""
+    _check_elements(R, a, b)
     mul = R.mul
     if mul[a][a] != a:
         raise NotIdempotent(f"{a} is not idempotent")
@@ -642,7 +646,8 @@ def algebraic_below(v: Sequence[int], alpha: Sequence[int]) -> bool:
 class PiMap(_Frozen):
     """pi: V(R) -> Id R, pi(alpha) = { x in R : [xR] <= n alpha, some n >= 1 }
     with the algebraic preorder of N^k on the right.  ``elem_class[x]`` is
-    the class of xR; images are memoized per support in ``_by_support``."""
+    the class of xR; images are memoized per support in ``_by_support``.
+    pi of a vector not in N^k, by length or sign, raises ValueError."""
 
     def __init__(
         self, vm: VMonoid, tsl: TwoSidedIdealLattice, elem_class: tuple[tuple[int, ...], ...]
@@ -662,6 +667,8 @@ class PiMap(_Frozen):
 
     def __call__(self, alpha: Sequence[int]) -> frozenset[int]:
         # by algebraic_below, pi(alpha) depends only on the support of alpha
+        if len(alpha) != self.vm.k or any(a < 0 for a in alpha):
+            raise ValueError(f"{tuple(alpha)} is not a vector of N^{self.vm.k}")
         support = sum(1 << i for i, a in enumerate(alpha) if a > 0)
         image = self._by_support.get(support)
         if image is None:

@@ -45,7 +45,7 @@ from conlat import (
     principal_congruence,
     refinement_by_certificate,
 )
-from conlat.cli import _join_instances
+from conlat.cli import _con_distributive, _join_instances, _urp_everywhere
 from conlat.congruence import _blocks
 from oracles import (
     alternating_chain_bfs,
@@ -400,6 +400,32 @@ def test_con_contains_bounds_and_is_closed(corpus5):
 def test_con_lattice_is_distributive(corpus5):
     for L in corpus5:
         assert is_distributive(con_lattice(L))
+
+
+def assert_con_matches_validating_constructor(L):
+    # Con L reads its order and join table off the masks with no lattice
+    # check; FiniteLattice validates the order and builds its tables from
+    # up-set and down-set intersections
+    con = con_lattice(L)
+    oracle = FiniteLattice(con.down_bits)
+    for attr in ("down_bits", "up_bits", "join_rows", "meet_rows", "bottom", "top"):
+        assert getattr(con, attr) == getattr(oracle, attr), attr
+    assert con.covers() == oracle.covers()
+
+
+def test_con_order_and_tables_match_the_validating_constructor():
+    assert len(con_lattice(chain(10))) == 512
+    for L in [*enumerate_lattices(8), *map(chain, range(1, 11)), boolean(3), m3()]:
+        assert_con_matches_validating_constructor(L)
+
+
+@pytest.mark.parametrize("row", [_urp_everywhere, _con_distributive])
+def test_urp_and_con_distributive_rows_build_no_order(row):
+    for L in (boolean(3), m3(), n5(), chain(6)):
+        assert row(L, 0) == {"verdict": "holds"}
+        built = con_lattice(L).__dict__
+        assert "join_rows" in built
+        assert "down_bits" not in built and "up_bits" not in built
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,14 @@ def test_bottom_atom_embedding_convex():
     assert has_convex_range(h)
 
 
+@pytest.mark.parametrize("value", [-1, 3])
+def test_convex_range_rejects_values_outside_the_target(value):
+    # these raised "negative shift count" or a bare IndexError
+    h = LatticeHom(chain(2), chain(3), (0, value))
+    with pytest.raises(IndexOutOfRange):
+        has_convex_range(h)
+
+
 def test_convex_range_matches_pair_scan_oracle(corpus6):
     # every lattice hom between lattices up to size 6, both verdicts seen
     seen = set()

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conlat import (
     FiniteRing,
+    IndexOutOfRange,
     NotIdempotent,
     NotNeutral,
     NotRegular,
@@ -304,6 +305,17 @@ def test_iso_requires_idempotents():
         ideals_isomorphic(R, non_idem, non_idem)
 
 
+@pytest.mark.parametrize("x", [-1, 16])
+def test_iso_rejects_elements_outside_the_ring(x):
+    # -1 used to read as the last element, and 16 raised a bare IndexError
+    R = FiniteRing.from_matrix_spec("M(2,2)")
+    e = principal_right_ideals(R).generators[-1]
+    with pytest.raises(IndexOutOfRange):
+        ideals_isomorphic(R, x, e)
+    with pytest.raises(IndexOutOfRange):
+        ideals_isomorphic(R, e, x)
+
+
 def test_iso_is_equivalence_relation():
     for spec in ("M(2,2)", "M(1,2)xM(1,2)"):
         R = FiniteRing.from_matrix_spec(spec)
@@ -402,6 +414,14 @@ def test_element_nodes_hold_each_xr(spec):
     expected = [lr.index[frozenset(R.mul[x])] for x in range(R.n)]
     assert list(lr.element_nodes) == expected
     assert [lr.node_of(x) for x in range(R.n)] == expected
+
+
+@pytest.mark.parametrize("x", [-1, 16])
+def test_node_of_rejects_elements_outside_the_ring(x):
+    # -1 used to return the node of element 15
+    lr = principal_right_ideals(ring("M(2,2)"))
+    with pytest.raises(IndexOutOfRange):
+        lr.node_of(x)
 
 
 def test_ideal_lookups_reject_unknown_sets():
@@ -662,6 +682,15 @@ def test_pi_of_zero():
     R = FiniteRing.from_matrix_spec("M(2,2)")
     pm = pi_map(R)
     assert pm((0,)) == frozenset({0})
+
+
+@pytest.mark.parametrize("alpha", [(1, 1), (0, 0, 1), (), (-1,)])
+def test_pi_rejects_vectors_outside_n_k(alpha):
+    # k = 1 on M(2,2); (-1,) used to read as (0,)
+    pm = pi_map(FiniteRing.from_matrix_spec("M(2,2)"))
+    assert pm.vm.k == 1
+    with pytest.raises(ValueError):
+        pm(alpha)
 
 
 def test_pi_simple_ring_line_generates_everything():
