@@ -127,5 +127,5 @@ from conlat import certifies_ring_of_sets, chain, first_urp_failure
 
 con9 = con_lattice(chain(9))
 print("Con of the 9-chain has", len(con9), "congruences")
-print("its masks certify a ring of sets:", certifies_ring_of_sets(con9, con9.masks))
-print("URP holds at every element:", first_urp_failure(con9, con9.masks) is None)
+print("its masks certify a ring of sets:", certifies_ring_of_sets(con9.masks))
+print("URP holds at every element:", first_urp_failure(con9) is None)

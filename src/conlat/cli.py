@@ -302,7 +302,7 @@ def _decided(failing: tuple | None, counterexample: Callable) -> dict:
 def _urp_everywhere(L: FiniteLattice, budget: int) -> dict:
     con = con_lattice(L)
     try:
-        e = first_urp_failure(con, con.masks, budget)
+        e = first_urp_failure(con, budget)
     except SearchBudgetExceeded:
         return {"verdict": "budget-exceeded"}
     return _decided(None if e is None else (e,), lambda e: {"element": e})
@@ -311,7 +311,7 @@ def _urp_everywhere(L: FiniteLattice, budget: int) -> dict:
 def _con_distributive(L: FiniteLattice, _budget: int) -> dict:
     con = con_lattice(L)
     return _decided(
-        refinement_by_certificate(con, con.masks).counterexample,
+        refinement_by_certificate(con).counterexample,
         lambda *eq: dict(zip(("a0", "a1", "b0", "b1"), eq)),
     )
 

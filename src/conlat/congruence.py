@@ -24,11 +24,12 @@ check: its order and join table are read off the masks on first use.
 The same join-primeness builds alternating chains: every cover x < y in
 [u, v] has Theta(x, y) <= Theta(u, v), so when Theta(u, v) <= alpha v beta
 one of alpha and beta collapses each cover of a maximal chain from u to v.
-The masks also certify that Con L is distributive: closed under | and &,
-they form a ring of sets, a distributive lattice, and a distributive
-lattice has the refinement property with the square c_xy = a_x & b_y
-(Gratzer, Lattice Theory: Foundation, 2011); :func:`certifies_ring_of_sets`
-checks this of any index -> mask map in O(k^2) integer operations.
+The masks also certify that Con L is distributive: distinct and closed
+under | and &, they form a ring of sets, a distributive lattice, and a
+distributive lattice has the refinement property with the square
+c_xy = a_x & b_y (Gratzer, Lattice Theory: Foundation, 2011).
+:func:`certifies_ring_of_sets` checks this of the masks alone, in O(k^2)
+integer operations and with no table of Con L.
 
 Also here: the monotonization transform, congruence maps induced by lattice
 homomorphisms, and the correspondence between congruences and neutral ideals
@@ -43,7 +44,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lattice import (
-    FiniteJoinSemilattice,
     FiniteLattice,
     LatticeHom,
     _bits,
@@ -252,7 +252,8 @@ class CongruenceLattice(FiniteLattice):
     ``join_rows`` by OR, the inherited ``meet_rows`` read off ``down_bits``,
     ``congruences[i]`` (the :class:`Congruence` with mask ``masks[i]``),
     ``principal[u][v]`` (the index of Theta(u, v)) and ``tops[i][x]`` (the
-    top of x's block in congruence i, by the walk of :func:`_blocks`)."""
+    top of x's block in congruence i, by the walk of :func:`_blocks`).
+    Join is OR, so :func:`certifies_ring_of_sets` reads only ``masks``."""
 
     def __init__(self, host: FiniteLattice):
         self.host = host
@@ -334,33 +335,25 @@ class CongruenceLattice(FiniteLattice):
         return f"CongruenceLattice(|Con|={self.n})"
 
 
-def certifies_ring_of_sets(S: FiniteJoinSemilattice, masks: Sequence[int]) -> bool:
-    """masks, one set per element of S, is injective, sends join to union,
-    and its image is closed under intersection.  Then S is isomorphic to a
-    ring of sets, a distributive lattice whose meet is intersection, and
-    every equation a0 + a1 = b0 + b1 of S is refined by the square
-    c_xy = a_x & b_y.  On a :class:`CongruenceLattice` the join half holds
-    by construction; what is left is injectivity and closure under &."""
-    index = {m: i for i, m in enumerate(masks)}
-    if len(masks) != S.n or len(index) != S.n:
-        return False
-    return all(
-        masks[x] == mi | mj and mi & mj in index
-        for row, mi in zip(S.join_rows, masks)
-        for x, mj in zip(row, masks)
+def certifies_ring_of_sets(masks: Sequence[int]) -> bool:
+    """The masks are distinct and closed under | and &: a ring of sets, a
+    distributive lattice under inclusion whose join is union and meet is
+    intersection, in which every equation a0 | a1 = b0 | b1 is refined by
+    the square c_xy = a_x & b_y.  Reads nothing but the masks."""
+    ring = set(masks)
+    return len(ring) == len(masks) and all(
+        a | b in ring and a & b in ring for i, a in enumerate(masks) for b in masks[:i]
     )
 
 
-def refinement_by_certificate(
-    S: FiniteJoinSemilattice, masks: Sequence[int]
-) -> RefinementResult:
-    """The refinement property of S: it holds when masks certify S as a
-    ring of sets, and otherwise the literal scan of
+def refinement_by_certificate(con: CongruenceLattice) -> RefinementResult:
+    """The refinement property of Con L: it holds when ``con.masks`` form a
+    ring of sets, since Con L joins by OR, and otherwise the literal scan of
     :func:`has_refinement_property` decides it and reports its first
     counterexample."""
-    if certifies_ring_of_sets(S, masks):
+    if certifies_ring_of_sets(con.masks):
         return RefinementResult(True, None)
-    return has_refinement_property(S)
+    return has_refinement_property(con)
 
 
 @_once

@@ -125,10 +125,11 @@ def _is_int(x: object) -> bool:
 
 
 def _check_elements(L: FiniteJoinSemilattice, *xs: int) -> None:
-    # element ids index tables, where a negative id would wrap silently
+    # element ids index tables, where a negative id would wrap silently and
+    # a bool pass for 0 or 1; exact ints skip _is_int (one call per step)
     n = L.n
     for x in xs:
-        if not 0 <= x < n:
+        if (x.__class__ is not int and not _is_int(x)) or not 0 <= x < n:
             raise IndexOutOfRange(f"{xs} outside 0..{n - 1}")
 
 

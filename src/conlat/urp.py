@@ -34,11 +34,12 @@ so each is built once and kept on the semilattice; indices stay literal and
 duplicate pairs are not merged.  A node budget bounds the search; hitting it
 raises instead of reporting a false negative.
 
-On a congruence lattice the search is not needed: its cover masks certify
-Con L as a ring of sets (:func:`~conlat.congruence.certifies_ring_of_sets`),
-and a ring of sets has URP at every element, which :func:`first_urp_failure`
-reads off the certificate.  Masks the certificate rejects fall back to the
-literal :func:`holds_urp_at`.
+On a congruence lattice the search is not needed: Con L joins by OR of its
+cover masks, so masks that form a ring of sets
+(:func:`~conlat.congruence.certifies_ring_of_sets`, which reads the masks
+alone) certify it, and a ring of sets has URP at every element, which
+:func:`first_urp_failure` reads off the certificate.  Masks the certificate
+rejects fall back to the literal :func:`holds_urp_at`.
 
 Also here: combination of URP witnesses across joins, transfer of URP along
 weakly distributive maps, and the direct witness construction in Con L for a
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .congruence import certifies_ring_of_sets, con_lattice
+from .congruence import CongruenceLattice, certifies_ring_of_sets, con_lattice
 from .lattice import FiniteLattice, _bits
 from .semilattice import (
     FiniteJoinSemilattice,
@@ -387,21 +388,18 @@ def satisfies_urp(S: FiniteJoinSemilattice, budget: int | None = None) -> bool:
     return all(holds_urp_at(S, e, budget) for e in range(S.n))
 
 
-def first_urp_failure(
-    S: FiniteJoinSemilattice, masks: Sequence[int], budget: int | None = None
-) -> int | None:
-    """The first element of S at which URP fails, or None.
+def first_urp_failure(con: CongruenceLattice, budget: int | None = None) -> int | None:
+    """The first element of Con L at which URP fails, or None.
 
-    Masks that certify S as a ring of sets, as the cover masks of a Con L
-    do, prove URP at every e by the meet witness a* = a, b* = b,
-    c_ik = a_i & b_k.  Join is union and the masks are closed under &, so
-    c_ik is an element.  (ii): every t in a_i lies in e = a_k | b_k, so
-    a_i <= a_k | (a_i & b_k).  (iii): t in a_i & b_k lies in a_j or b_j,
-    so in (a_i & b_j) | (a_j & b_k).  On other masks the literal
-    :func:`holds_urp_at` decides each element in turn."""
-    if certifies_ring_of_sets(S, masks):
+    Con L joins by OR, so masks that form a ring of sets prove URP at every
+    e by the meet witness a* = a, b* = b, c_ik = a_i & b_k.  The masks are
+    closed under &, so c_ik is an element.  (ii): every t in a_i lies in
+    e = a_k | b_k, so a_i <= a_k | (a_i & b_k).  (iii): t in a_i & b_k lies
+    in a_j or b_j, so in (a_i & b_j) | (a_j & b_k).  On other masks the
+    literal :func:`holds_urp_at` decides each element in turn."""
+    if certifies_ring_of_sets(con.masks):
         return None
-    return next((e for e in range(S.n) if not holds_urp_at(S, e, budget)), None)
+    return next((e for e in range(con.n) if not holds_urp_at(con, e, budget)), None)
 
 
 # -- closure under joins ---------------------------------------------------------

@@ -79,6 +79,11 @@ union-find alone, and join them by closure or intersect them; they are the
 reference for OR and AND of masks.  :func:`convex_range_by_pairs` is the
 former ``has_convex_range``, which tests every pair of image elements, kept
 as the reference for the one pass over the image.
+:func:`certifies_ring_of_sets_by_join_table` is the former ring-of-sets
+certificate, which tests a semilattice's join table against union of an
+index -> mask map, kept as the reference for the certificate on the masks
+alone; :func:`con_lattice_on_masks` puts Con L's tables on masks that no
+lattice has, such as :data:`M3_MASKS`, so that its literal fallbacks run.
 """
 from __future__ import annotations
 
@@ -542,6 +547,35 @@ def refinement_holds(S) -> bool:
                     ):
                         return False
     return True
+
+
+def certifies_ring_of_sets_by_join_table(S, masks) -> bool:
+    """masks, one set per element of S, is injective, sends join to union,
+    and its image is closed under intersection."""
+    index = {m: i for i, m in enumerate(masks)}
+    if len(masks) != S.n or len(index) != S.n:
+        return False
+    return all(
+        masks[x] == mi | mj and mi & mj in index
+        for row, mi in zip(S.join_rows, masks)
+        for x, mj in zip(row, masks)
+    )
+
+
+# the atoms of M3 as the two-element subsets of {0, 1, 2}, in M3's element
+# order: closed under union, but no atom is the intersection of two others
+M3_MASKS = (0b000, 0b011, 0b110, 0b101, 0b111)
+
+
+def con_lattice_on_masks(masks):
+    """A CongruenceLattice with no host whose masks are ``masks``, held as
+    its constructor holds them, with bottom first and top last."""
+    from conlat import CongruenceLattice
+
+    con = CongruenceLattice.__new__(CongruenceLattice)
+    con.masks, con.mask_index = tuple(masks), {m: i for i, m in enumerate(masks)}
+    con.n, con.bottom, con.top = len(masks), 0, len(masks) - 1
+    return con
 
 
 def refinement_counterexample_literal(S):

@@ -48,8 +48,11 @@ from conlat import (
 from conlat.cli import _con_distributive, _join_instances, _urp_everywhere
 from conlat.congruence import _blocks
 from oracles import (
+    M3_MASKS,
     alternating_chain_bfs,
+    certifies_ring_of_sets_by_join_table,
     closure_by_union_find,
+    con_lattice_on_masks,
     con_tables_by_joins,
     congruence_partitions,
     eager_principal_table,
@@ -363,7 +366,7 @@ def test_con_lattice_reads_the_covers_once_and_builds_congruences_on_first_read(
     L.covers = lambda: calls.append(1) or covers()
     con = con_lattice(L)
     assert "congruences" not in con.__dict__
-    assert refinement_by_certificate(con, con.masks).holds
+    assert refinement_by_certificate(con).holds
     assert "congruences" not in con.__dict__
     assert [t.num_blocks for t in con.congruences] == [8, 4, 4, 4, 2, 2, 2, 1]
     assert con.principal and con.tops and con_nid_iso(L)
@@ -372,7 +375,7 @@ def test_con_lattice_reads_the_covers_once_and_builds_congruences_on_first_read(
 
 def test_certificate_check_builds_no_principal_table():
     con = con_lattice(chain(6))
-    assert refinement_by_certificate(con, con.masks).holds
+    assert refinement_by_certificate(con).holds
     assert "principal" not in con.__dict__
 
 
@@ -421,11 +424,11 @@ def test_con_order_and_tables_match_the_validating_constructor():
 
 @pytest.mark.parametrize("row", [_urp_everywhere, _con_distributive])
 def test_urp_and_con_distributive_rows_build_no_order(row):
+    # the certificate reads the masks alone: no join table and no order
     for L in (boolean(3), m3(), n5(), chain(6)):
         assert row(L, 0) == {"verdict": "holds"}
         built = con_lattice(L).__dict__
-        assert "join_rows" in built
-        assert "down_bits" not in built and "up_bits" not in built
+        assert not {"join_rows", "down_bits", "up_bits"} & built.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +448,10 @@ def join_irreducible_masks(L: FiniteLattice) -> list[int]:
 def test_certificate_matches_literal_refinement_on_lattices(corpus7):
     verdicts = set()
     for L in corpus7:
-        S = L
-        certified = certifies_ring_of_sets(S, join_irreducible_masks(L))
-        assert certified == has_refinement_property(S).holds == is_distributive(L)
+        masks = join_irreducible_masks(L)
+        certified = certifies_ring_of_sets(masks)
+        assert certified == certifies_ring_of_sets_by_join_table(L, masks)
+        assert certified == has_refinement_property(L).holds == is_distributive(L)
         verdicts.add(certified)
     assert verdicts == {True, False}
 
@@ -455,8 +459,17 @@ def test_certificate_matches_literal_refinement_on_lattices(corpus7):
 def test_certificate_holds_on_every_con(corpus7):
     for L in corpus7:
         con = con_lattice(L)
-        assert certifies_ring_of_sets(con, con.masks)
-        assert refinement_by_certificate(con, con.masks).holds
+        assert certifies_ring_of_sets(con.masks)
+        assert refinement_by_certificate(con).holds
+
+
+def test_certificate_matches_the_join_table_oracle():
+    assert len(con_lattice(chain(10))) == 512
+    for L in [*enumerate_lattices(8), *map(chain, range(1, 11))]:
+        con = con_lattice(L)
+        assert certifies_ring_of_sets(con.masks) == certifies_ring_of_sets_by_join_table(
+            con, con.masks
+        )
 
 
 def test_mask_squares_refine_every_equation_of_con(corpus6):
@@ -473,18 +486,20 @@ def test_mask_squares_refine_every_equation_of_con(corpus6):
 
 
 def test_certificate_rejects_masks_that_are_not_a_ring_of_sets():
-    S = m3()
-    # the atoms of M3 as the two-element subsets of {0, 1, 2}: joins are
-    # unions, but no element is the intersection of two atoms
-    masks = (0b000, 0b011, 0b110, 0b101, 0b111)
-    assert not certifies_ring_of_sets(S, masks)
-    literal = has_refinement_property(S)
+    # the atoms of M3 as the two-element subsets of {0, 1, 2}: closed under
+    # | but not under &
+    assert not certifies_ring_of_sets(M3_MASKS)
+    # closed under & but not under |, and closed under both but repeated
+    assert not certifies_ring_of_sets((0, 1, 2, 4, 8))
+    assert not certifies_ring_of_sets((0, 1, 1, 3))
+    assert certifies_ring_of_sets((0, 1, 3)) and certifies_ring_of_sets((0, 1, 2, 3))
+
+
+def test_uncertified_con_falls_back_to_the_literal_scan():
+    con = con_lattice_on_masks(M3_MASKS)
+    literal = has_refinement_property(m3())
     assert not literal.holds
-    assert refinement_by_certificate(S, masks) == literal
-    # not injective, and not join-preserving
-    assert not certifies_ring_of_sets(S, (0, 1, 1, 1, 1))
-    assert not certifies_ring_of_sets(S, (0, 1, 2, 4, 8))
-    assert not certifies_ring_of_sets(S, masks[:4])
+    assert refinement_by_certificate(con) == literal
 
 
 # ---------------------------------------------------------------------------

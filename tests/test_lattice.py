@@ -138,6 +138,18 @@ def test_from_covers_bad_index_rejected():
         FiniteLattice.from_covers(2, [(0, 5)])
 
 
+def test_le_rejects_bool_ids():
+    # chain(3).le(True, 2) returned True
+    with pytest.raises(IndexOutOfRange):
+        chain(3).le(True, 2)
+
+
+def test_join_of_rejects_bool_ids():
+    # chain(3).join_of(False, True) returned 1
+    with pytest.raises(IndexOutOfRange):
+        chain(3).join_of(False, True)
+
+
 # ---------------------------------------------------------------------------
 # the down-set constructor
 

@@ -416,9 +416,9 @@ def test_element_nodes_hold_each_xr(spec):
     assert [lr.node_of(x) for x in range(R.n)] == expected
 
 
-@pytest.mark.parametrize("x", [-1, 16])
+@pytest.mark.parametrize("x", [-1, 16, True])
 def test_node_of_rejects_elements_outside_the_ring(x):
-    # -1 used to return the node of element 15
+    # -1 used to return the node of element 15, and True the node of 1
     lr = principal_right_ideals(ring("M(2,2)"))
     with pytest.raises(IndexOutOfRange):
         lr.node_of(x)

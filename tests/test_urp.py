@@ -43,7 +43,7 @@ from conlat import (
     verify_urp_witness,
 )
 from conlat import FiniteLattice, LatticeHom
-from oracles import verify_urp_witness_literal
+from oracles import M3_MASKS, con_lattice_on_masks, verify_urp_witness_literal
 
 SMALL = list(enumerate_lattices(5))
 DISTRIBUTIVE = [L for L in SMALL if is_distributive(L)]
@@ -402,23 +402,21 @@ def test_meet_witness_matches_literal_on_every_con_element(corpus6):
     # Con L, and the literal search agrees
     for L in corpus6:
         con = con_lattice(L)
-        S = con
-        assert certifies_ring_of_sets(S, con.masks)
-        assert all(holds_urp_at(S, e) for e in range(S.n))
-        assert first_urp_failure(S, con.masks, budget=0) is None
+        assert certifies_ring_of_sets(con.masks)
+        assert all(holds_urp_at(con, e) for e in range(con.n))
+        assert first_urp_failure(con, budget=0) is None
 
 
 def test_uncertified_masks_fall_back_to_the_literal_search():
-    # M3's atoms as the two-element subsets of {0, 1, 2}: join is union, but
-    # a_i & b_k is no element, so the certificate fails, and the fallback
-    # finds M3's literal failure at the top, within the budget it is given
-    S = m3()
-    masks = (0b000, 0b011, 0b110, 0b101, 0b111)
-    assert not certifies_ring_of_sets(S, masks)
+    # on M3's masks a_i & b_k is no element, so the certificate fails, and
+    # the fallback finds M3's literal failure at the top, within the budget
+    # it is given
+    con, S = con_lattice_on_masks(M3_MASKS), m3()
+    assert not certifies_ring_of_sets(con.masks)
     literal = next(e for e in range(S.n) if not holds_urp_at(S, e))
-    assert first_urp_failure(S, masks) == literal == S.top
+    assert first_urp_failure(con) == literal == S.top == con.top
     with pytest.raises(SearchBudgetExceeded):
-        first_urp_failure(S, masks, budget=0)
+        first_urp_failure(con, budget=0)
 
 
 def test_canonical_instance_lists_each_pair_once():
